@@ -13,7 +13,7 @@ from .bounds import (BoundReport, EULER_GAMMA, bound_report, cap_lower_bound,
 from .channel import (SystemConfig, cdd_codeword, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
-from .linalg import dft_matrix, kron, logdet_hermitian_psd
+from .linalg import dft_matrix, logdet_hermitian_psd
 from .rates import (RateEstimate, ergodic, monte_carlo_sweep, rate_cdd,
                     rate_cdd_reduced, sum_capacity)
 from .region import (RegionEstimate, pareto_segment, region_capacity,
@@ -36,7 +36,6 @@ __all__ = [
     "gap_high_snr",
     "harmonic",
     "jensen_collapsed_bounds",
-    "kron",
     "logdet_hermitian_psd",
     "monte_carlo_sweep",
     "pareto_segment",

@@ -26,9 +26,10 @@ from . import bounds as bnd
 from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
                       sample_channel_block, sample_channels,
                       shuffle_permutation)
-from .linalg import dft_matrix, kron
-from .rates import (monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
-                    sum_capacity)
+from .linalg import dft_matrix
+from .rates import (REGION_METRICS, monte_carlo_sweep, rate_cdd,
+                    rate_cdd_reduced, sum_capacity)
+# bound only for bench/layers.py, which wraps them by name
 from .region import region_capacity, region_cdd
 
 METRICS = ("cdd_mc", "cap_mc", "rc_lb", "rc_lb_jensen", "rc_ub",
@@ -197,39 +198,38 @@ def _bound_rows(spec, n_rx, tag, grid_db, rows):
             gap, _ = bnd.gap_high_snr(spec.users, spec.n_tx, n_rx)
             table["gap"] = np.full(len(grid_db), gap)
         except ValueError as exc:
-            print(f"note: gap skipped for n_rx={n_rx}: {exc}")
+            print(f"note: gap skipped for n_rx={n_rx}: {exc}",
+                  file=sys.stderr)
     for metric in spec.metrics:  # keep the user's metric order
         if metric in table:
             for point, val in zip(grid_db, np.atleast_1d(table[metric])):
                 rows.append((point, metric + tag, val, 0.0, 0))
 
 
+# CSV row label -> region series (rates.REGION_PARTS) it reports
+REGION_ROWS = (("i1", "i1"), ("i2", "i2"), ("isum", "isum"),
+               ("corner_a_r1", "i1"), ("corner_a_r2", "isum-i1"),
+               ("corner_b_r1", "isum-i2"), ("corner_b_r2", "i2"))
+
+
 def _region_rows(spec, n_rx, tag, grid_db, rows):
+    """Region rows for one receive-antenna count: one pass over the trials
+    serves every SNR point and both schemes."""
     if "region" not in spec.metrics:
         return
-    for point in grid_db:
-        cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx,
-                           snr=10.0 ** (point / 10.0), trials=spec.trials,
-                           seed=spec.seed)
-        for scheme, estimate in (("cap", region_capacity(cfg, spec.workers)),
-                                 ("cdd", region_cdd(cfg, spec.workers))):
-            base = f"region_{scheme}"
-            rows.extend([
-                (point, f"{base}_i1{tag}", estimate.i1, estimate.i1_stderr,
-                 spec.trials),
-                (point, f"{base}_i2{tag}", estimate.i2, estimate.i2_stderr,
-                 spec.trials),
-                (point, f"{base}_isum{tag}", estimate.i_sum,
-                 estimate.i_sum_stderr, spec.trials),
-                (point, f"{base}_corner_a_r1{tag}", estimate.corner_a[0],
-                 estimate.corner_a_stderr[0], spec.trials),
-                (point, f"{base}_corner_a_r2{tag}", estimate.corner_a[1],
-                 estimate.corner_a_stderr[1], spec.trials),
-                (point, f"{base}_corner_b_r1{tag}", estimate.corner_b[0],
-                 estimate.corner_b_stderr[0], spec.trials),
-                (point, f"{base}_corner_b_r2{tag}", estimate.corner_b[1],
-                 estimate.corner_b_stderr[1], spec.trials),
-            ])
+    cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx, snr=0.0,
+                       trials=spec.trials, seed=spec.seed)
+    # Python's pow per point, as the region rows always used: numpy's
+    # vectorised power rounds some grid points differently
+    linear = np.array([10.0 ** (point / 10.0) for point in grid_db])
+    got = monte_carlo_sweep(cfg, snr=linear, metrics=REGION_METRICS,
+                            workers=spec.workers)
+    for i, point in enumerate(grid_db):
+        for scheme in ("cap", "cdd"):
+            for label, part in REGION_ROWS:
+                means, errs = got[f"{scheme}_{part}"]
+                rows.append((point, f"region_{scheme}_{label}{tag}",
+                             means[i], errs[i], spec.trials))
 
 
 def run(spec: ExperimentSpec, plot_script: str = "") -> int:
@@ -336,7 +336,7 @@ def _check_dual_path(rng, corrupt):
         perm = shuffle_permutation(n_tx, n_rx)
         if corrupt and perm.shape[0] >= 2:
             perm = perm[:, ::-1]  # deliberately wrong bin grouping
-        rot = kron(np.eye(n_rx), dft_matrix(n_tx))
+        rot = np.kron(np.eye(n_rx), dft_matrix(n_tx))
         for trial in range(cfg.trials):
             ch = sample_channels(cfg, trial)
             par = reduce_to_parallel(ch)
@@ -486,8 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                           + ",".join(METRICS))
     parser.add_argument("--out", metavar="FILE", help="output CSV path")
     parser.add_argument("--workers", type=int,
-                        help="parallel workers (results identical for any "
-                             "value)")
+                        help="parallel workers, at most one per chunk and "
+                             "CPU (results identical for any value)")
     parser.add_argument("--verify", action="store_true",
                         help="run the invariant self-check suite and exit")
     parser.add_argument("--plot-script", dest="plot_script", metavar="FILE",

@@ -20,11 +20,6 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(a, b)
-
-
 def logdet_hermitian_psd(a: np.ndarray) -> float:
     """ln det(a) for a Hermitian positive-definite matrix, via Cholesky.
 

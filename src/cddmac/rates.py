@@ -4,15 +4,16 @@ All rates are bits per channel use.  Determinants are evaluated through the
 Gram matrix of the smaller side (same nonzero spectrum), with natural logs
 converted to bits once at the end.
 
-The Monte-Carlo helpers share one chunking scheme: trials are processed in
-fixed-size chunks and the per-chunk (sum, sum-of-squares) pairs are reduced
-in chunk-index order.  Because channel draws are keyed by (seed, trial) and
-the reduction schedule never depends on the worker count, estimates are
-bit-identical for any --workers setting.
+Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
+trials are processed in fixed-size chunks and the per-chunk (sum,
+sum-of-squares) pairs are reduced in chunk-index order.  Because channel
+draws are keyed by (seed, trial) and the reduction schedule never depends
+on the worker count, estimates are bit-identical for any --workers setting.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -90,20 +91,43 @@ def sum_capacity(channels, snr: float) -> float:
     return _gram_logdet(flat, snr / n_tx) / LN2
 
 
-def _spans(trials: int):
-    return [(s, min(s + CHUNK, trials)) for s in range(0, trials, CHUNK)]
+def _chunk_sums(values, cfg: SystemConfig, args, start: int, stop: int):
+    vals = values(sample_channel_block(cfg, start, stop), *args)
+    return vals.sum(axis=-1), np.square(vals).sum(axis=-1)
 
 
-def _estimate(total: float, total_sq: float, n: int) -> RateEstimate:
-    mean = float(total) / n
-    var = max(float(total_sq) - n * mean * mean, 0.0) / (n - 1)
-    return RateEstimate(mean=mean, stderr=float(np.sqrt(var / n)), trials=n)
+def run_chunks(values, cfg: SystemConfig, args, workers: int = 1):
+    """Monte-Carlo (means, stderrs) of values(block, *args) over cfg.trials.
+
+    values maps a (trials, users, n_rx, n_tx) channel block to per-trial
+    values with trials on the last axis; the statistics keep the other axes.
+    At most min(workers, chunks, CPUs) processes run, and one runs serially;
+    values and args must be picklable (module-level) when more run.
+    """
+    if cfg.trials < 2:
+        raise ValueError("need trials >= 2 for a standard error")
+    spans = [(s, min(s + CHUNK, cfg.trials))
+             for s in range(0, cfg.trials, CHUNK)]
+    procs = min(workers, len(spans), os.cpu_count() or 1)
+    if procs > 1:
+        starts, stops = zip(*spans)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(_chunk_sums, repeat(values), repeat(cfg),
+                                  repeat(args), starts, stops))
+    else:
+        parts = [_chunk_sums(values, cfg, args, a, b) for a, b in spans]
+    total = total_sq = 0.0
+    for part_sum, part_sq in parts:  # chunk order, never completion order
+        total = total + part_sum
+        total_sq = total_sq + part_sq
+    n = cfg.trials
+    means = total / n
+    var = np.maximum(total_sq - n * means * means, 0.0) / (n - 1)
+    return means, np.sqrt(var / n)
 
 
-def _ergodic_chunk(metric, cfg: SystemConfig, start: int, stop: int):
-    block = sample_channel_block(cfg, start, stop)
-    vals = np.array([metric(ch, cfg.snr) for ch in block])
-    return float(vals.sum()), float(np.square(vals).sum())
+def _metric_values(block: np.ndarray, metric, snr: float) -> np.ndarray:
+    return np.array([metric(ch, snr) for ch in block])
 
 
 def ergodic(metric, cfg: SystemConfig, workers: int = 1) -> RateEstimate:
@@ -111,30 +135,25 @@ def ergodic(metric, cfg: SystemConfig, workers: int = 1) -> RateEstimate:
 
     metric must be a picklable (module-level) callable when workers > 1.
     """
-    if cfg.trials < 2:
-        raise ValueError("need trials >= 2 for a standard error")
-    spans = _spans(cfg.trials)
-    if workers > 1:
-        starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ergodic_chunk, repeat(metric), repeat(cfg),
-                                  starts, stops))
-    else:
-        parts = [_ergodic_chunk(metric, cfg, a, b) for a, b in spans]
-    total = 0.0
-    total_sq = 0.0
-    for part_sum, part_sq in parts:  # chunk order, never completion order
-        total += part_sum
-        total_sq += part_sq
-    return _estimate(total, total_sq, cfg.trials)
+    mean, stderr = run_chunks(_metric_values, cfg, (metric, cfg.snr), workers)
+    return RateEstimate(mean=float(mean), stderr=float(stderr),
+                        trials=cfg.trials)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized sweep engine: one pass over the trials serves every metric and
 # every SNR grid point (eigenvalues are computed once per realization), so
 # cross-metric differences like capacity-minus-CDD are tightly coupled.
+#
+# The two-user region metrics "<scheme>_<part>" (scheme cap or cdd) are the
+# pentagon's constraints: each user's single-user rate (other user silent),
+# the sum rate, and the sum rate minus either single-user rate (the corners'
+# second coordinates).
 
-SWEEP_METRICS = ("cdd", "cap", "diff")
+REGION_PARTS = ("i1", "i2", "isum", "isum-i1", "isum-i2")
+REGION_METRICS = tuple(f"{scheme}_{part}" for scheme in ("cap", "cdd")
+                       for part in REGION_PARTS)
+SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
 
 def _gram_eigvals(x: np.ndarray) -> np.ndarray:
@@ -152,74 +171,70 @@ def _gram_eigvals(x: np.ndarray) -> np.ndarray:
 def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     """Per-trial metric values, shape (len(metrics), len(snr), trials)."""
     n_trials, users, n_rx, n_tx = block.shape
-    need_cdd = any(m in ("cdd", "diff") for m in metrics)
-    need_cap = any(m in ("cap", "diff") for m in metrics)
-    cdd = cap = None
-    if need_cdd:
+    schemes = {m.split("_")[0] for m in metrics}
+    if "diff" in schemes:
+        schemes |= {"cdd", "cap"}
+    region = any(m in REGION_METRICS for m in metrics)
+    picks = {}
+    if "cdd" in schemes:
         par = (block @ dft_matrix(n_tx)).transpose(0, 3, 2, 1)  # (B,T,n_rx,K)
         mu = _gram_eigvals(par)                                 # (B,T,L)
         cdd = np.log2(1.0 + snr[:, None, None, None] * mu).sum(axis=(2, 3))
-        cdd /= n_tx                                             # (S,B)
-    if need_cap:
+        picks["cdd"] = cdd / n_tx                               # (S,B)
+        if region:
+            # single-user rate from the first DFT bin, other user absent
+            # (rank 1); every bin is identically distributed, which a test
+            # checks
+            for k in (1, 2):
+                gain = (np.abs(par[:, 0, :, k - 1]) ** 2).sum(-1)
+                picks[f"cdd_i{k}"] = np.log2(1.0 + snr[:, None] * gain)
+    if "cap" in schemes:
         flat = block.transpose(0, 2, 1, 3).reshape(n_trials, n_rx, users * n_tx)
         nu = _gram_eigvals(flat)                                # (B,Lcap)
-        cap = np.log2(1.0 + (snr[:, None, None] / n_tx) * nu).sum(axis=2)
-    picks = {"cdd": cdd, "cap": cap}
+        scale = snr[:, None, None] / n_tx
+        picks["cap"] = np.log2(1.0 + scale * nu).sum(axis=2)
+        if region:
+            for k in (1, 2):
+                alone = _gram_eigvals(block[:, k - 1])
+                picks[f"cap_i{k}"] = np.log2(1.0 + scale * alone).sum(-1)
+    if region:
+        for scheme in schemes - {"diff"}:
+            tot = picks[f"{scheme}_isum"] = picks[scheme]
+            for k in (1, 2):
+                picks[f"{scheme}_isum-i{k}"] = tot - picks[f"{scheme}_i{k}"]
     if "diff" in metrics:
-        picks["diff"] = cap - cdd
+        picks["diff"] = picks["cap"] - picks["cdd"]
     return np.stack([picks[m] for m in metrics])
-
-
-def _sweep_chunk(cfg: SystemConfig, snr: np.ndarray, metrics, start: int,
-                 stop: int):
-    block = sample_channel_block(cfg, start, stop)
-    vals = _sweep_values(block, snr, metrics)
-    return vals.sum(axis=-1), np.square(vals).sum(axis=-1)
 
 
 def monte_carlo_sweep(cfg: SystemConfig, snr=None, metrics=("cdd", "cap"),
                       workers: int = 1) -> dict:
     """Ergodic estimates for several metrics over a shared linear-SNR grid.
 
-    Returns {metric: RateEstimate} for scalar snr input, or
+    Metrics are named in SWEEP_METRICS; the REGION_METRICS need exactly two
+    users.  Returns {metric: RateEstimate} for scalar snr input, or
     {metric: (means, stderrs)} arrays matching the grid otherwise.  Results
     are bit-identical for any workers value (fixed chunk schedule).
     """
-    if cfg.trials < 2:
-        raise ValueError("need trials >= 2 for a standard error")
     unknown = [m for m in metrics if m not in SWEEP_METRICS]
     if unknown:
         raise ValueError(f"unknown sweep metrics {unknown}")
+    if cfg.users != 2 and any(m in REGION_METRICS for m in metrics):
+        raise ValueError("rate regions are computed for exactly 2 users")
     grid = np.atleast_1d(np.asarray(cfg.snr if snr is None else snr,
                                     dtype=float))
     if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise ValueError("snr grid must be nonempty, finite and >= 0")
     scalar = np.ndim(cfg.snr if snr is None else snr) == 0
 
-    spans = _spans(cfg.trials)
-    if workers > 1:
-        starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, repeat(cfg), repeat(grid),
-                                  repeat(tuple(metrics)), starts, stops))
-    else:
-        parts = [_sweep_chunk(cfg, grid, tuple(metrics), a, b) for a, b in spans]
-
-    totals = np.zeros((len(metrics), grid.size))
-    totals_sq = np.zeros_like(totals)
-    for part_sum, part_sq in parts:  # chunk order, never completion order
-        totals += part_sum
-        totals_sq += part_sq
-
-    n = cfg.trials
-    means = totals / n
-    var = np.maximum(totals_sq - n * means * means, 0.0) / (n - 1)
-    stderrs = np.sqrt(var / n)
+    means, stderrs = run_chunks(_sweep_values, cfg, (grid, tuple(metrics)),
+                                workers)
     out = {}
     for row, name in enumerate(metrics):
         if scalar:
             out[name] = RateEstimate(mean=float(means[row, 0]),
-                                     stderr=float(stderrs[row, 0]), trials=n)
+                                     stderr=float(stderrs[row, 0]),
+                                     trials=cfg.trials)
         else:
             out[name] = (means[row], stderrs[row])
     return out

@@ -3,22 +3,23 @@
 A two-user MAC region is the pentagon cut out by three ergodic constraints:
 each user's single-user rate (other user silent) and the sum rate.  The two
 corners are what successive cancellation achieves; the face between them is
-time sharing.  Estimates for all constraints of one region come from the
-same channel draws, so differences between constraints carry a coupled,
-smaller variance than independent runs would give.
+time sharing.  The constraints are metrics of the sweep engine
+(rates.REGION_METRICS), so all of them, for both schemes and every SNR
+point, come from the same channel draws: differences between constraints
+carry a coupled, smaller variance than independent runs would give.
 """
 
 from __future__ import annotations
 
+# ProcessPoolExecutor and sample_channel_block are bound here only for
+# bench/layers.py, which wraps them by name.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .channel import SystemConfig, sample_channel_block
-from .linalg import dft_matrix
-from .rates import _estimate, _gram_eigvals, _spans
+from .rates import REGION_PARTS, monte_carlo_sweep
 
 
 @dataclass(frozen=True)
@@ -44,53 +45,11 @@ class RegionEstimate:
     trials: int
 
 
-def _region_values(block: np.ndarray, snr: float, scheme: str) -> np.ndarray:
-    """Per-trial constraint values, shape (5, trials):
-    (i1, i2, i_sum, i_sum - i1, i_sum - i2)."""
-    n_trials, users, n_rx, n_tx = block.shape
-    if scheme == "capacity":
-        one = np.log2(1.0 + (snr / n_tx) * _gram_eigvals(block[:, 0])).sum(-1)
-        two = np.log2(1.0 + (snr / n_tx) * _gram_eigvals(block[:, 1])).sum(-1)
-        flat = block.transpose(0, 2, 1, 3).reshape(n_trials, n_rx, users * n_tx)
-        tot = np.log2(1.0 + (snr / n_tx) * _gram_eigvals(flat)).sum(-1)
-    elif scheme == "cdd":
-        par = (block @ dft_matrix(n_tx)).transpose(0, 3, 2, 1)  # (B,T,n_rx,2)
-        # single-user rate from the first DFT bin, other user absent (rank 1);
-        # every bin is identically distributed, which a test checks
-        one = np.log2(1.0 + snr * (np.abs(par[:, 0, :, 0]) ** 2).sum(-1))
-        two = np.log2(1.0 + snr * (np.abs(par[:, 0, :, 1]) ** 2).sum(-1))
-        tot = np.log2(1.0 + snr * _gram_eigvals(par)).sum((-1, -2)) / n_tx
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return np.stack([one, two, tot, tot - one, tot - two])
-
-
-def _region_chunk(cfg: SystemConfig, scheme: str, start: int, stop: int):
-    block = sample_channel_block(cfg, start, stop)
-    vals = _region_values(block, cfg.snr, scheme)
-    return vals.sum(axis=-1), np.square(vals).sum(axis=-1)
-
-
-def _region(cfg: SystemConfig, scheme: str, workers: int) -> RegionEstimate:
-    if cfg.users != 2:
-        raise ValueError("rate regions are computed for exactly 2 users")
-    if cfg.trials < 2:
-        raise ValueError("need trials >= 2 for a standard error")
-    spans = _spans(cfg.trials)
-    if workers > 1:
-        starts, stops = zip(*spans)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_region_chunk, repeat(cfg), repeat(scheme),
-                                  starts, stops))
-    else:
-        parts = [_region_chunk(cfg, scheme, a, b) for a, b in spans]
-    sums = np.zeros(5)
-    sums_sq = np.zeros(5)
-    for part_sum, part_sq in parts:  # chunk order, never completion order
-        sums += part_sum
-        sums_sq += part_sq
-    est = [_estimate(sums[q], sums_sq[q], cfg.trials) for q in range(5)]
-    one, two, tot, rest1, rest2 = est
+def _pack(cfg: SystemConfig, scheme: str, workers: int) -> RegionEstimate:
+    got = monte_carlo_sweep(cfg, metrics=tuple(f"{scheme}_{part}"
+                                               for part in REGION_PARTS),
+                            workers=workers)
+    one, two, tot, rest1, rest2 = got.values()
     return RegionEstimate(
         i1=one.mean, i2=two.mean, i_sum=tot.mean,
         i1_stderr=one.stderr, i2_stderr=two.stderr, i_sum_stderr=tot.stderr,
@@ -104,12 +63,12 @@ def _region(cfg: SystemConfig, scheme: str, workers: int) -> RegionEstimate:
 
 def region_capacity(cfg: SystemConfig, workers: int = 1) -> RegionEstimate:
     """Ergodic capacity region of the two-user MAC at cfg.snr."""
-    return _region(cfg, "capacity", workers)
+    return _pack(cfg, "cap", workers)
 
 
 def region_cdd(cfg: SystemConfig, workers: int = 1) -> RegionEstimate:
     """Ergodic achievable region of two-user CDD at cfg.snr."""
-    return _region(cfg, "cdd", workers)
+    return _pack(cfg, "cdd", workers)
 
 
 def pareto_segment(r: RegionEstimate, samples: int):

@@ -17,7 +17,7 @@ from cddmac.bounds import (EULER_GAMMA, cap_lower_bound, gap_high_snr,
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block,
                             sample_channels, shuffle_permutation)
-from cddmac.linalg import dft_matrix, kron
+from cddmac.linalg import dft_matrix
 from cddmac.rates import monte_carlo_sweep, rate_cdd, rate_cdd_reduced
 from cddmac.region import region_capacity, region_cdd
 
@@ -59,7 +59,7 @@ def test_criterion_02_bin_grouping_permutation():
     perm = shuffle_permutation(4, 2)
     exact = np.array_equal(perm, EXPECTED_PERMUTATION_4_2)
     cfg = SystemConfig(users=2, n_tx=4, n_rx=2, snr=1.0, trials=100, seed=202)
-    rot = kron(np.eye(2), dft_matrix(4))
+    rot = np.kron(np.eye(2), dft_matrix(4))
     worst = 0.0
     for trial in range(100):
         ch = sample_channels(cfg, trial)

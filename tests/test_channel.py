@@ -13,7 +13,7 @@ from cddmac.channel import (SystemConfig, _left_circulant, cdd_codeword,
                             effective_channel, reduce_to_parallel,
                             sample_channel_block, sample_channels,
                             shuffle_permutation)
-from cddmac.linalg import dft_matrix, kron
+from cddmac.linalg import dft_matrix
 
 # Bin-grouping permutation for n_tx=4, n_rx=2: row i*4+t carries its 1 in
 # column t*2+i (receive-major in, bin-major out).
@@ -249,7 +249,7 @@ def test_reduce_block_diagonalization_oracle(users, n_tx, n_rx):
     ch = rng.standard_normal((users, n_rx, n_tx)) \
         + 1j * rng.standard_normal((users, n_rx, n_tx))
     eff = effective_channel(ch)
-    rot = kron(np.eye(n_rx), dft_matrix(n_tx))
+    rot = np.kron(np.eye(n_rx), dft_matrix(n_tx))
     perm = shuffle_permutation(n_tx, n_rx)
     conjugated = perm.T @ rot @ eff @ eff.conj().T @ rot.conj().T @ perm
     par = reduce_to_parallel(ch)

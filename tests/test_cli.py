@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cddmac import cli, rates, region
 from cddmac.cli import main
 
 HEADER = ["snr_db", "metric", "value_bits", "stderr_bits", "trials", "seed"]
@@ -117,6 +118,24 @@ def test_scenario_figure3_region_rows(tmp_path):
         assert a1 + a2 == pytest.approx(isum, abs=1e-9)
 
 
+def test_scenario_figure3_draws_each_trial_once(tmp_path, monkeypatch):
+    # every SNR point and both schemes share one pass over the trials
+    drawn = []
+    real = rates.sample_channel_block
+
+    def counting(cfg, start, stop):
+        drawn.append(stop - start)
+        return real(cfg, start, stop)
+
+    for module in (cli, rates, region):
+        monkeypatch.setattr(module, "sample_channel_block", counting)
+    out = tmp_path / "f3.csv"
+    assert main(["--scenario", "figure3", "--trials", "5000",
+                 "--out", str(out)]) == 0
+    assert sum(drawn) == 5000 * 1  # trials x len(n_rx)
+    assert len(read_rows(out)) == 3 * 14
+
+
 def test_scenario_figure4_metrics(tmp_path):
     out = tmp_path / "f4.csv"
     assert main(["--scenario", "figure4", "--trials", "100",
@@ -187,6 +206,18 @@ def test_region_requires_two_users(tmp_path, capsys):
     cfg.write_text("users = 3\nmetrics = region\n")
     assert main(["--config", str(cfg)]) == 2
     assert "users" in capsys.readouterr().err
+
+
+def test_gap_note_goes_to_stderr(tmp_path, capsys):
+    # the high-SNR gap needs n_rx <= users, so this config skips it
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text("users = 1\nn_tx = 2\nn_rx = 2\nsnr_db = 0,10\n"
+                   "metrics = gap\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "g.csv")]) \
+        == 0
+    captured = capsys.readouterr()
+    assert "note: gap skipped for n_rx=2" in captured.err
+    assert "note: gap skipped" not in captured.out
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -7,7 +7,7 @@ no code path with the Cholesky-based implementation.
 import numpy as np
 import pytest
 
-from cddmac.linalg import dft_matrix, kron, logdet_hermitian_psd
+from cddmac.linalg import dft_matrix, logdet_hermitian_psd
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -56,28 +56,6 @@ def test_dft_symmetric():
 def test_dft_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         dft_matrix(bad)
-
-
-# --- kron ---------------------------------------------------------------
-
-
-def test_kron_identity_times_scalar():
-    np.testing.assert_array_equal(kron(np.eye(2), np.array([[5.0]])),
-                                  np.diag([5.0, 5.0]))
-
-
-def test_kron_block_swap():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = kron(swap, np.eye(2))
-    expected = np.zeros((4, 4))
-    expected[0:2, 2:4] = np.eye(2)
-    expected[2:4, 0:2] = np.eye(2)
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_kron_preserves_unitarity():
-    mat = kron(np.eye(2), dft_matrix(4))
-    np.testing.assert_allclose(mat @ mat.conj().T, np.eye(8), atol=1e-12)
 
 
 # --- logdet_hermitian_psd -----------------------------------------------

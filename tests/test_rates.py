@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channels)
 from cddmac.rates import (CHUNK, RateEstimate, ergodic, monte_carlo_sweep,
@@ -195,6 +196,42 @@ def test_ergodic_workers_bit_identical():
     serial = ergodic(rate_cdd, cfg, workers=1)
     parallel = ergodic(rate_cdd, cfg, workers=3)
     assert serial == parallel
+
+
+def test_run_chunks_clamps_workers(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # real pool is started however large workers is
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(rates.os, "cpu_count", lambda: 64)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=5000,
+                       seed=12)  # two chunks
+    serial = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
+    assert sizes == []
+    assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
+        == serial
+    assert sizes == [2]  # capped at the chunk count
+    small = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=100,
+                         seed=12)  # one chunk
+    assert ergodic(rate_cdd, small, workers=64) == ergodic(rate_cdd, small)
+    monkeypatch.setattr(rates.os, "cpu_count", lambda: 1)
+    assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
+        == serial
+    assert sizes == [2]  # one chunk or one CPU runs serially
 
 
 # --- monte_carlo_sweep --------------------------------------------------
