@@ -97,8 +97,6 @@ def rc_upper_bound(users: int, n_rx: int, snr) -> float:
     """
     s = _check_args(users, 1, n_rx, snr)
     lo, hi = min(n_rx, users), max(n_rx, users)
-    if lo > 20:
-        raise ValueError("min(users, n_rx) > 20: factorial sum not evaluated")
     with np.errstate(divide="ignore"):  # log(0) -> -inf kills i>=1 terms at snr=0
         log_s = np.log(s)
     log_terms = [np.zeros_like(s)]  # i = 0 term is exactly 1

@@ -24,12 +24,12 @@ import numpy as np
 
 from . import bounds as bnd
 from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
-                      sample_channel_block, sample_channels,
-                      shuffle_permutation)
+                      sample_channels, shuffle_permutation)
 from .linalg import dft_matrix
 from .rates import (REGION_METRICS, monte_carlo_sweep, rate_cdd,
-                    rate_cdd_reduced, sum_capacity)
+                    rate_cdd_reduced, run_chunks, sum_capacity)
 # bound only for bench/layers.py, which wraps them by name
+from .channel import sample_channel_block
 from .region import region_capacity, region_cdd
 
 METRICS = ("cdd_mc", "cap_mc", "rc_lb", "rc_lb_jensen", "rc_ub",
@@ -47,6 +47,10 @@ SCENARIOS = {
                     metrics="cap_mc,cap_lb,rc_ub,cdd_mc,rc_lb",
                     trials="100000"),
 }
+
+# Highest accepted grid point: at 10^300 linear every rate and bound stays
+# finite, while near 3080 dB the linear SNR times a channel gain overflows.
+_SNR_DB_MAX = 3000.0
 
 DEFAULTS = dict(users="1", n_tx="1", n_rx="1", snr_db="0:40:5",
                 metrics="cap_mc,cdd_mc", trials="10000", seed="0",
@@ -119,6 +123,9 @@ def _parse_grid(text: str) -> tuple:
         raise UsageError(f"snr_db: cannot parse grid {text!r}")
     if grid.size == 0:
         raise UsageError("snr_db: grid is empty")
+    if not np.all(np.isfinite(grid)) or np.max(grid) > _SNR_DB_MAX:
+        raise UsageError(f"snr_db: points must be finite and at most "
+                         f"{_SNR_DB_MAX:g} dB, got {text!r}")
     return tuple(float(g) for g in grid)
 
 
@@ -141,6 +148,9 @@ def build_spec(settings: dict) -> ExperimentSpec:
     scenario = settings.get("scenario", "")
     out = settings["out"] or (f"{scenario or 'results'}.csv")
     trials = _parse_int("trials", settings["trials"], 2)
+    seed = _parse_int("seed", settings["seed"], 0)
+    if seed >= 2**64:
+        raise UsageError(f"seed: must be < 2**64, got {seed}")
     return ExperimentSpec(
         scenario=scenario,
         users=users,
@@ -148,7 +158,7 @@ def build_spec(settings: dict) -> ExperimentSpec:
         n_rx=n_rx,
         snr_db=_parse_grid(settings["snr_db"]),
         trials=trials,
-        seed=_parse_int("seed", settings["seed"], 0),
+        seed=seed,
         metrics=metrics,
         out=out,
         workers=_parse_int("workers", settings["workers"], 1),
@@ -159,26 +169,42 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _mc_rows(spec, n_rx, tag, grid_db, rows):
-    """Monte-Carlo metric rows for one receive-antenna count."""
-    wanted = [m for m in ("cdd_mc", "cap_mc") if m in spec.metrics]
-    if not wanted:
-        return
+# CSV row label -> region series (rates.REGION_PARTS) it reports
+REGION_ROWS = (("i1", "i1"), ("i2", "i2"), ("isum", "isum"),
+               ("corner_a_r1", "i1"), ("corner_a_r2", "isum-i1"),
+               ("corner_b_r1", "isum-i2"), ("corner_b_r2", "i2"))
+
+_MC_SERIES = {"cdd_mc": "cdd", "cap_mc": "cap"}
+
+
+def _sweep_rows(spec, n_rx, tag, linear):
+    """Monte-Carlo rows and region rows for one receive-antenna count: one
+    pass over the trials serves every SNR point and every requested metric."""
+    wanted = [m for m in _MC_SERIES if m in spec.metrics]
+    series = [_MC_SERIES[m] for m in wanted]
+    if "region" in spec.metrics:
+        series += REGION_METRICS
+    if not series:
+        return [], []
     cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx, snr=0.0,
                        trials=spec.trials, seed=spec.seed)
-    linear = 10.0 ** (np.asarray(grid_db) / 10.0)
-    names = {"cdd_mc": "cdd", "cap_mc": "cap"}
-    got = monte_carlo_sweep(cfg, snr=linear,
-                            metrics=tuple(names[m] for m in wanted),
+    got = monte_carlo_sweep(cfg, snr=linear, metrics=tuple(series),
                             workers=spec.workers)
-    for metric in wanted:
-        means, errs = got[names[metric]]
-        for point, mean, err in zip(grid_db, means, errs):
-            rows.append((point, metric + tag, mean, err, spec.trials))
+    mc = [(point, metric + tag, mean, err, spec.trials)
+          for metric in wanted
+          for point, mean, err in zip(spec.snr_db, *got[_MC_SERIES[metric]])]
+    region = []
+    if "region" in spec.metrics:
+        for i, point in enumerate(spec.snr_db):
+            for scheme in ("cap", "cdd"):
+                for label, part in REGION_ROWS:
+                    means, errs = got[f"{scheme}_{part}"]
+                    region.append((point, f"region_{scheme}_{label}{tag}",
+                                   means[i], errs[i], spec.trials))
+    return mc, region
 
 
-def _bound_rows(spec, n_rx, tag, grid_db, rows):
-    linear = 10.0 ** (np.asarray(grid_db) / 10.0)
+def _bound_rows(spec, n_rx, tag, linear):
     table = {}
     if "rc_lb" in spec.metrics:
         table["rc_lb"] = bnd.rc_lower_bound(spec.users, spec.n_tx, n_rx, linear)
@@ -196,50 +222,23 @@ def _bound_rows(spec, n_rx, tag, grid_db, rows):
     if "gap" in spec.metrics:
         try:
             gap, _ = bnd.gap_high_snr(spec.users, spec.n_tx, n_rx)
-            table["gap"] = np.full(len(grid_db), gap)
+            table["gap"] = np.full(len(linear), gap)
         except ValueError as exc:
             print(f"note: gap skipped for n_rx={n_rx}: {exc}",
                   file=sys.stderr)
-    for metric in spec.metrics:  # keep the user's metric order
-        if metric in table:
-            for point, val in zip(grid_db, np.atleast_1d(table[metric])):
-                rows.append((point, metric + tag, val, 0.0, 0))
-
-
-# CSV row label -> region series (rates.REGION_PARTS) it reports
-REGION_ROWS = (("i1", "i1"), ("i2", "i2"), ("isum", "isum"),
-               ("corner_a_r1", "i1"), ("corner_a_r2", "isum-i1"),
-               ("corner_b_r1", "isum-i2"), ("corner_b_r2", "i2"))
-
-
-def _region_rows(spec, n_rx, tag, grid_db, rows):
-    """Region rows for one receive-antenna count: one pass over the trials
-    serves every SNR point and both schemes."""
-    if "region" not in spec.metrics:
-        return
-    cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx, snr=0.0,
-                       trials=spec.trials, seed=spec.seed)
-    # Python's pow per point, as the region rows always used: numpy's
-    # vectorised power rounds some grid points differently
-    linear = np.array([10.0 ** (point / 10.0) for point in grid_db])
-    got = monte_carlo_sweep(cfg, snr=linear, metrics=REGION_METRICS,
-                            workers=spec.workers)
-    for i, point in enumerate(grid_db):
-        for scheme in ("cap", "cdd"):
-            for label, part in REGION_ROWS:
-                means, errs = got[f"{scheme}_{part}"]
-                rows.append((point, f"region_{scheme}_{label}{tag}",
-                             means[i], errs[i], spec.trials))
+    return [(point, metric + tag, val, 0.0, 0)
+            for metric in spec.metrics if metric in table  # user's order
+            for point, val in zip(spec.snr_db, table[metric])]
 
 
 def run(spec: ExperimentSpec, plot_script: str = "") -> int:
     """Execute the experiment and write the CSV; returns a process exit code."""
     rows = []
+    linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
     for n_rx in spec.n_rx:
         tag = f"_nrx{n_rx}" if len(spec.n_rx) > 1 else ""
-        _mc_rows(spec, n_rx, tag, spec.snr_db, rows)
-        _bound_rows(spec, n_rx, tag, spec.snr_db, rows)
-        _region_rows(spec, n_rx, tag, spec.snr_db, rows)
+        mc, region = _sweep_rows(spec, n_rx, tag, linear)
+        rows += mc + _bound_rows(spec, n_rx, tag, linear) + region
 
     lines = ["snr_db,metric,value_bits,stderr_bits,trials,seed"]
     for snr_db, metric, value, stderr, trials in rows:
@@ -301,7 +300,64 @@ plt.show()
 
 
 # ---------------------------------------------------------------------------
-# verify: reduced-scale invariant suite
+# verify: reduced-scale invariant suite.  The property kernels below are
+# shared with the full-scale acceptance tests; each caller picks its own
+# configurations, seeds, trial counts and tolerances.
+
+
+def _dual_path_residuals(ch, snr, perm):
+    """(|direct - reduced| rate, block-diagonalization leak) for one channel:
+    the leak is the largest entry of perm^T R Heff Heff^H R^H perm (R is
+    I (x) D) minus the blocks n_tx * Hp_t Hp_t^H; a wrong perm shows there."""
+    n_rx, n_tx = ch.shape[1:]
+    par = reduce_to_parallel(ch)
+    rate = abs(rate_cdd(ch, snr) - rate_cdd_reduced(par, snr))
+    rot = np.kron(np.eye(n_rx), dft_matrix(n_tx))
+    eff = effective_channel(ch)
+    lhs = perm.T @ (rot @ eff @ eff.conj().T @ rot.conj().T) @ perm
+    rhs = np.zeros_like(lhs)
+    for t in range(n_tx):
+        rhs[t * n_rx:(t + 1) * n_rx, t * n_rx:(t + 1) * n_rx] = \
+            n_tx * (par[t] @ par[t].conj().T)
+    return rate, float(np.max(np.abs(lhs - rhs)))
+
+
+def _sandwich_excess(cfg, grid):
+    """Worst (rc_lb - 3s - cdd), (cdd - 3s - rc_ub) and (cap_lb - 3s - cap)
+    over a linear-SNR grid, s the Monte-Carlo standard error; all <= 0 when
+    the closed-form bounds sandwich cfg's estimates."""
+    got = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap"))
+    cdd_mean, cdd_err = got["cdd"]
+    cap_mean, cap_err = got["cap"]
+    low = bnd.rc_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
+    high = bnd.rc_upper_bound(cfg.users, cfg.n_rx, grid)
+    cap_low = bnd.cap_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
+    return (float(np.max(low - 3 * cdd_err - cdd_mean)),
+            float(np.max(cdd_mean - 3 * cdd_err - high)),
+            float(np.max(cap_low - 3 * cap_err - cap_mean)))
+
+
+def _log_bin_gains(block):
+    """Per-trial mean of ln(gain) over the DFT bins at receive antenna 0."""
+    bins = block @ dft_matrix(block.shape[-1])
+    lam = (np.abs(bins) ** 2).sum(axis=1)[:, 0, :]  # (B, T)
+    return np.log(lam).mean(axis=-1)
+
+
+def _digamma_error(users, trials, seed):
+    """|E[ln lambda] - psi(K)|, psi(K) = H_{K-1} - gamma, at n_tx=4, n_rx=1."""
+    cfg = SystemConfig(users=users, n_tx=4, n_rx=1, snr=1.0, trials=trials,
+                       seed=seed)
+    mean, _ = run_chunks(_log_bin_gains, cfg, ())
+    return abs(float(mean) - (bnd.harmonic(users - 1) - bnd.EULER_GAMMA))
+
+
+def _psi_residual(n_tx_values, k_max):
+    """(worst residual at K=k_max, largest rise from one K to the next) of
+    bounds.psi_limit_check over the transmit-antenna counts."""
+    res = [bnd.psi_limit_check(n_tx, k_max) for n_tx in n_tx_values]
+    return (max(float(r[-1]) for r in res),
+            max(float(np.max(np.diff(r))) for r in res))
 
 
 def _check_dft_unitarity(rng, corrupt):
@@ -336,20 +392,11 @@ def _check_dual_path(rng, corrupt):
         perm = shuffle_permutation(n_tx, n_rx)
         if corrupt and perm.shape[0] >= 2:
             perm = perm[:, ::-1]  # deliberately wrong bin grouping
-        rot = np.kron(np.eye(n_rx), dft_matrix(n_tx))
         for trial in range(cfg.trials):
-            ch = sample_channels(cfg, trial)
-            par = reduce_to_parallel(ch)
-            worst_rate = max(worst_rate, abs(
-                rate_cdd(ch, cfg.snr) - rate_cdd_reduced(par, cfg.snr)))
-            eff = effective_channel(ch)
-            lhs = perm.T @ (rot @ eff @ eff.conj().T @ rot.conj().T) @ perm
-            rhs = np.zeros_like(lhs)
-            for t in range(n_tx):
-                blk = par[t] @ par[t].conj().T
-                rhs[t * n_rx:(t + 1) * n_rx, t * n_rx:(t + 1) * n_rx] = \
-                    n_tx * blk
-            worst_block = max(worst_block, float(np.max(np.abs(lhs - rhs))))
+            rate, block = _dual_path_residuals(sample_channels(cfg, trial),
+                                               cfg.snr, perm)
+            worst_rate = max(worst_rate, rate)
+            worst_block = max(worst_block, block)
     ok = worst_rate < 1e-9 and worst_block < 1e-9
     return ok, (f"max |direct - reduced| = {worst_rate:.3e}, "
                 f"max block-diagonalization leak = {worst_block:.3e}")
@@ -368,42 +415,19 @@ def _check_dominance(rng, corrupt):
 
 
 def _check_sandwich(rng, corrupt):
-    msgs = []
-    ok = True
-    for users, n_tx, n_rx in ((1, 2, 1), (2, 2, 2), (4, 2, 1)):
+    configs = ((1, 2, 1), (2, 2, 2), (4, 2, 1))
+    grid = np.array([1.0, 10.0, 100.0])
+    worst = -np.inf
+    for users, n_tx, n_rx in configs:
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
                            trials=20000, seed=2026)
-        grid = np.array([1.0, 10.0, 100.0])
-        got = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap"))
-        cdd_mean, cdd_err = got["cdd"]
-        cap_mean, cap_err = got["cap"]
-        low = bnd.rc_lower_bound(users, n_tx, n_rx, grid)
-        high = bnd.rc_upper_bound(users, n_rx, grid)
-        cap_low = bnd.cap_lower_bound(users, n_tx, n_rx, grid)
-        ok &= bool(np.all(low - 3 * cdd_err <= cdd_mean)
-                   and np.all(cdd_mean <= high + 3 * cdd_err)
-                   and np.all(cap_low <= cap_mean + 3 * cap_err))
-        msgs.append(f"({users},{n_tx},{n_rx})")
-    return ok, "rc_lb <= MC cdd <= rc_ub and cap_lb <= MC cap on " + \
-        " ".join(msgs)
+        worst = max(worst, *_sandwich_excess(cfg, grid))
+    return worst <= 0, "rc_lb <= MC cdd <= rc_ub and cap_lb <= MC cap on " + \
+        " ".join(f"({users},{n_tx},{n_rx})" for users, n_tx, n_rx in configs)
 
 
 def _check_digamma(rng, corrupt):
-    worst = 0.0
-    for users in (1, 2, 4):
-        cfg = SystemConfig(users=users, n_tx=4, n_rx=1, snr=1.0,
-                           trials=50000, seed=99)
-        acc = 0.0
-        count = 0
-        for start in range(0, cfg.trials, 8192):
-            block = sample_channel_block(cfg, start,
-                                         min(start + 8192, cfg.trials))
-            bins = block @ dft_matrix(cfg.n_tx)
-            lam = (np.abs(bins) ** 2).sum(axis=1)[:, 0, :]  # (B, T)
-            acc += float(np.log(lam).sum())
-            count += lam.size
-        target = bnd.harmonic(users - 1) - bnd.EULER_GAMMA
-        worst = max(worst, abs(acc / count - target))
+    worst = max(_digamma_error(users, 50000, 99) for users in (1, 2, 4))
     return worst < 0.02, f"max |E[ln lambda] - psi(K)| = {worst:.4f}"
 
 
@@ -421,13 +445,9 @@ def _check_gap_convergence(rng, corrupt):
 
 
 def _check_psi_limit(rng, corrupt):
-    ok = True
-    last = 0.0
-    for n_tx in (2, 4):
-        res = bnd.psi_limit_check(n_tx, 2000)
-        ok &= bool(res[-1] < 1e-3 and np.all(np.diff(res) <= 1e-15))
-        last = max(last, float(res[-1]))
-    return ok, f"residual at K=2000: {last:.2e}, nonincreasing"
+    last, rise = _psi_residual((2, 4), 2000)
+    return last < 1e-3 and rise <= 1e-15, \
+        f"residual at K=2000: {last:.2e}, nonincreasing"
 
 
 def _check_determinism(rng, corrupt):

@@ -2,7 +2,9 @@
 
 One test per release criterion, each printing a single pass/fail line; the
 full-scale Monte-Carlo settings make this file the slow part of the suite
-(a few minutes on one core).  Every tolerance is stated inline.
+(a few minutes on one core).  Every tolerance is stated inline.  Criteria
+1-4 and 8 share their property kernels with ``cddmac --verify`` (cli.py),
+which runs them at reduced scale.
 """
 
 import subprocess
@@ -11,14 +13,12 @@ import sys
 import numpy as np
 from scipy.special import exp1
 
-from cddmac.bounds import (EULER_GAMMA, cap_lower_bound, gap_high_snr,
-                           harmonic, psi_limit_check, rc_lower_bound,
+from cddmac.bounds import (cap_lower_bound, gap_high_snr, rc_lower_bound,
                            rc_upper_bound)
-from cddmac.channel import (SystemConfig, effective_channel,
-                            reduce_to_parallel, sample_channel_block,
-                            sample_channels, shuffle_permutation)
-from cddmac.linalg import dft_matrix
-from cddmac.rates import monte_carlo_sweep, rate_cdd, rate_cdd_reduced
+from cddmac.channel import SystemConfig, sample_channels, shuffle_permutation
+from cddmac.cli import (_digamma_error, _dual_path_residuals, _psi_residual,
+                        _sandwich_excess)
+from cddmac.rates import monte_carlo_sweep
 from cddmac.region import region_capacity, region_cdd
 
 # Bin-grouping permutation, n_tx=4 / n_rx=2: row 4i+t has its one in
@@ -43,11 +43,11 @@ def test_criterion_01_dual_path_equivalence():
             for n_rx in range(1, 5):
                 cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                                    snr=0.0, trials=16, seed=101)
+                perm = shuffle_permutation(n_tx, n_rx)
                 for trial in range(16):
-                    ch = sample_channels(cfg, trial)
                     snr = float(10 ** rng.uniform(-1, 3))
-                    delta = abs(rate_cdd(ch, snr) - rate_cdd_reduced(
-                        reduce_to_parallel(ch), snr))
+                    delta, _ = _dual_path_residuals(
+                        sample_channels(cfg, trial), snr, perm)
                     worst = max(worst, delta)
                     count += 1
     report(1, worst < 1e-9,
@@ -59,72 +59,34 @@ def test_criterion_02_bin_grouping_permutation():
     perm = shuffle_permutation(4, 2)
     exact = np.array_equal(perm, EXPECTED_PERMUTATION_4_2)
     cfg = SystemConfig(users=2, n_tx=4, n_rx=2, snr=1.0, trials=100, seed=202)
-    rot = np.kron(np.eye(2), dft_matrix(4))
-    worst = 0.0
-    for trial in range(100):
-        ch = sample_channels(cfg, trial)
-        eff = effective_channel(ch)
-        par = reduce_to_parallel(ch)
-        lhs = perm.T @ (rot @ eff @ eff.conj().T @ rot.conj().T) @ perm
-        rhs = np.zeros_like(lhs)
-        for t in range(4):
-            rhs[t * 2:(t + 1) * 2, t * 2:(t + 1) * 2] = \
-                4 * par[t] @ par[t].conj().T
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    worst = max(_dual_path_residuals(sample_channels(cfg, trial), cfg.snr,
+                                     perm)[1] for trial in range(100))
     report(2, exact and worst < 1e-9,
            f"8x8 matrix {'exact' if exact else 'WRONG'}; conjugation "
            f"identity max residual {worst:.2e} over 100 channels (tol 1e-9)")
 
 
 def test_criterion_03_digamma_identity():
-    worst = 0.0
-    details = []
-    for users in (1, 2, 4, 6):
-        cfg = SystemConfig(users=users, n_tx=4, n_rx=1, snr=1.0,
-                           trials=250000, seed=303)
-        acc = 0.0
-        count = 0
-        for start in range(0, cfg.trials, 8192):
-            block = sample_channel_block(cfg, start,
-                                         min(start + 8192, cfg.trials))
-            bins = block @ dft_matrix(4)
-            lam = (np.abs(bins) ** 2).sum(axis=1)[:, 0, :]
-            acc += float(np.log(lam).sum())
-            count += lam.size
-        target = harmonic(users - 1) - EULER_GAMMA
-        err = abs(acc / count - target)
-        worst = max(worst, err)
-        details.append(f"K={users}: {err:.4f}")
-    report(3, worst < 0.01,
+    errs = {users: _digamma_error(users, 250000, 303)
+            for users in (1, 2, 4, 6)}
+    report(3, max(errs.values()) < 0.01,
            "E[ln lambda] vs harmonic(K-1)-gamma over 1e6 samples: "
-           + ", ".join(details) + " (tol 0.01)")
+           + ", ".join(f"K={k}: {err:.4f}" for k, err in errs.items())
+           + " (tol 0.01)")
 
 
 def test_criterion_04_bound_sandwich():
     grid = np.array([0.1, 1.0, 10.0, 100.0, 1000.0])
-    worst_low = -np.inf
-    worst_high = -np.inf
-    worst_cap = -np.inf
+    worst = np.full(3, -np.inf)
     configs = 0
     for users in range(1, 5):
         for n_tx in range(1, 5):
             for n_rx in range(1, 5):
                 cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                                    snr=0.0, trials=100000, seed=404)
-                got = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap"))
-                cdd_mean, cdd_err = got["cdd"]
-                cap_mean, cap_err = got["cap"]
-                low = rc_lower_bound(users, n_tx, n_rx, grid)
-                high = rc_upper_bound(users, n_rx, grid)
-                cap_low = cap_lower_bound(users, n_tx, n_rx, grid)
-                worst_low = max(worst_low,
-                                float(np.max(low - 3 * cdd_err - cdd_mean)))
-                worst_high = max(worst_high,
-                                 float(np.max(cdd_mean - 3 * cdd_err - high)))
-                worst_cap = max(worst_cap,
-                                float(np.max(cap_low - 3 * cap_err
-                                             - cap_mean)))
+                worst = np.maximum(worst, _sandwich_excess(cfg, grid))
                 configs += 1
+    worst_low, worst_high, worst_cap = worst
     ok = worst_low <= 0 and worst_high <= 0 and worst_cap <= 0
     report(4, ok,
            f"{configs} configs x 5 SNRs x 1e5 trials: worst "
@@ -205,12 +167,8 @@ def test_criterion_07_figure4_gap_bound_and_ordering():
 
 
 def test_criterion_08_psi_limit_residuals():
-    worst = 0.0
-    monotone = True
-    for n_tx in (2, 3, 4):
-        res = psi_limit_check(n_tx, 10000)
-        worst = max(worst, float(res[-1]))
-        monotone &= bool(np.all(np.diff(res) <= 1e-15))
+    worst, rise = _psi_residual((2, 3, 4), 10000)
+    monotone = rise <= 1e-15
     report(8, worst < 1e-4 and monotone,
            f"residual |H_(nT*K-1) - H_K - ln nT| at K=1e4: worst "
            f"{worst:.2e} (< 1e-4), monotone in K: {monotone}")

@@ -7,6 +7,7 @@ implementation existed.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,26 +168,24 @@ def test_rc_upper_single_l_closed_form():
 
 
 def test_rc_upper_brute_force_sum():
-    # moderate dims where the binomial-factorial sum is safe in plain floats
-    users, n_rx, snr = 3, 2, 7.0
-    l_small, m_big = 2, 3
-    total = sum(math.comb(l_small, i)
-                * math.factorial(m_big) // math.factorial(m_big - i)
-                * snr ** i
-                for i in range(l_small + 1))
-    assert rc_upper_bound(users, n_rx, snr) == pytest.approx(
-        np.log2(total), rel=1e-12)
+    # the binomial-factorial sum in exact rationals, so that the L > 20
+    # cases cannot overflow
+    wide = (1e-3, 1.0, 1e4)
+    for users, n_rx, snrs in [(3, 2, (7.0,)), (25, 30, wide), (40, 40, wide),
+                              (64, 100, wide)]:
+        l_small, m_big = min(users, n_rx), max(users, n_rx)
+        for snr in snrs:
+            total = sum(math.comb(l_small, i) * math.perm(m_big, i)
+                        * Fraction(snr) ** i for i in range(l_small + 1))
+            assert rc_upper_bound(users, n_rx, snr) == pytest.approx(
+                math.log2(total.numerator) - math.log2(total.denominator),
+                rel=1e-12)
 
 
 def test_rc_upper_accepts_grid():
     got = rc_upper_bound(2, 2, np.array([0.0, 1.0, 100.0]))
     assert got.shape == (3,)
     assert got[0] == 0.0
-
-
-def test_rc_upper_rejects_large_l():
-    with pytest.raises(ValueError):
-        rc_upper_bound(25, 21, 1.0)
 
 
 # --- gap_high_snr -------------------------------------------------------

@@ -119,7 +119,8 @@ def test_scenario_figure3_region_rows(tmp_path):
 
 
 def test_scenario_figure3_draws_each_trial_once(tmp_path, monkeypatch):
-    # every SNR point and both schemes share one pass over the trials
+    # every SNR point, both schemes and the sum-rate metrics share one pass
+    # over the trials
     drawn = []
     real = rates.sample_channel_block
 
@@ -130,10 +131,14 @@ def test_scenario_figure3_draws_each_trial_once(tmp_path, monkeypatch):
     for module in (cli, rates, region):
         monkeypatch.setattr(module, "sample_channel_block", counting)
     out = tmp_path / "f3.csv"
-    assert main(["--scenario", "figure3", "--trials", "5000",
-                 "--out", str(out)]) == 0
-    assert sum(drawn) == 5000 * 1  # trials x len(n_rx)
-    assert len(read_rows(out)) == 3 * 14
+    for flags, n_rows in (((), 3 * 14),
+                          (("--metrics", "region,cdd_mc,cap_mc"),
+                           3 * 14 + 3 * 2)):
+        drawn.clear()
+        assert main(["--scenario", "figure3", "--trials", "5000",
+                     "--out", str(out), *flags]) == 0
+        assert sum(drawn) == 5000 * 1  # trials x len(n_rx)
+        assert len(read_rows(out)) == n_rows
 
 
 def test_scenario_figure4_metrics(tmp_path):
@@ -192,6 +197,11 @@ def test_requires_scenario_or_config(capsys):
     (("--snr-db", "abc"), "snr_db"),
     (("--workers", "0"), "workers"),
     (("--seed", "-1"), "seed"),
+    (("--snr-db", "nan"), "snr_db"),
+    (("--snr-db", "inf"), "snr_db"),
+    (("--snr-db", "0,4000"), "snr_db"),
+    (("--snr-db", "3080"), "snr_db"),
+    (("--seed", "18446744073709551616"), "seed"),
 ])
 def test_usage_errors_name_offending_field(tmp_path, capsys, flags, needle):
     out = tmp_path / "x.csv"
