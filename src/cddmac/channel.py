@@ -57,38 +57,31 @@ class SystemConfig:
         return self.n_tx
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Counter-based Philox keyed by (seed, trial): any worker can reproduce
-    # any trial without coordination, so results never depend on scheduling.
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray:
+    """All user channels of trials [start, stop), shape
+    (stop-start, users, n_rx, n_tx), i.i.d. unit-power circularly-symmetric
+    complex Gaussian.  Trial t is (z[..., 0] + 1j * z[..., 1]) / sqrt(2) for
+    the standard normals z, shape (users, n_rx, n_tx, 2), of a Philox keyed
+    by (cfg.seed, t): any worker reproduces any trial, so results never
+    depend on scheduling.
+    """
+    if not 0 <= start <= stop <= cfg.trials:
+        raise ValueError(f"trials [{start}, {stop}) outside [0, {cfg.trials})")
+    z = np.empty((stop - start, cfg.users, cfg.n_rx, cfg.n_tx, 2))
+    for j, trial in enumerate(range(start, stop)):
+        bits = np.random.Philox(key=np.array([cfg.seed, trial], np.uint64))
+        np.random.Generator(bits).standard_normal(out=z[j])
+    # divide as complex numbers: dividing the real buffer instead changes
+    # the last bit of about a quarter of the entries
+    block = z.view(np.complex128)[..., 0]
+    block /= np.sqrt(2.0)
+    return block
 
 
 def sample_channels(cfg: SystemConfig, trial_index: int) -> np.ndarray:
-    """One realization of all user channels, shape (users, n_rx, n_tx).
-
-    Entries are i.i.d. circularly-symmetric complex Gaussian with unit
-    power (real/imag parts each variance 1/2).  Deterministic function of
-    (cfg.seed, trial_index) alone.
-    """
-    if not 0 <= trial_index < cfg.trials:
-        raise ValueError(
-            f"trial_index {trial_index} outside range [0, {cfg.trials})")
-    rng = _trial_rng(cfg.seed, trial_index)
-    z = rng.standard_normal((cfg.users, cfg.n_rx, cfg.n_tx, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-
-
-def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray:
-    """Stack trials [start, stop) into shape (stop-start, users, n_rx, n_tx).
-
-    block[j] is bit-identical to sample_channels(cfg, start + j).
-    """
-    out = np.empty((stop - start, cfg.users, cfg.n_rx, cfg.n_tx),
-                   dtype=np.complex128)
-    for j in range(stop - start):
-        out[j] = sample_channels(cfg, start + j)
-    return out
+    """One realization of all user channels, shape (users, n_rx, n_tx):
+    row 0 of sample_channel_block(cfg, trial_index, trial_index + 1)."""
+    return sample_channel_block(cfg, trial_index, trial_index + 1)[0]
 
 
 def cdd_codeword(symbols) -> np.ndarray:
@@ -106,11 +99,11 @@ def cdd_codeword(symbols) -> np.ndarray:
 
 
 def _left_circulant(taps: np.ndarray) -> np.ndarray:
-    # Row r = (h_r, h_{r+1}, ..., h_{r-1}): complex symmetric, diagonalized
-    # by the congruence D A D rather than a similarity.
-    n = taps.size
+    # Row r = (h_r, h_{r+1}, ..., h_{r-1}) along the last axis: complex
+    # symmetric, diagonalized by the congruence D A D rather than a similarity.
+    n = taps.shape[-1]
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return taps[idx]
+    return taps[..., idx]
 
 
 def effective_channel(channels) -> np.ndarray:
@@ -120,16 +113,12 @@ def effective_channel(channels) -> np.ndarray:
     taps between user k and receive antenna i, so y_block = H_eff @ x_stack
     reproduces the codeword view cdd_codeword(x_k) @ h for every antenna.
     """
-    ch = np.asarray(channels)
+    ch = np.asarray(channels, dtype=np.complex128)
     if ch.ndim != 3:
         raise ValueError("channels must have shape (users, n_rx, n_tx)")
     users, n_rx, n_tx = ch.shape
-    out = np.empty((n_rx * n_tx, n_tx * users), dtype=np.complex128)
-    for k in range(users):
-        for i in range(n_rx):
-            out[i * n_tx:(i + 1) * n_tx, k * n_tx:(k + 1) * n_tx] = \
-                _left_circulant(ch[k, i])
-    return out
+    blocks = _left_circulant(ch)  # [k, i, r, c] -> row i*T + r, col k*T + c
+    return blocks.transpose(1, 2, 0, 3).reshape(n_rx * n_tx, n_tx * users)
 
 
 def shuffle_permutation(n_tx: int, n_rx: int) -> np.ndarray:

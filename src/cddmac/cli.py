@@ -107,6 +107,13 @@ def _parse_int(field: str, text: str, minimum: int) -> int:
     return val
 
 
+def _parse_seed(text: str) -> int:
+    seed = _parse_int("seed", text, 0)
+    if seed >= 2**64:  # one 64-bit Philox key word
+        raise UsageError(f"seed: must be < 2**64, got {seed}")
+    return seed
+
+
 def _parse_grid(text: str) -> tuple:
     """SNR grid in dB: either 'start:stop:step' (inclusive) or 'a,b,c'."""
     try:
@@ -148,9 +155,7 @@ def build_spec(settings: dict) -> ExperimentSpec:
     scenario = settings.get("scenario", "")
     out = settings["out"] or (f"{scenario or 'results'}.csv")
     trials = _parse_int("trials", settings["trials"], 2)
-    seed = _parse_int("seed", settings["seed"], 0)
-    if seed >= 2**64:
-        raise UsageError(f"seed: must be < 2**64, got {seed}")
+    seed = _parse_seed(settings["seed"])
     return ExperimentSpec(
         scenario=scenario,
         users=users,
@@ -499,7 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key=value config file (# comments); flags "
                              "override it")
     parser.add_argument("--snr-db", dest="snr_db", metavar="GRID",
-                        help="dB grid: 'start:stop:step' or 'a,b,c'")
+                        help="dB grid: 'start:stop:step' or 'a,b,c'; attach "
+                             "a negative one: --snr-db=-10:40:2.5")
     parser.add_argument("--trials", type=int, help="Monte-Carlo trials")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--metrics", help="comma list from: "
@@ -520,14 +526,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.verify:
-        return verify(seed=args.seed if args.seed is not None else 0,
-                      corrupt_permutation=args.corrupt_permutation)
-    if not args.scenario and not args.config:
+    if not (args.verify or args.scenario or args.config):
         print("usage error: one of --scenario or --config is required "
               "(or --verify)", file=sys.stderr)
         return 2
     try:
+        if args.verify:
+            return verify(seed=_parse_seed(str(args.seed or 0)),
+                          corrupt_permutation=args.corrupt_permutation)
         file_settings = parse_config_file(args.config) if args.config else {}
         scenario = args.scenario or file_settings.pop("scenario", "")
         if scenario and scenario not in SCENARIOS:

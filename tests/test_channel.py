@@ -14,6 +14,7 @@ from cddmac.channel import (SystemConfig, _left_circulant, cdd_codeword,
                             sample_channel_block, sample_channels,
                             shuffle_permutation)
 from cddmac.linalg import dft_matrix
+from cddmac.rates import CHUNK
 
 # Bin-grouping permutation for n_tx=4, n_rx=2: row i*4+t carries its 1 in
 # column t*2+i (receive-major in, bin-major out).
@@ -78,6 +79,32 @@ def test_sample_trial_out_of_range():
         sample_channels(cfg, 5)
     with pytest.raises(ValueError):
         sample_channels(cfg, -1)
+    for start, stop in ((3, 2), (4, 6), (-1, 2)):
+        with pytest.raises(ValueError):
+            sample_channel_block(cfg, start, stop)
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx,seed,start,stop", [
+    (1, 1, 1, 0, 0, 3),
+    (2, 3, 2, 11, 4, 9),
+    (6, 3, 3, 2 ** 64 - 1, 0, 2),
+    (1, 4, 2, 7, CHUNK - 3, CHUNK + 2),   # crosses a chunk boundary
+])
+def test_sample_block_frozen_stream(users, n_tx, n_rx, seed, start, stop):
+    # The documented stream, rebuilt here: trial t is one Philox generator
+    # keyed by (seed, t), standard normals of shape (users, n_rx, n_tx, 2),
+    # real part first, scaled to unit power.
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+                       trials=stop, seed=seed)
+    expected = []
+    for t in range(start, stop):
+        key = np.array([seed, t], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            (users, n_rx, n_tx, 2))
+        expected.append((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))
+    block = sample_channel_block(cfg, start, stop)
+    assert block.dtype == np.complex128
+    assert block.tobytes() == np.array(expected).tobytes()
 
 
 def test_sample_block_matches_individual_draws():

@@ -151,6 +151,16 @@ def test_scenario_figure4_metrics(tmp_path):
     assert len(rows) == 10
 
 
+def test_negative_grid_attached_to_flag(tmp_path):
+    # a grid starting with '-' must be attached with '=', or argparse takes
+    # it for an option
+    out = tmp_path / "neg.csv"
+    assert main(["--scenario", "figure2", "--metrics", "rc_lb",
+                 "--snr-db=-10:0:5", "--out", str(out)]) == 0
+    assert sorted({float(row[0]) for row in read_rows(out)}) == \
+        [-10.0, -5.0, 0.0]
+
+
 def test_same_seed_same_bytes_any_workers(config_file, tmp_path):
     outs = []
     for name, workers in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
@@ -202,6 +212,8 @@ def test_requires_scenario_or_config(capsys):
     (("--snr-db", "0,4000"), "snr_db"),
     (("--snr-db", "3080"), "snr_db"),
     (("--seed", "18446744073709551616"), "seed"),
+    (("--verify", "--seed", "-1"), "seed"),
+    (("--verify", "--seed", "18446744073709551616"), "seed"),
 ])
 def test_usage_errors_name_offending_field(tmp_path, capsys, flags, needle):
     out = tmp_path / "x.csv"
