@@ -7,9 +7,9 @@ set of closed-form lower/upper bounds, and high-SNR gap formulas, plus
 two-user rate-region corner estimates.
 """
 
-from .bounds import (BoundReport, EULER_GAMMA, bound_report, cap_lower_bound,
-                     gap_high_snr, harmonic, jensen_collapsed_bounds,
-                     psi_limit_check, rc_lower_bound, rc_upper_bound)
+from .bounds import (EULER_GAMMA, cap_lower_bound, gap_high_snr, harmonic,
+                     jensen_collapsed_bounds, psi_limit_check, rc_lower_bound,
+                     rc_upper_bound)
 from .channel import (SystemConfig, cdd_codeword, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
@@ -22,12 +22,10 @@ from .region import (RegionEstimate, pareto_segment, region_capacity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "EULER_GAMMA",
     "RateEstimate",
     "RegionEstimate",
     "SystemConfig",
-    "bound_report",
     "cap_lower_bound",
     "cdd_codeword",
     "dft_matrix",

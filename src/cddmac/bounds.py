@@ -13,7 +13,6 @@ return matches); all outputs are bits per channel use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,37 +161,3 @@ def psi_limit_check(n_tx: int, k_max: int) -> np.ndarray:
     partial = np.where(upper >= ks + 1, prefix[upper] - prefix[ks], 0.0)
     return np.abs(partial - math.log(n_tx))
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All closed-form bounds for one (users, n_tx, n_rx, snr) point, in bits.
-
-    gap fields are None when the general gap formula is outside its stated
-    validity (n_rx > users with n_rx > 1).
-    """
-
-    rc_lower: float
-    rc_lower_jensen: float
-    rc_upper: float
-    cap_lower: float
-    cap_lower_jensen: float
-    gap_high_snr: float | None
-    gap_upper: float | None
-
-
-def bound_report(users: int, n_tx: int, n_rx: int, snr: float) -> BoundReport:
-    """Evaluate every bound at one scalar SNR point."""
-    rc_j, cap_j = jensen_collapsed_bounds(users, n_tx, n_rx, snr)
-    try:
-        gap, gap_up = gap_high_snr(users, n_tx, n_rx)
-    except ValueError:
-        gap, gap_up = None, None
-    return BoundReport(
-        rc_lower=rc_lower_bound(users, n_tx, n_rx, snr),
-        rc_lower_jensen=rc_j,
-        rc_upper=rc_upper_bound(users, n_rx, snr),
-        cap_lower=cap_lower_bound(users, n_tx, n_rx, snr),
-        cap_lower_jensen=cap_j,
-        gap_high_snr=gap,
-        gap_upper=gap_up,
-    )

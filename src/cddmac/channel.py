@@ -131,19 +131,18 @@ def shuffle_permutation(n_tx: int, n_rx: int) -> np.ndarray:
     if n_tx < 1 or n_rx < 1:
         raise ValueError("n_tx and n_rx must be >= 1")
     size = n_tx * n_rx
-    perm = np.zeros((size, size))
-    for i in range(n_rx):
-        for t in range(n_tx):
-            perm[i * n_tx + t, t * n_rx + i] = 1.0
-    return perm
+    # row i*n_tx + t of the identity's rows taken in order t*n_rx + i
+    return np.eye(size)[np.arange(size).reshape(n_tx, n_rx).T.ravel()]
 
 
 def reduce_to_parallel(channels) -> np.ndarray:
-    """Per-bin parallel subchannels, shape (n_tx, n_rx, users).
+    """Per-bin parallel subchannels: (..., users, n_rx, n_tx) channels give
+    (..., n_tx, n_rx, users) bins, any leading (trial) axes kept.
 
-    Entry [t, i, k] is the t-th unitary-DFT coefficient of the tap vector
-    between user k and receive antenna i; the unitary scaling keeps entries
-    unit-variance complex Gaussian when the inputs are.  The stack satisfies
+    Entry [..., t, i, k] is the t-th unitary-DFT coefficient of the tap
+    vector between user k and receive antenna i; the unitary scaling keeps
+    entries unit-variance complex Gaussian when the inputs are.  Each stack
+    satisfies
 
         P^T (I kron D) Heff Heff^H (I kron D)^H P
             = blockdiag(n_tx * Hp_t Hp_t^H),
@@ -152,7 +151,7 @@ def reduce_to_parallel(channels) -> np.ndarray:
     path exact.
     """
     ch = np.asarray(channels)
-    if ch.ndim != 3:
-        raise ValueError("channels must have shape (users, n_rx, n_tx)")
+    if ch.ndim < 3:
+        raise ValueError("channels must have shape (..., users, n_rx, n_tx)")
     bins = ch @ dft_matrix(ch.shape[-1])  # D is symmetric: rows go through D
-    return bins.transpose(2, 1, 0)
+    return np.swapaxes(bins, -1, -3)

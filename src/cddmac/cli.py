@@ -28,6 +28,7 @@ from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
 from .linalg import dft_matrix
 from .rates import (REGION_METRICS, monte_carlo_sweep, rate_cdd,
                     rate_cdd_reduced, run_chunks, sum_capacity)
+from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
 from .channel import sample_channel_block
 from .region import region_capacity, region_cdd
@@ -51,6 +52,8 @@ SCENARIOS = {
 # Highest accepted grid point: at 10^300 linear every rate and bound stays
 # finite, while near 3080 dB the linear SNR times a channel gain overflows.
 _SNR_DB_MAX = 3000.0
+# Most grid points accepted, counted before a start:stop:step grid is built.
+_GRID_POINTS_MAX = 100_000
 
 DEFAULTS = dict(users="1", n_tx="1", n_rx="1", snr_db="0:40:5",
                 metrics="cap_mc,cdd_mc", trials="10000", seed="0",
@@ -123,9 +126,17 @@ def _parse_grid(text: str) -> tuple:
                 raise UsageError("snr_db: step must be > 0")
             if stop < start:
                 raise UsageError("snr_db: stop must be >= start")
-            grid = np.arange(start, stop + step / 2, step)
+            # np.arange would make ceil(count) points: count before it runs
+            count = (stop + step / 2 - start) / step
         else:
-            grid = np.array([float(p) for p in text.split(",") if p.strip()])
+            listed = [float(p) for p in text.split(",") if p.strip()]
+            count = len(listed)
+        if not count <= _GRID_POINTS_MAX:  # also true for a nan or inf count
+            raise UsageError(f"snr_db: grid must be finite with at most "
+                             f"{_GRID_POINTS_MAX} points, got "
+                             f"{np.ceil(count):.6g}")
+        grid = (np.arange(start, stop + step / 2, step) if ":" in text
+                else np.array(listed))
     except ValueError:
         raise UsageError(f"snr_db: cannot parse grid {text!r}")
     if grid.size == 0:
@@ -134,6 +145,15 @@ def _parse_grid(text: str) -> tuple:
         raise UsageError(f"snr_db: points must be finite and at most "
                          f"{_SNR_DB_MAX:g} dB, got {text!r}")
     return tuple(float(g) for g in grid)
+
+
+def _refuse_repeats(field: str, labels) -> None:
+    """A key given twice would write its rows twice under one label."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise UsageError(f"{field}: {label} is given twice")
+        seen.add(label)
 
 
 def build_spec(settings: dict) -> ExperimentSpec:
@@ -145,11 +165,15 @@ def build_spec(settings: dict) -> ExperimentSpec:
         if m not in METRICS:
             raise UsageError(f"metrics: unknown metric {m!r} "
                              f"(choose from {', '.join(METRICS)})")
+    _refuse_repeats("metrics", metrics)
     users = _parse_int("users", settings["users"], 1)
     n_rx = tuple(_parse_int("n_rx", p, 1)
                  for p in settings["n_rx"].split(",") if p)
     if not n_rx:
         raise UsageError("n_rx: at least one receive-antenna count required")
+    _refuse_repeats("n_rx", n_rx)
+    snr_db = _parse_grid(settings["snr_db"])
+    _refuse_repeats("snr_db", map(_fmt, snr_db))  # as the CSV labels them
     if "region" in metrics and users != 2:
         raise UsageError(f"users: region metric needs users=2, got {users}")
     scenario = settings.get("scenario", "")
@@ -161,7 +185,7 @@ def build_spec(settings: dict) -> ExperimentSpec:
         users=users,
         n_tx=_parse_int("n_tx", settings["n_tx"], 1),
         n_rx=n_rx,
-        snr_db=_parse_grid(settings["snr_db"]),
+        snr_db=snr_db,
         trials=trials,
         seed=seed,
         metrics=metrics,
@@ -173,11 +197,6 @@ def build_spec(settings: dict) -> ExperimentSpec:
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
-
-# CSV row label -> region series (rates.REGION_PARTS) it reports
-REGION_ROWS = (("i1", "i1"), ("i2", "i2"), ("isum", "isum"),
-               ("corner_a_r1", "i1"), ("corner_a_r2", "isum-i1"),
-               ("corner_b_r1", "isum-i2"), ("corner_b_r2", "i2"))
 
 _MC_SERIES = {"cdd_mc": "cdd", "cap_mc": "cap"}
 
@@ -344,8 +363,8 @@ def _sandwich_excess(cfg, grid):
 
 def _log_bin_gains(block):
     """Per-trial mean of ln(gain) over the DFT bins at receive antenna 0."""
-    bins = block @ dft_matrix(block.shape[-1])
-    lam = (np.abs(bins) ** 2).sum(axis=1)[:, 0, :]  # (B, T)
+    bins = reduce_to_parallel(block)                  # (B, T, n_rx, K)
+    lam = (np.abs(bins) ** 2).sum(axis=-1)[:, :, 0]  # (B, T)
     return np.log(lam).mean(axis=-1)
 
 

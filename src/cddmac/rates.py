@@ -20,8 +20,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import SystemConfig, effective_channel, sample_channel_block
-from .linalg import dft_matrix, logdet_hermitian_psd
+from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
+                      sample_channel_block)
+from .linalg import logdet_hermitian_psd
 
 LN2 = float(np.log(2.0))
 
@@ -39,13 +40,23 @@ class RateEstimate:
     trials: int
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x @ x^H or x^H @ x, whichever is smaller (the same nonzero spectrum),
+    batched over leading axes."""
+    xh = np.conj(np.swapaxes(x, -1, -2))
+    return x @ xh if x.shape[-2] <= x.shape[-1] else xh @ x
+
+
+def _stack_users(channels: np.ndarray) -> np.ndarray:
+    """(..., users, n_rx, n_tx) -> (..., n_rx, users * n_tx), the users side
+    by side, so that its Gram x @ x^H is sum_k Hk Hk^H."""
+    *lead, users, n_rx, n_tx = channels.shape
+    return np.swapaxes(channels, -3, -2).reshape(*lead, n_rx, users * n_tx)
+
+
 def _gram_logdet(mat: np.ndarray, scale: float) -> float:
     """ln det(I + scale * mat @ mat^H), via the Gram of the smaller side."""
-    rows, cols = mat.shape
-    if rows <= cols:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
+    gram = _gram(mat)
     return logdet_hermitian_psd(np.eye(gram.shape[0]) + scale * gram)
 
 
@@ -85,10 +96,7 @@ def sum_capacity(channels, snr: float) -> float:
     if snr < 0:
         raise ValueError("snr must be >= 0")
     ch = np.asarray(channels)
-    users, n_rx, n_tx = ch.shape
-    # sum_k Hk Hk^H equals the Gram of the users horizontally concatenated
-    flat = ch.transpose(1, 0, 2).reshape(n_rx, users * n_tx)
-    return _gram_logdet(flat, snr / n_tx) / LN2
+    return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 
 def _chunk_sums(values, cfg: SystemConfig, args, start: int, stop: int):
@@ -158,11 +166,7 @@ SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
 def _gram_eigvals(x: np.ndarray) -> np.ndarray:
     """Eigenvalues of x @ x^H via the smaller-side Gram, batched, clipped >= 0."""
-    rows, cols = x.shape[-2], x.shape[-1]
-    if rows <= cols:
-        gram = x @ np.conj(np.swapaxes(x, -1, -2))
-    else:
-        gram = np.conj(np.swapaxes(x, -1, -2)) @ x
+    gram = _gram(x)
     if gram.shape[-1] == 1:
         return gram[..., 0].real
     return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
@@ -170,14 +174,14 @@ def _gram_eigvals(x: np.ndarray) -> np.ndarray:
 
 def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     """Per-trial metric values, shape (len(metrics), len(snr), trials)."""
-    n_trials, users, n_rx, n_tx = block.shape
+    n_tx = block.shape[-1]
     schemes = {m.split("_")[0] for m in metrics}
     if "diff" in schemes:
         schemes |= {"cdd", "cap"}
     region = any(m in REGION_METRICS for m in metrics)
     picks = {}
     if "cdd" in schemes:
-        par = (block @ dft_matrix(n_tx)).transpose(0, 3, 2, 1)  # (B,T,n_rx,K)
+        par = reduce_to_parallel(block)                         # (B,T,n_rx,K)
         mu = _gram_eigvals(par)                                 # (B,T,L)
         cdd = np.log2(1.0 + snr[:, None, None, None] * mu).sum(axis=(2, 3))
         picks["cdd"] = cdd / n_tx                               # (S,B)
@@ -189,8 +193,7 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
                 gain = (np.abs(par[:, 0, :, k - 1]) ** 2).sum(-1)
                 picks[f"cdd_i{k}"] = np.log2(1.0 + snr[:, None] * gain)
     if "cap" in schemes:
-        flat = block.transpose(0, 2, 1, 3).reshape(n_trials, n_rx, users * n_tx)
-        nu = _gram_eigvals(flat)                                # (B,Lcap)
+        nu = _gram_eigvals(_stack_users(block))                 # (B,Lcap)
         scale = snr[:, None, None] / n_tx
         picks["cap"] = np.log2(1.0 + scale * nu).sum(axis=2)
         if region:
@@ -216,6 +219,8 @@ def monte_carlo_sweep(cfg: SystemConfig, snr=None, metrics=("cdd", "cap"),
     {metric: (means, stderrs)} arrays matching the grid otherwise.  Results
     are bit-identical for any workers value (fixed chunk schedule).
     """
+    if not metrics:
+        raise ValueError("metrics: at least one sweep metric is required")
     unknown = [m for m in metrics if m not in SWEEP_METRICS]
     if unknown:
         raise ValueError(f"unknown sweep metrics {unknown}")

@@ -21,6 +21,13 @@ import numpy as np
 from .channel import SystemConfig, sample_channel_block
 from .rates import REGION_PARTS, monte_carlo_sweep
 
+# Pentagon coordinate (also the CSV row label) -> the region series
+# (rates.REGION_PARTS) it reports: corner_a gives user 1 its single-user
+# rate, corner_b user 2, and the other coordinate is what the sum leaves.
+REGION_ROWS = (("i1", "i1"), ("i2", "i2"), ("isum", "isum"),
+               ("corner_a_r1", "i1"), ("corner_a_r2", "isum-i1"),
+               ("corner_b_r1", "isum-i2"), ("corner_b_r2", "i2"))
+
 
 @dataclass(frozen=True)
 class RegionEstimate:
@@ -49,14 +56,19 @@ def _pack(cfg: SystemConfig, scheme: str, workers: int) -> RegionEstimate:
     got = monte_carlo_sweep(cfg, metrics=tuple(f"{scheme}_{part}"
                                                for part in REGION_PARTS),
                             workers=workers)
-    one, two, tot, rest1, rest2 = got.values()
+    row = {label: got[f"{scheme}_{part}"] for label, part in REGION_ROWS}
+
+    def corner(name, field):
+        return tuple(getattr(row[f"{name}_r{k}"], field) for k in (1, 2))
+
     return RegionEstimate(
-        i1=one.mean, i2=two.mean, i_sum=tot.mean,
-        i1_stderr=one.stderr, i2_stderr=two.stderr, i_sum_stderr=tot.stderr,
-        corner_a=(one.mean, rest1.mean),
-        corner_b=(rest2.mean, two.mean),
-        corner_a_stderr=(one.stderr, rest1.stderr),
-        corner_b_stderr=(rest2.stderr, two.stderr),
+        i1=row["i1"].mean, i2=row["i2"].mean, i_sum=row["isum"].mean,
+        i1_stderr=row["i1"].stderr, i2_stderr=row["i2"].stderr,
+        i_sum_stderr=row["isum"].stderr,
+        corner_a=corner("corner_a", "mean"),
+        corner_b=corner("corner_b", "mean"),
+        corner_a_stderr=corner("corner_a", "stderr"),
+        corner_b_stderr=corner("corner_b", "stderr"),
         trials=cfg.trials,
     )
 

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from cddmac.bounds import (BoundReport, EULER_GAMMA, bound_report,
-                           cap_lower_bound, gap_high_snr, harmonic,
-                           jensen_collapsed_bounds, psi_limit_check,
+from cddmac.bounds import (EULER_GAMMA, cap_lower_bound, gap_high_snr,
+                           harmonic, jensen_collapsed_bounds, psi_limit_check,
                            rc_lower_bound, rc_upper_bound)
 from cddmac.channel import SystemConfig
 from cddmac.rates import monte_carlo_sweep
@@ -284,27 +283,21 @@ def test_psi_limit_matches_digamma_oracle():
         assert res[k - 1] == pytest.approx(expected, abs=1e-12)
 
 
-# --- bound_report -------------------------------------------------------
+# --- the bound family together ------------------------------------------
 
 
-def test_report_orderings_hold_on_random_grid():
+def test_bound_orderings_hold_on_random_grid():
     rng = np.random.default_rng(15)
     for _ in range(60):
         users, n_tx, n_rx = (int(v) for v in rng.integers(1, 5, size=3))
         snr = float(10 ** rng.uniform(-1, 3))
-        rep = bound_report(users, n_tx, n_rx, snr)
-        assert isinstance(rep, BoundReport)
-        assert rep.rc_lower_jensen <= rep.rc_lower + 1e-12
-        assert rep.rc_lower <= rep.rc_upper + 1e-9
-        assert rep.cap_lower_jensen <= rep.cap_lower + 1e-12
-        for field in (rep.rc_lower, rep.rc_lower_jensen, rep.rc_upper,
-                      rep.cap_lower, rep.cap_lower_jensen):
-            assert np.isfinite(field)
-
-
-def test_report_flags_gap_outside_validity():
-    rep = bound_report(2, 2, 3, 10.0)
-    assert rep.gap_high_snr is None
-    assert rep.gap_upper is None
-    valid = bound_report(2, 2, 2, 10.0)
-    assert valid.gap_high_snr is not None
+        rc_lower = rc_lower_bound(users, n_tx, n_rx, snr)
+        rc_jensen, cap_jensen = jensen_collapsed_bounds(users, n_tx, n_rx,
+                                                        snr)
+        rc_upper = rc_upper_bound(users, n_rx, snr)
+        cap_lower = cap_lower_bound(users, n_tx, n_rx, snr)
+        assert rc_jensen <= rc_lower + 1e-12
+        assert rc_lower <= rc_upper + 1e-9
+        assert cap_jensen <= cap_lower + 1e-12
+        for value in (rc_lower, rc_jensen, rc_upper, cap_lower, cap_jensen):
+            assert np.isfinite(value)

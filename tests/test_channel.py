@@ -287,6 +287,24 @@ def test_reduce_block_diagonalization_oracle(users, n_tx, n_rx):
     np.testing.assert_allclose(conjugated, expected, atol=1e-9)
 
 
+def test_reduce_leading_axes_match_per_trial_calls():
+    # the sweep engine reduces whole chunks at once; every trial must get
+    # the bits a one-channel call gives it
+    cfg = SystemConfig(users=3, n_tx=4, n_rx=2, snr=1.0, trials=CHUNK + 50,
+                       seed=21)
+    block = sample_channel_block(cfg, CHUNK - 50, CHUNK + 50)
+    batched = reduce_to_parallel(block)
+    assert batched.shape == (100, 4, 2, 3)
+    single = np.stack([reduce_to_parallel(ch) for ch in block])
+    assert batched.tobytes() == single.tobytes()
+    assert reduce_to_parallel(block[None]).tobytes() == single.tobytes()
+
+
+def test_reduce_rejects_matrix():
+    with pytest.raises(ValueError):
+        reduce_to_parallel(np.ones((2, 4), dtype=complex))
+
+
 def test_reduce_preserves_unit_power():
     cfg = SystemConfig(users=2, n_tx=4, n_rx=1, snr=1.0, trials=7000, seed=12)
     block = sample_channel_block(cfg, 0, cfg.trials)

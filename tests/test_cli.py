@@ -2,14 +2,17 @@
 verify mode, and schedule-independent output."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cddmac import cli, rates, region
 from cddmac.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 HEADER = ["snr_db", "metric", "value_bits", "stderr_bits", "trials", "seed"]
 
 
@@ -214,12 +217,39 @@ def test_requires_scenario_or_config(capsys):
     (("--seed", "18446744073709551616"), "seed"),
     (("--verify", "--seed", "-1"), "seed"),
     (("--verify", "--seed", "18446744073709551616"), "seed"),
+    (("--snr-db=0:40:1e-12",), "snr_db"),
+    (("--snr-db", "0:100:0.001"), "snr_db"),  # 100001 points
 ])
 def test_usage_errors_name_offending_field(tmp_path, capsys, flags, needle):
     out = tmp_path / "x.csv"
     code = main(["--scenario", "figure2", "--out", str(out), *flags])
     assert code == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_point_limit():
+    assert len(cli._parse_grid("0:99.999:0.001")) == 100000
+    listed = [str(i / 1000) for i in range(100001)]
+    assert len(cli._parse_grid(",".join(listed[:-1]))) == 100000
+    with pytest.raises(cli.UsageError, match="snr_db"):
+        cli._parse_grid(",".join(listed))
+
+
+@pytest.mark.parametrize("line,field", [
+    ("n_rx = 2,2", "n_rx"),
+    ("metrics = rc_lb,rc_lb", "metrics"),
+    ("snr_db = 0,0", "snr_db"),
+    ("snr_db = 1,1.0000000000001", "snr_db"),  # both print as 1
+])
+def test_repeated_key_is_usage_error(tmp_path, capsys, line, field):
+    # each would write its rows twice under one label
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(f"metrics = rc_lb\n{line}\n")
+    out = tmp_path / "dup.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "twice" in err
     assert not out.exists()
 
 
@@ -298,6 +328,25 @@ def test_verify_corrupt_permutation_negative_control():
     proc = run_cli("--verify", "--corrupt-permutation")
     assert proc.returncode == 1
     assert "FAIL dual-path" in proc.stdout
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    # bench/layers.py wraps package names by module global; a refactor that
+    # unbinds one must fail here, not only in a traced benchmark run
+    script = (
+        "import sys\n"
+        "import layers\n"
+        "from cddmac import cli\n"
+        "tracer = layers.install()\n"
+        "assert cli.main(['--scenario', 'figure2', '--trials', '50',\n"
+        "                 '--snr-db', '0,10', '--out', sys.argv[1]]) == 0\n"
+        "drawn = tracer.per_layer()['channel.trials_drawn']\n"
+        "assert drawn == (100, 'count'), drawn\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "f2.csv")],
+        cwd=ROOT / "bench", env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_help():

@@ -285,6 +285,12 @@ def test_sweep_rejects_unknown_metric():
         monte_carlo_sweep(cfg, metrics=("cdd", "outage"))
 
 
+def test_sweep_rejects_empty_metrics():
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=10, seed=0)
+    with pytest.raises(ValueError, match="metrics"):
+        monte_carlo_sweep(cfg, metrics=(), workers=2)
+
+
 def test_sweep_rejects_bad_grid():
     cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=10, seed=0)
     with pytest.raises(ValueError):
