@@ -68,9 +68,18 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     if not 0 <= start <= stop <= cfg.trials:
         raise ValueError(f"trials [{start}, {stop}) outside [0, {cfg.trials})")
     z = np.empty((stop - start, cfg.users, cfg.n_rx, cfg.n_tx, 2))
+    bits = np.random.Philox(key=np.array([cfg.seed, start], np.uint64))
+    gen = np.random.Generator(bits)
+    # One pair serves the block: before each trial the Philox is reset to
+    # the state a new Philox keyed by (seed, t) starts in (counter 0, empty
+    # buffer), which costs a fraction of constructing a new pair.  The
+    # Generator keeps no state of its own between standard_normal calls.
+    fresh = bits.state
+    key = fresh["state"]["key"]
     for j, trial in enumerate(range(start, stop)):
-        bits = np.random.Philox(key=np.array([cfg.seed, trial], np.uint64))
-        np.random.Generator(bits).standard_normal(out=z[j])
+        key[1] = trial
+        bits.state = fresh
+        gen.standard_normal(out=z[j])
     # divide as complex numbers: dividing the real buffer instead changes
     # the last bit of about a quarter of the entries
     block = z.view(np.complex128)[..., 0]

@@ -172,6 +172,23 @@ def _gram_eigvals(x: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
 
+def _log_sums(scale: np.ndarray, x: np.ndarray, axes=()) -> np.ndarray:
+    """(S, B) array whose row i is log2(1 + scale[i] * x) summed over axes.
+
+    x has trials on axis 0.  One grid point at a time through one x-sized
+    buffer, so memory does not grow with the grid; each entry is computed
+    and summed exactly as the whole-grid broadcast would.
+    """
+    out = np.empty((scale.size, x.shape[0]))
+    buf = np.empty_like(x)
+    for row, s in zip(out, scale):
+        np.multiply(s, x, out=buf)
+        buf += 1.0
+        np.log2(buf, out=buf)
+        buf.sum(axis=axes, out=row)
+    return out
+
+
 def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     """Per-trial metric values, shape (len(metrics), len(snr), trials)."""
     n_tx = block.shape[-1]
@@ -183,23 +200,22 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     if "cdd" in schemes:
         par = reduce_to_parallel(block)                         # (B,T,n_rx,K)
         mu = _gram_eigvals(par)                                 # (B,T,L)
-        cdd = np.log2(1.0 + snr[:, None, None, None] * mu).sum(axis=(2, 3))
-        picks["cdd"] = cdd / n_tx                               # (S,B)
+        picks["cdd"] = _log_sums(snr, mu, (1, 2)) / n_tx        # (S,B)
         if region:
             # single-user rate from the first DFT bin, other user absent
             # (rank 1); every bin is identically distributed, which a test
             # checks
             for k in (1, 2):
                 gain = (np.abs(par[:, 0, :, k - 1]) ** 2).sum(-1)
-                picks[f"cdd_i{k}"] = np.log2(1.0 + snr[:, None] * gain)
+                picks[f"cdd_i{k}"] = _log_sums(snr, gain)
     if "cap" in schemes:
         nu = _gram_eigvals(_stack_users(block))                 # (B,Lcap)
-        scale = snr[:, None, None] / n_tx
-        picks["cap"] = np.log2(1.0 + scale * nu).sum(axis=2)
+        scale = snr / n_tx
+        picks["cap"] = _log_sums(scale, nu, 1)
         if region:
             for k in (1, 2):
                 alone = _gram_eigvals(block[:, k - 1])
-                picks[f"cap_i{k}"] = np.log2(1.0 + scale * alone).sum(-1)
+                picks[f"cap_i{k}"] = _log_sums(scale, alone, 1)
     if region:
         for scheme in schemes - {"diff"}:
             tot = picks[f"{scheme}_isum"] = picks[scheme]

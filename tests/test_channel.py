@@ -107,6 +107,42 @@ def test_sample_block_frozen_stream(users, n_tx, n_rx, seed, start, stop):
     assert block.tobytes() == np.array(expected).tobytes()
 
 
+def test_philox_state_layout_pinned():
+    # sample_channel_block resets one Philox per trial by assigning this
+    # numpy-internal dict; fail loudly if numpy changes its layout
+    state = np.random.Philox(key=np.array([5, 9], dtype=np.uint64)).state
+    assert set(state) == {"bit_generator", "state", "buffer", "buffer_pos",
+                          "has_uint32", "uinteger"}
+    assert state["bit_generator"] == "Philox"
+    assert set(state["state"]) == {"counter", "key"}
+    for array, shape in ((state["state"]["counter"], (4,)),
+                         (state["state"]["key"], (2,)),
+                         (state["buffer"], (4,))):
+        assert array.dtype == np.uint64
+        assert array.shape == shape
+    assert state["state"]["key"].tolist() == [5, 9]
+    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    assert state["buffer_pos"] == 4          # empty buffer
+    assert state["has_uint32"] == 0
+
+
+def test_philox_reset_discards_buffered_draws():
+    bits = np.random.Philox(key=np.array([3, 17], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    gen.standard_normal(5)
+    gen.integers(0, 2 ** 32, dtype=np.uint32)
+    used = bits.state
+    assert used["has_uint32"] == 1 and used["buffer_pos"] != 4
+    fresh["state"]["key"][1] = 18
+    bits.state = fresh
+    got = gen.standard_normal(7)
+    new = np.random.Generator(
+        np.random.Philox(key=np.array([3, 18], dtype=np.uint64)))
+    assert got.tobytes() == new.standard_normal(7).tobytes()
+    assert bits.state["has_uint32"] == 0
+
+
 def test_sample_block_matches_individual_draws():
     cfg = SystemConfig(users=2, n_tx=3, n_rx=2, snr=1.0, trials=20, seed=11)
     block = sample_channel_block(cfg, 4, 9)

@@ -7,14 +7,17 @@ Independent oracles used here:
     integral (scipy is a test-only dependency).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import exp1
 
 from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
-                            reduce_to_parallel, sample_channels)
-from cddmac.rates import (CHUNK, RateEstimate, ergodic, monte_carlo_sweep,
+                            reduce_to_parallel, sample_channel_block,
+                            sample_channels)
+from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, ergodic, monte_carlo_sweep,
                           rate_cdd, rate_cdd_reduced, sum_capacity)
 
 # E[log2(1 + snr*X)], X ~ Exp(1), at snr = 10 (i.e. 10 dB).
@@ -307,3 +310,66 @@ def test_sweep_matches_per_trial_rates():
                 for t in range(cfg.trials)]
     assert got["cdd"].mean == pytest.approx(np.mean(cdd_vals), abs=1e-10)
     assert got["cap"].mean == pytest.approx(np.mean(cap_vals), abs=1e-10)
+
+
+def broadcast_sweep(block, snr, name):
+    """Reference for rates._sweep_values: metric name's per-trial values as
+    one whole-grid broadcast with (S, B, ...) temporaries, shape (S, B)."""
+    n_tx = block.shape[-1]
+    scheme, _, part = name.partition("_")
+    if scheme == "diff":
+        return (broadcast_sweep(block, snr, "cap")
+                - broadcast_sweep(block, snr, "cdd"))
+    if part.startswith("isum-"):
+        return (broadcast_sweep(block, snr, scheme)
+                - broadcast_sweep(block, snr, f"{scheme}_{part[5:]}"))
+    user = int(part[1]) - 1 if part in ("i1", "i2") else None
+    if scheme == "cdd":
+        par = reduce_to_parallel(block)
+        if user is not None:
+            gain = (np.abs(par[:, 0, :, user]) ** 2).sum(-1)
+            return np.log2(1.0 + snr[:, None] * gain)
+        mu = rates._gram_eigvals(par)
+        cdd = np.log2(1.0 + snr[:, None, None, None] * mu).sum(axis=(2, 3))
+        return cdd / n_tx
+    scale = snr[:, None, None] / n_tx
+    if user is not None:
+        nu = rates._gram_eigvals(block[:, user])
+    else:
+        nu = rates._gram_eigvals(rates._stack_users(block))
+    return np.log2(1.0 + scale * nu).sum(axis=2)
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8)])
+def test_sweep_values_equal_whole_grid_broadcast(users, n_tx, n_rx):
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+                       trials=300, seed=21)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = np.concatenate([[0.0], 10.0 ** (np.arange(-30.0, 41.0, 3.5) / 10)])
+    names = [m for m in SWEEP_METRICS
+             if users == 2 or m not in rates.REGION_METRICS]
+    expected = {m: broadcast_sweep(block, snr, m) for m in names}
+    for metrics in [tuple(names)] + [(m,) for m in names]:
+        got = rates._sweep_values(block, snr, metrics)
+        assert got.shape == (len(metrics), snr.size, cfg.trials)
+        for row, name in zip(got, metrics):
+            assert row.tobytes() == expected[name].tobytes(), name
+
+
+@pytest.mark.parametrize("metric", ["cdd", "cap"])
+def test_sweep_values_memory_stays_near_result_size(metric):
+    # The (S, B) result itself is 82 MB; besides it the engine may hold one
+    # (S, B) array per metric and buffers the size of one grid point.  A
+    # whole-grid (S, B, T, L) broadcast needs 4 result sizes for cdd and 2
+    # for cap here, per temporary.
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=512, seed=22)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = np.geomspace(1e-2, 1e4, 20000)
+    result_bytes = snr.size * cfg.trials * 8
+    tracemalloc.start()
+    try:
+        rates._sweep_values(block, snr, (metric,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * result_bytes + 16e6       # 180 MB
