@@ -57,6 +57,17 @@ class SystemConfig:
         return self.n_tx
 
 
+def _philox_start(seed: int, trial: int) -> dict:
+    """The .state of a new Philox keyed by (seed, trial): counter 0, empty
+    buffer.  Plain ints, because the state setter reads the dict entry by
+    entry, which is cheaper from ints than from the uint64 arrays the
+    getter returns."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, trial]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+
 def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray:
     """All user channels of trials [start, stop), shape
     (stop-start, users, n_rx, n_tx), i.i.d. unit-power circularly-symmetric
@@ -64,6 +75,11 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     the standard normals z, shape (users, n_rx, n_tx, 2), of a Philox keyed
     by (cfg.seed, t): any worker reproduces any trial, so results never
     depend on scheduling.
+
+    The normals of a trial are read from the start of its stream, so a
+    config's block is the C-order flat prefix (block_prefix) of the block
+    of any config with the same seed and trial span and at least as many
+    entries per trial.
     """
     if not 0 <= start <= stop <= cfg.trials:
         raise ValueError(f"trials [{start}, {stop}) outside [0, {cfg.trials})")
@@ -74,7 +90,7 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     # the state a new Philox keyed by (seed, t) starts in (counter 0, empty
     # buffer), which costs a fraction of constructing a new pair.  The
     # Generator keeps no state of its own between standard_normal calls.
-    fresh = bits.state
+    fresh = _philox_start(cfg.seed, start)
     key = fresh["state"]["key"]
     for j, trial in enumerate(range(start, stop)):
         key[1] = trial
@@ -85,6 +101,21 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     block = z.view(np.complex128)[..., 0]
     block /= np.sqrt(2.0)
     return block
+
+
+def block_prefix(block: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """cfg's channels for the trials of a block drawn, with cfg's seed, for
+    a config with at least as many entries per trial: the first
+    users * n_rx * n_tx entries of each trial in C order, as a contiguous
+    (trials, users, n_rx, n_tx) array."""
+    trials, *per_trial = block.shape
+    flat = block.reshape(trials, int(np.prod(per_trial)))
+    size = cfg.users * cfg.n_rx * cfg.n_tx
+    if size > flat.shape[1]:
+        raise ValueError(f"block has {flat.shape[1]} entries per trial, "
+                         f"config needs {size}")
+    return np.ascontiguousarray(flat[:, :size]).reshape(
+        trials, cfg.users, cfg.n_rx, cfg.n_tx)
 
 
 def sample_channels(cfg: SystemConfig, trial_index: int) -> np.ndarray:

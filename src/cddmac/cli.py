@@ -24,13 +24,13 @@ import numpy as np
 
 from . import bounds as bnd
 from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
-                      sample_channels, shuffle_permutation)
+                      sample_channel_block, sample_channels,
+                      shuffle_permutation)
 from .linalg import dft_matrix
-from .rates import (REGION_METRICS, monte_carlo_sweep, rate_cdd,
-                    rate_cdd_reduced, run_chunks, sum_capacity)
+from .rates import (REGION_METRICS, _sweep_values, monte_carlo_sweep,
+                    rate_cdd, rate_cdd_reduced, run_shared, sum_capacity)
 from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
-from .channel import sample_channel_block
 from .region import region_capacity, region_cdd
 
 METRICS = ("cdd_mc", "cap_mc", "rc_lb", "rc_lb_jensen", "rc_ub",
@@ -346,19 +346,21 @@ def _dual_path_residuals(ch, snr, perm):
     return rate, float(np.max(np.abs(lhs - rhs)))
 
 
-def _sandwich_excess(cfg, grid):
-    """Worst (rc_lb - 3s - cdd), (cdd - 3s - rc_ub) and (cap_lb - 3s - cap)
-    over a linear-SNR grid, s the Monte-Carlo standard error; all <= 0 when
-    the closed-form bounds sandwich cfg's estimates."""
-    got = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap"))
-    cdd_mean, cdd_err = got["cdd"]
-    cap_mean, cap_err = got["cap"]
-    low = bnd.rc_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
-    high = bnd.rc_upper_bound(cfg.users, cfg.n_rx, grid)
-    cap_low = bnd.cap_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
-    return (float(np.max(low - 3 * cdd_err - cdd_mean)),
-            float(np.max(cdd_mean - 3 * cdd_err - high)),
-            float(np.max(cap_low - 3 * cap_err - cap_mean)))
+def _sandwich_excess(cfgs, grid):
+    """Per config, the worst (rc_lb - 3s - cdd), (cdd - 3s - rc_ub) and
+    (cap_lb - 3s - cap) over a linear-SNR grid, s the Monte-Carlo standard
+    error; all <= 0 when the closed-form bounds sandwich the config's
+    estimates.  The configs share one seed and trial count and one draw."""
+    got = run_shared(_sweep_values, cfgs, (grid, ("cdd", "cap")))
+    out = []
+    for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs, got):
+        low = bnd.rc_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
+        high = bnd.rc_upper_bound(cfg.users, cfg.n_rx, grid)
+        cap_low = bnd.cap_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
+        out.append((float(np.max(low - 3 * cdd_err - cdd_mean)),
+                    float(np.max(cdd_mean - 3 * cdd_err - high)),
+                    float(np.max(cap_low - 3 * cap_err - cap_mean))))
+    return out
 
 
 def _log_bin_gains(block):
@@ -368,12 +370,16 @@ def _log_bin_gains(block):
     return np.log(lam).mean(axis=-1)
 
 
-def _digamma_error(users, trials, seed):
-    """|E[ln lambda] - psi(K)|, psi(K) = H_{K-1} - gamma, at n_tx=4, n_rx=1."""
-    cfg = SystemConfig(users=users, n_tx=4, n_rx=1, snr=1.0, trials=trials,
-                       seed=seed)
-    mean, _ = run_chunks(_log_bin_gains, cfg, ())
-    return abs(float(mean) - (bnd.harmonic(users - 1) - bnd.EULER_GAMMA))
+def _digamma_error(user_counts, trials, seed):
+    """|E[ln lambda] - psi(K)|, psi(K) = H_{K-1} - gamma, at n_tx=4, n_rx=1,
+    one per user count K, all from one draw."""
+    cfgs = [SystemConfig(users=users, n_tx=4, n_rx=1, snr=1.0,
+                         trials=trials, seed=seed) for users in user_counts]
+    errors = []
+    for users, (mean, _) in zip(user_counts, run_shared(_log_bin_gains, cfgs)):
+        psi = bnd.harmonic(users - 1) - bnd.EULER_GAMMA
+        errors.append(abs(float(mean) - psi))
+    return tuple(errors)
 
 
 def _psi_residual(n_tx_values, k_max):
@@ -416,9 +422,8 @@ def _check_dual_path(rng, corrupt):
         perm = shuffle_permutation(n_tx, n_rx)
         if corrupt and perm.shape[0] >= 2:
             perm = perm[:, ::-1]  # deliberately wrong bin grouping
-        for trial in range(cfg.trials):
-            rate, block = _dual_path_residuals(sample_channels(cfg, trial),
-                                               cfg.snr, perm)
+        for ch in sample_channel_block(cfg, 0, cfg.trials):
+            rate, block = _dual_path_residuals(ch, cfg.snr, perm)
             worst_rate = max(worst_rate, rate)
             worst_block = max(worst_block, block)
     ok = worst_rate < 1e-9 and worst_block < 1e-9
@@ -431,8 +436,7 @@ def _check_dominance(rng, corrupt):
     for users, n_tx, n_rx in ((1, 3, 2), (2, 2, 2), (4, 2, 1)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=25.0,
                            trials=100, seed=int(rng.integers(2**32)))
-        for trial in range(cfg.trials):
-            ch = sample_channels(cfg, trial)
+        for ch in sample_channel_block(cfg, 0, cfg.trials):
             worst = max(worst, rate_cdd(ch, cfg.snr)
                         - sum_capacity(ch, cfg.snr))
     return worst < 1e-9, f"max (cdd - capacity) = {worst:.3e}"
@@ -441,27 +445,26 @@ def _check_dominance(rng, corrupt):
 def _check_sandwich(rng, corrupt):
     configs = ((1, 2, 1), (2, 2, 2), (4, 2, 1))
     grid = np.array([1.0, 10.0, 100.0])
-    worst = -np.inf
-    for users, n_tx, n_rx in configs:
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
-                           trials=20000, seed=2026)
-        worst = max(worst, *_sandwich_excess(cfg, grid))
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+                         trials=20000, seed=2026)
+            for users, n_tx, n_rx in configs]
+    worst = max(max(excess) for excess in _sandwich_excess(cfgs, grid))
     return worst <= 0, "rc_lb <= MC cdd <= rc_ub and cap_lb <= MC cap on " + \
         " ".join(f"({users},{n_tx},{n_rx})" for users, n_tx, n_rx in configs)
 
 
 def _check_digamma(rng, corrupt):
-    worst = max(_digamma_error(users, 50000, 99) for users in (1, 2, 4))
+    worst = max(_digamma_error((1, 2, 4), 50000, 99))
     return worst < 0.02, f"max |E[ln lambda] - psi(K)| = {worst:.4f}"
 
 
 def _check_gap_convergence(rng, corrupt):
+    pairs = ((1, 2), (2, 2))
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, snr=0.0,
+                         trials=30000, seed=7) for users, n_tx in pairs]
+    got = run_shared(_sweep_values, cfgs, (np.array([1e4]), ("diff",)))
     worst = -np.inf
-    for users, n_tx in ((1, 2), (2, 2)):
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=1, snr=0.0,
-                           trials=30000, seed=7)
-        got = monte_carlo_sweep(cfg, snr=np.array([1e4]), metrics=("diff",))
-        mean, err = got["diff"]
+    for (users, n_tx), ((mean,), (err,)) in zip(pairs, got):  # one metric
         gap, _ = bnd.gap_high_snr(users, n_tx, 1)
         excess = abs(float(mean[0]) - gap) - max(0.05, 5 * float(err[0]))
         worst = max(worst, excess)
@@ -554,10 +557,12 @@ def main(argv=None) -> int:
             return verify(seed=_parse_seed(str(args.seed or 0)),
                           corrupt_permutation=args.corrupt_permutation)
         file_settings = parse_config_file(args.config) if args.config else {}
-        scenario = args.scenario or file_settings.pop("scenario", "")
-        if scenario and scenario not in SCENARIOS:
-            raise UsageError(f"scenario: unknown scenario {scenario!r} "
+        # the flag wins, but the file's scenario must still be a real one
+        file_scenario = file_settings.pop("scenario", "")
+        if file_scenario and file_scenario not in SCENARIOS:
+            raise UsageError(f"scenario: unknown scenario {file_scenario!r} "
                              f"(choose from {', '.join(sorted(SCENARIOS))})")
+        scenario = args.scenario or file_scenario
         settings = dict(DEFAULTS)
         if scenario:
             settings["scenario"] = scenario

@@ -20,8 +20,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
-                      sample_channel_block)
+from .channel import (SystemConfig, block_prefix, effective_channel,
+                      reduce_to_parallel, sample_channel_block)
 from .linalg import logdet_hermitian_psd
 
 LN2 = float(np.log(2.0))
@@ -132,6 +132,29 @@ def run_chunks(values, cfg: SystemConfig, args, workers: int = 1):
     means = total / n
     var = np.maximum(total_sq - n * means * means, 0.0) / (n - 1)
     return means, np.sqrt(var / n)
+
+
+def _prefix_values(block: np.ndarray, values, cfgs, args) -> np.ndarray:
+    return np.stack([values(block_prefix(block, cfg), *args) for cfg in cfgs])
+
+
+def run_shared(values, cfgs, args=()) -> list:
+    """run_chunks for several configs on one draw: per-config (means,
+    stderrs) of values(block, *args), equal bit for bit to one serial
+    run_chunks call per config.
+
+    The configs must share seed and trial count; the block of the config
+    with the most entries per trial is drawn once and every config reads
+    its prefix (channel.block_prefix).  values must give the same shape for
+    every config.
+    """
+    cfgs = tuple(cfgs)
+    if len({(cfg.seed, cfg.trials) for cfg in cfgs}) != 1:
+        raise ValueError("shared draws need configs with one seed and one "
+                         "trial count")
+    widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
+    means, stderrs = run_chunks(_prefix_values, widest, (values, cfgs, args))
+    return list(zip(means, stderrs))
 
 
 def _metric_values(block: np.ndarray, metric, snr: float) -> np.ndarray:

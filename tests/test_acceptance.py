@@ -67,8 +67,8 @@ def test_criterion_02_bin_grouping_permutation():
 
 
 def test_criterion_03_digamma_identity():
-    errs = {users: _digamma_error(users, 250000, 303)
-            for users in (1, 2, 4, 6)}
+    counts = (1, 2, 4, 6)
+    errs = dict(zip(counts, _digamma_error(counts, 250000, 303)))
     report(3, max(errs.values()) < 0.01,
            "E[ln lambda] vs harmonic(K-1)-gamma over 1e6 samples: "
            + ", ".join(f"K={k}: {err:.4f}" for k, err in errs.items())
@@ -77,16 +77,14 @@ def test_criterion_03_digamma_identity():
 
 def test_criterion_04_bound_sandwich():
     grid = np.array([0.1, 1.0, 10.0, 100.0, 1000.0])
-    worst = np.full(3, -np.inf)
-    configs = 0
-    for users in range(1, 5):
-        for n_tx in range(1, 5):
-            for n_rx in range(1, 5):
-                cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
-                                   snr=0.0, trials=100000, seed=404)
-                worst = np.maximum(worst, _sandwich_excess(cfg, grid))
-                configs += 1
-    worst_low, worst_high, worst_cap = worst
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+                         trials=100000, seed=404)
+            for users in range(1, 5)
+            for n_tx in range(1, 5)
+            for n_rx in range(1, 5)]
+    configs = len(cfgs)
+    worst_low, worst_high, worst_cap = np.max(_sandwich_excess(cfgs, grid),
+                                              axis=0)
     ok = worst_low <= 0 and worst_high <= 0 and worst_cap <= 0
     report(4, ok,
            f"{configs} configs x 5 SNRs x 1e5 trials: worst "

@@ -9,10 +9,10 @@ internal shortcut.
 import numpy as np
 import pytest
 
-from cddmac.channel import (SystemConfig, _left_circulant, cdd_codeword,
-                            effective_channel, reduce_to_parallel,
-                            sample_channel_block, sample_channels,
-                            shuffle_permutation)
+from cddmac.channel import (SystemConfig, _left_circulant, _philox_start,
+                            block_prefix, cdd_codeword, effective_channel,
+                            reduce_to_parallel, sample_channel_block,
+                            sample_channels, shuffle_permutation)
 from cddmac.linalg import dft_matrix
 from cddmac.rates import CHUNK
 
@@ -124,6 +124,16 @@ def test_philox_state_layout_pinned():
     assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
     assert state["buffer_pos"] == 4          # empty buffer
     assert state["has_uint32"] == 0
+    # the plain-int state sample_channel_block assigns leaves a used Philox
+    # in exactly the state of a new one, for the largest seed too
+    for seed, trial in ((5, 9), (2 ** 64 - 1, CHUNK + 1)):
+        new = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
+        used = np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+        gen = np.random.Generator(used)
+        gen.standard_normal(5)
+        gen.integers(0, 2 ** 32, dtype=np.uint32)
+        used.state = _philox_start(seed, trial)
+        assert repr(used.state) == repr(new.state)  # values and dtypes
 
 
 def test_philox_reset_discards_buffered_draws():
@@ -141,6 +151,36 @@ def test_philox_reset_discards_buffered_draws():
         np.random.Philox(key=np.array([3, 18], dtype=np.uint64)))
     assert got.tobytes() == new.standard_normal(7).tobytes()
     assert bits.state["has_uint32"] == 0
+
+
+@pytest.mark.parametrize("narrow,wide,seed,start,stop", [
+    ((1, 4, 1), (4, 4, 1), 3, 0, 5),
+    ((1, 2, 1), (4, 2, 1), 2 ** 64 - 1, CHUNK - 3, CHUNK + 2),
+    ((2, 2, 2), (4, 1, 2), 8, 1, 6),      # same size: a reshape
+])
+def test_block_is_flat_prefix_of_wider_block(narrow, wide, seed, start,
+                                             stop):
+    def block(shape):
+        users, n_tx, n_rx = shape
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+                           trials=stop, seed=seed)
+        return cfg, sample_channel_block(cfg, start, stop)
+
+    cfg, own = block(narrow)
+    _, wider = block(wide)
+    size = own[0].size
+    assert (wider.reshape(len(wider), -1)[:, :size].tobytes()
+            == own.tobytes())
+    got = block_prefix(wider, cfg)
+    assert got.shape == own.shape and got.flags.c_contiguous
+    assert got.tobytes() == own.tobytes()
+
+
+def test_block_prefix_refuses_narrower_block():
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=3, seed=0)
+    narrow = SystemConfig(users=1, n_tx=2, n_rx=2, snr=1.0, trials=3, seed=0)
+    with pytest.raises(ValueError):
+        block_prefix(sample_channel_block(narrow, 0, 3), cfg)
 
 
 def test_sample_block_matches_individual_draws():

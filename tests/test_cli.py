@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cddmac import cli, rates, region
+from cddmac.channel import SystemConfig
 from cddmac.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -297,6 +299,24 @@ def test_unknown_scenario_in_config(tmp_path, capsys):
     assert "figure9" in capsys.readouterr().err
 
 
+def test_scenario_flag_wins_over_config_scenario(tmp_path, monkeypatch,
+                                                 capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("scenario = bogus\ntrials = 50\nsnr_db = 0,10\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--scenario", "figure2", "--config", str(cfg)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not (tmp_path / "bogus.csv").exists()
+    cfg.write_text("scenario = figure4\ntrials = 50\nsnr_db = 0,10\n")
+    plot = tmp_path / "plot.py"
+    assert main(["--scenario", "figure2", "--config", str(cfg),
+                 "--plot-script", str(plot)]) == 0
+    assert not (tmp_path / "figure4.csv").exists()
+    metrics = {row[1] for row in read_rows(tmp_path / "figure2.csv")}
+    assert {"cdd_mc_nrx1", "cdd_mc_nrx2"} <= metrics  # figure2's recipe
+    assert "(scenario 'figure2')" in plot.read_text()
+
+
 def test_unknown_scenario_flag_rejected():
     proc = run_cli("--scenario", "figure9")
     assert proc.returncode == 2
@@ -322,6 +342,21 @@ def test_verify_passes_and_is_deterministic():
     lines = [l for l in first.stdout.splitlines() if l.startswith("PASS")]
     assert len(lines) == 9
     assert "FAIL" not in first.stdout
+
+
+def test_sandwich_kernel_shared_draw_equals_per_config():
+    grid = np.array([1.0, 100.0])
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+                         trials=rates.CHUNK + 100, seed=2026)
+            for users, n_tx, n_rx in ((1, 2, 1), (2, 2, 2), (4, 2, 1))]
+    assert cli._sandwich_excess(cfgs, grid) \
+        == [cli._sandwich_excess([cfg], grid)[0] for cfg in cfgs]
+
+
+def test_digamma_kernel_shared_draw_equals_per_count():
+    counts = (1, 2, 4)
+    assert cli._digamma_error(counts, 5000, 99) \
+        == tuple(cli._digamma_error((k,), 5000, 99)[0] for k in counts)
 
 
 def test_verify_corrupt_permutation_negative_control():

@@ -17,8 +17,10 @@ from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block,
                             sample_channels)
-from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, ergodic, monte_carlo_sweep,
-                          rate_cdd, rate_cdd_reduced, sum_capacity)
+from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, _sweep_values,
+                          ergodic, monte_carlo_sweep, rate_cdd,
+                          rate_cdd_reduced, run_chunks, run_shared,
+                          sum_capacity)
 
 # E[log2(1 + snr*X)], X ~ Exp(1), at snr = 10 (i.e. 10 dB).
 SISO_10DB_BITS = np.log2(np.e) * np.exp(0.1) * exp1(0.1)
@@ -235,6 +237,26 @@ def test_run_chunks_clamps_workers(monkeypatch):
     assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
         == serial
     assert sizes == [2]  # one chunk or one CPU runs serially
+
+
+def test_run_shared_equals_one_run_per_config():
+    args = (np.array([1.0, 100.0]), ("cdd", "cap", "diff"))
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+                         trials=CHUNK + 300, seed=21)
+            for users, n_tx, n_rx in ((1, 2, 1), (3, 2, 2), (2, 2, 1))]
+    for cfg, (means, errs) in zip(cfgs, run_shared(_sweep_values, cfgs,
+                                                   args)):
+        alone_means, alone_errs = run_chunks(_sweep_values, cfg, args)
+        assert means.tobytes() == alone_means.tobytes()
+        assert errs.tobytes() == alone_errs.tobytes()
+
+
+@pytest.mark.parametrize("other", [dict(seed=22), dict(trials=CHUNK)])
+def test_run_shared_refuses_mixed_seeds_and_trials(other):
+    base = dict(users=1, n_tx=2, n_rx=1, snr=0.0, trials=100, seed=21)
+    cfgs = [SystemConfig(**base), SystemConfig(**{**base, **other})]
+    with pytest.raises(ValueError, match="one seed and one trial count"):
+        run_shared(_sweep_values, cfgs, (np.array([1.0]), ("cdd",)))
 
 
 # --- monte_carlo_sweep --------------------------------------------------
