@@ -193,5 +193,8 @@ def reduce_to_parallel(channels) -> np.ndarray:
     ch = np.asarray(channels)
     if ch.ndim < 3:
         raise ValueError("channels must have shape (..., users, n_rx, n_tx)")
-    bins = ch @ dft_matrix(ch.shape[-1])  # D is symmetric: rows go through D
+    n_tx = ch.shape[-1]
+    # one GEMM over all rows instead of one per (n_rx, n_tx) matrix: the
+    # same bits (tested); D is symmetric, so rows go through D
+    bins = (ch.reshape(-1, n_tx) @ dft_matrix(n_tx)).reshape(ch.shape)
     return np.swapaxes(bins, -1, -3)

@@ -81,6 +81,7 @@ class ExperimentSpec:
 def parse_config_file(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
     found = {}
+    first_line = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -96,7 +97,11 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in DEFAULTS and key != "scenario":
             raise UsageError(f"config: unknown key {key!r} at {path}:{num}")
+        if key in found:  # the last value would win silently
+            raise UsageError(f"config: key {key!r} is given twice, at "
+                             f"{path}:{first_line[key]} and {path}:{num}")
         found[key] = val.strip()
+        first_line[key] = num
     return found
 
 
@@ -539,11 +544,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verify", action="store_true",
                         help="run the invariant self-check suite and exit")
     parser.add_argument("--plot-script", dest="plot_script", metavar="FILE",
-                        default="", help="also write a plain-text companion "
-                                         "plotting script")
+                        help="also write a plain-text companion plotting "
+                             "script")
     parser.add_argument("--corrupt-permutation", dest="corrupt_permutation",
                         action="store_true", help=argparse.SUPPRESS)
     return parser
+
+
+# argparse dests of the options that only a run reads
+_RUN_FLAGS = ("scenario", "config", "snr_db", "trials", "metrics", "out",
+              "workers", "plot_script")
 
 
 def main(argv=None) -> int:
@@ -554,8 +564,16 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.verify:
-            return verify(seed=_parse_seed(str(args.seed or 0)),
+            seed = _parse_seed(str(args.seed or 0))
+            for dest in _RUN_FLAGS:
+                if getattr(args, dest) is not None:
+                    flag = "--" + dest.replace("_", "-")
+                    raise UsageError(f"{flag}: --verify runs the self-check "
+                                     f"only and takes no run flag but --seed")
+            return verify(seed=seed,
                           corrupt_permutation=args.corrupt_permutation)
+        if args.corrupt_permutation:
+            raise UsageError("--corrupt-permutation: only valid with --verify")
         file_settings = parse_config_file(args.config) if args.config else {}
         # the flag wins, but the file's scenario must still be a real one
         file_scenario = file_settings.pop("scenario", "")
@@ -576,7 +594,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return run(spec, plot_script=args.plot_script)
+    return run(spec, plot_script=args.plot_script or "")
 
 
 if __name__ == "__main__":

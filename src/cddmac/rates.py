@@ -188,11 +188,25 @@ SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
 
 def _gram_eigvals(x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of x @ x^H via the smaller-side Gram, batched, clipped >= 0."""
-    gram = _gram(x)
-    if gram.shape[-1] == 1:
-        return gram[..., 0].real
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    """Eigenvalues of x @ x^H via the smaller-side Gram, batched, ascending,
+    clipped >= 0.
+
+    With one or two rows on the smaller side the spectrum is taken in
+    closed form from the row powers a, c and inner product b, with no
+    per-matrix LAPACK call: lambda = m -/+ hypot((a - c)/2, |b|),
+    m = (a + c)/2.
+    """
+    rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
+    if rows.shape[-2] > 2:
+        return np.clip(np.linalg.eigvalsh(_gram(x)), 0.0, None)
+    power = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
+    if rows.shape[-2] == 1:
+        return power
+    a, c = power[..., 0], power[..., 1]
+    b = (rows[..., 0, :] * np.conj(rows[..., 1, :])).sum(axis=-1)
+    mid = (a + c) / 2
+    rad = np.hypot((a - c) / 2, np.abs(b))
+    return np.stack([np.maximum(mid - rad, 0.0), mid + rad], axis=-1)
 
 
 def _log_sums(scale: np.ndarray, x: np.ndarray, axes=()) -> np.ndarray:

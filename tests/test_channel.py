@@ -376,6 +376,22 @@ def test_reduce_leading_axes_match_per_trial_calls():
     assert reduce_to_parallel(block[None]).tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("n_tx", range(1, 9))
+def test_reduce_one_gemm_equals_broadcast_matmul(n_tx):
+    # the reduction multiplies all rows by D in one GEMM; every bit must
+    # equal the per-matrix broadcast ch @ D it replaces
+    cfg = SystemConfig(users=3, n_tx=n_tx, n_rx=2, snr=1.0, trials=40,
+                       seed=40 + n_tx)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    mat = dft_matrix(n_tx)
+    for ch in (block[0], block, block.reshape(4, 10, 3, 2, n_tx),
+               block[:, :1], block[::3, :, ::-1]):
+        expected = np.swapaxes(ch @ mat, -1, -3)
+        got = reduce_to_parallel(ch)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_reduce_rejects_matrix():
     with pytest.raises(ValueError):
         reduce_to_parallel(np.ones((2, 4), dtype=complex))

@@ -255,6 +255,18 @@ def test_repeated_key_is_usage_error(tmp_path, capsys, line, field):
     assert not out.exists()
 
 
+def test_config_key_given_twice_is_usage_error(tmp_path, capsys):
+    # the later line used to win silently: this ran 3 users
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("users = 2\n# note\nusers = 3\nmetrics = rc_lb\n")
+    out = tmp_path / "twice.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'users'" in err and "twice" in err
+    assert f"{cfg}:1" in err and f"{cfg}:3" in err
+    assert not out.exists()
+
+
 def test_region_requires_two_users(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("users = 3\nmetrics = region\n")
@@ -357,6 +369,31 @@ def test_digamma_kernel_shared_draw_equals_per_count():
     counts = (1, 2, 4)
     assert cli._digamma_error(counts, 5000, 99) \
         == tuple(cli._digamma_error((k,), 5000, 99)[0] for k in counts)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--scenario", "figure2"), ("--config", "exp.cfg"), ("--snr-db", "0,10"),
+    ("--trials", "5"), ("--metrics", "cdd_mc"), ("--out", "x.csv"),
+    ("--workers", "8"), ("--plot-script", "plot.py"),
+])
+def test_verify_refuses_run_flags(tmp_path, monkeypatch, capsys, flag,
+                                  value):
+    # these used to be ignored: the self-check ran and nothing was written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("users = 1\n")
+    assert main(["--verify", "--seed", "3", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "PASS" not in captured.out
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+
+def test_corrupt_permutation_needs_verify(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["--scenario", "figure2", "--trials", "5", "--snr-db", "0",
+                 "--out", str(out), "--corrupt-permutation"]) == 2
+    assert "--corrupt-permutation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_corrupt_permutation_negative_control():

@@ -334,6 +334,66 @@ def test_sweep_matches_per_trial_rates():
     assert got["cap"].mean == pytest.approx(np.mean(cap_vals), abs=1e-10)
 
 
+@pytest.mark.parametrize("users,n_tx,n_rx", [
+    (1, 4, 1), (1, 4, 2), (2, 2, 2), (2, 3, 2), (6, 3, 3)])
+def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
+    # every branch of the eigenvalue kernel (one row either way round, two
+    # rows, eigvalsh) against the scalar Cholesky path, trial by trial
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+                       trials=40, seed=17)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = 10.0 ** (np.array([-10.0, 0.0, 20.0, 40.0]) / 10)
+    metrics = ("cdd", "cap") + (("cap_i1", "cap_i2") if users == 2 else ())
+    got = _sweep_values(block, snr, metrics)
+    for point, s in enumerate(snr):
+        expected = [[rate_cdd(ch, s) for ch in block],
+                    [sum_capacity(ch, s) for ch in block]]
+        if users == 2:
+            expected += [[sum_capacity(ch[k:k + 1], s) for ch in block]
+                         for k in (0, 1)]
+        np.testing.assert_allclose(got[:, point], expected, rtol=0,
+                                   atol=1e-10)
+
+
+def eigvalsh_reference(x):
+    return np.clip(np.linalg.eigvalsh(rates._gram(x)), 0.0, None)
+
+
+def assert_spectrum_matches(x):
+    got = rates._gram_eigvals(x)
+    expected = eigvalsh_reference(x)
+    assert got.shape == expected.shape
+    assert np.all(got >= 0) and np.all(np.diff(got, axis=-1) >= 0)
+    tol = 1e-13 * expected.max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - expected) <= tol)
+
+
+@pytest.mark.parametrize("short", [1, 2])
+@pytest.mark.parametrize("long", range(2, 7))
+def test_gram_eigvals_closed_form_matches_eigvalsh(short, long):
+    rng = np.random.default_rng(100 * short + long)
+    for shape in ((short, long), (long, short)):
+        x = rng.standard_normal((500, 3, *shape)) \
+            + 1j * rng.standard_normal((500, 3, *shape))
+        assert_spectrum_matches(x)
+        assert_spectrum_matches(x[0, 0])
+
+
+def test_gram_eigvals_closed_form_edge_cases():
+    rng = np.random.default_rng(9)
+    for size in (2, 4):
+        row = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        assert_spectrum_matches(np.stack([row, row]))  # rank one
+        assert_spectrum_matches(np.stack([row, 1j * row]).T)
+    for shape in ((1, 3), (2, 2), (2, 5), (5, 2)):
+        zero = np.zeros(shape, dtype=complex)
+        assert rates._gram_eigvals(zero).tolist() == [0.0] * min(shape)
+    x = rng.standard_normal((200, 2, 3)) + 1j * rng.standard_normal((200, 2, 3))
+    x[:, 0] *= 1e6                                   # powers differ by 1e12
+    assert_spectrum_matches(x)
+    assert_spectrum_matches(np.swapaxes(x, -1, -2))
+
+
 def broadcast_sweep(block, snr, name):
     """Reference for rates._sweep_values: metric name's per-trial values as
     one whole-grid broadcast with (S, B, ...) temporaries, shape (S, B)."""
