@@ -1,9 +1,11 @@
 r"""Closed-form lower/upper bounds and high-SNR gap formulas.
 
 Everything here is deterministic arithmetic on (users, n_tx, n_rx, snr).
-The Jensen-type lower bounds replace chi-square variates inside
-E log2(1 + snr*X) by exp(E ln X) = exp(harmonic(dof-1) - gamma); the upper
-bound takes log2 of the exact moment E det(I + snr * H H^H), a short
+Each bound is one kernel on an i.i.d. Rayleigh n_rx x m channel, taken for
+CDD at m = users and snr (each DFT bin) and for capacity at m = n_tx*users
+and snr/n_tx.  The Jensen-type lower bounds replace chi-square variates
+inside E log2(1 + snr*X) by exp(E ln X) = exp(harmonic(dof-1) - gamma); the
+upper bound takes log2 of the exact moment E det(I + snr * H H^H), a short
 binomial/falling-factorial polynomial in snr.
 
 snr arguments are linear power ratios and may be scalars or arrays (the
@@ -40,20 +42,41 @@ def _match(value: np.ndarray, snr):
     return float(value) if np.ndim(snr) == 0 else value
 
 
+def _lower(n_rx, m, s):
+    lo, hi = min(n_rx, m), max(n_rx, m)
+    return sum(np.log2(1.0 + s * math.exp(harmonic(hi - l) - EULER_GAMMA))
+               for l in range(1, lo + 1))
+
+
+def _lower_jensen(n_rx, m, s):
+    lo, hi = min(n_rx, m), max(n_rx, m)
+    mean_h = sum(harmonic(hi - l) for l in range(1, lo + 1)) / lo
+    return lo * np.log2(1.0 + s * math.exp(mean_h - EULER_GAMMA))
+
+
+def _upper(n_rx, m, s):
+    lo, hi = min(n_rx, m), max(n_rx, m)
+    with np.errstate(divide="ignore"):  # log(0) -> -inf kills i>=1 terms at snr=0
+        log_s = np.log(s)
+    log_terms = [np.zeros_like(s)]  # i = 0 term is exactly 1
+    for i in range(1, lo + 1):
+        const = math.lgamma(lo + 1) - math.lgamma(i + 1) - math.lgamma(lo - i + 1)
+        const += math.lgamma(hi + 1) - math.lgamma(hi - i + 1)
+        log_terms.append(const + i * log_s)
+    stack = np.stack(log_terms)
+    peak = np.max(stack, axis=0)
+    return (peak + np.log(np.sum(np.exp(stack - peak), axis=0))) / LN2
+
+
 def rc_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
     """CDD ergodic sum-rate lower bound.
 
     sum_{l=1}^{L} log2(1 + snr * exp(harmonic(M-l) - gamma)) with
-    L = min(n_rx, users), M = max(n_rx, users).  The transmit antenna count
-    drops out of the bound entirely; n_tx stays in the signature only so the
-    bound family shares one calling convention.
+    L = min(n_rx, users), M = max(n_rx, users).  n_tx drops out of the bound
+    and is kept only to match cap_lower_bound's arguments.
     """
     s = _check_args(users, n_tx, n_rx, snr)
-    lo, hi = min(n_rx, users), max(n_rx, users)
-    total = np.zeros_like(s)
-    for l in range(1, lo + 1):
-        total = total + np.log2(1.0 + s * math.exp(harmonic(hi - l) - EULER_GAMMA))
-    return _match(total, snr)
+    return _match(_lower(n_rx, users, s), snr)
 
 
 def cap_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
@@ -63,11 +86,7 @@ def cap_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
     power split snr/n_tx.
     """
     s = _check_args(users, n_tx, n_rx, snr)
-    lo, hi = min(n_rx, n_tx * users), max(n_rx, n_tx * users)
-    total = np.zeros_like(s)
-    for l in range(1, lo + 1):
-        total = total + np.log2(1.0 + (s / n_tx) * math.exp(harmonic(hi - l) - EULER_GAMMA))
-    return _match(total, snr)
+    return _match(_lower(n_rx, n_tx * users, s / n_tx), snr)
 
 
 def jensen_collapsed_bounds(users: int, n_tx: int, n_rx: int, snr):
@@ -78,13 +97,8 @@ def jensen_collapsed_bounds(users: int, n_tx: int, n_rx: int, snr):
     term-by-term bounds; they share the same high-SNR slope and intercept.
     """
     s = _check_args(users, n_tx, n_rx, snr)
-    lo, hi = min(n_rx, users), max(n_rx, users)
-    mean_h = sum(harmonic(hi - l) for l in range(1, lo + 1)) / lo
-    rc = lo * np.log2(1.0 + s * math.exp(mean_h - EULER_GAMMA))
-    lo_c, hi_c = min(n_rx, n_tx * users), max(n_rx, n_tx * users)
-    mean_hc = sum(harmonic(hi_c - l) for l in range(1, lo_c + 1)) / lo_c
-    cap = lo_c * np.log2(1.0 + (s / n_tx) * math.exp(mean_hc - EULER_GAMMA))
-    return _match(rc, snr), _match(cap, snr)
+    return (_match(_lower_jensen(n_rx, users, s), snr),
+            _match(_lower_jensen(n_rx, n_tx * users, s / n_tx), snr))
 
 
 def rc_upper_bound(users: int, n_rx: int, snr) -> float:
@@ -95,18 +109,7 @@ def rc_upper_bound(users: int, n_rx: int, snr) -> float:
     and factorials cannot overflow.
     """
     s = _check_args(users, 1, n_rx, snr)
-    lo, hi = min(n_rx, users), max(n_rx, users)
-    with np.errstate(divide="ignore"):  # log(0) -> -inf kills i>=1 terms at snr=0
-        log_s = np.log(s)
-    log_terms = [np.zeros_like(s)]  # i = 0 term is exactly 1
-    for i in range(1, lo + 1):
-        const = math.lgamma(lo + 1) - math.lgamma(i + 1) - math.lgamma(lo - i + 1)
-        const += math.lgamma(hi + 1) - math.lgamma(hi - i + 1)
-        log_terms.append(const + i * log_s)
-    stack = np.stack(log_terms)
-    peak = np.max(stack, axis=0)
-    out = (peak + np.log(np.sum(np.exp(stack - peak), axis=0))) / LN2
-    return _match(out, snr)
+    return _match(_upper(n_rx, users, s), snr)
 
 
 def gap_high_snr(users: int, n_tx: int, n_rx: int):
@@ -123,8 +126,7 @@ def gap_high_snr(users: int, n_tx: int, n_rx: int):
     Raises ValueError for n_rx > users with n_rx > 1: the formula's stated
     validity ends there and no number is reported.
     """
-    if min(users, n_tx, n_rx) < 1:
-        raise ValueError("users, n_tx and n_rx must all be >= 1")
+    _check_args(users, n_tx, n_rx, 0.0)
     if n_rx == 1:
         gap = (harmonic(n_tx * users - 1) - harmonic(users - 1)
                - math.log(n_tx)) / LN2

@@ -6,10 +6,12 @@ flags.  Results go to a CSV with columns
 
     snr_db, metric, value_bits, stderr_bits, trials, seed
 
-one row per (snr_db, metric).  Units are always dB and bits per channel use;
-linear SNR never appears in output.  With the same spec and seed the CSV is
-byte-identical for any ``--workers`` value: trials are keyed individually and
-reduced in fixed chunk order.
+one row per (snr_db, metric).  For each receive-antenna count, Monte-Carlo
+rows come first (always ``cdd_mc`` before ``cap_mc``), then closed-form rows
+in the order ``metrics`` lists them, then region rows.  Units are always dB
+and bits per channel use; linear SNR never appears in output.  With the
+same spec and seed the CSV is byte-identical for any ``--workers`` value:
+trials are keyed individually and reduced in fixed chunk order.
 
 Exit codes: 0 ok, 1 runtime/property failure, 2 usage error.
 """
@@ -233,21 +235,19 @@ def _sweep_rows(spec, n_rx, tag, linear):
     return mc, region
 
 
+# bnd.<name> is read per call, so a wrapper set on it after import is used
+_BOUNDS = {
+    "rc_lb": lambda *a: bnd.rc_lower_bound(*a),
+    "cap_lb": lambda *a: bnd.cap_lower_bound(*a),
+    "rc_lb_jensen": lambda *a: bnd.jensen_collapsed_bounds(*a)[0],
+    "cap_lb_jensen": lambda *a: bnd.jensen_collapsed_bounds(*a)[1],
+    "rc_ub": lambda k, t, r, x: bnd.rc_upper_bound(k, r, x),
+}
+
+
 def _bound_rows(spec, n_rx, tag, linear):
-    table = {}
-    if "rc_lb" in spec.metrics:
-        table["rc_lb"] = bnd.rc_lower_bound(spec.users, spec.n_tx, n_rx, linear)
-    if "cap_lb" in spec.metrics:
-        table["cap_lb"] = bnd.cap_lower_bound(spec.users, spec.n_tx, n_rx, linear)
-    if "rc_lb_jensen" in spec.metrics or "cap_lb_jensen" in spec.metrics:
-        rc_j, cap_j = bnd.jensen_collapsed_bounds(spec.users, spec.n_tx, n_rx,
-                                                  linear)
-        if "rc_lb_jensen" in spec.metrics:
-            table["rc_lb_jensen"] = rc_j
-        if "cap_lb_jensen" in spec.metrics:
-            table["cap_lb_jensen"] = cap_j
-    if "rc_ub" in spec.metrics:
-        table["rc_ub"] = bnd.rc_upper_bound(spec.users, n_rx, linear)
+    table = {m: _BOUNDS[m](spec.users, spec.n_tx, n_rx, linear)
+             for m in spec.metrics if m in _BOUNDS}
     if "gap" in spec.metrics:
         try:
             gap, _ = bnd.gap_high_snr(spec.users, spec.n_tx, n_rx)
@@ -359,9 +359,8 @@ def _sandwich_excess(cfgs, grid):
     got = run_shared(_sweep_values, cfgs, (grid, ("cdd", "cap")))
     out = []
     for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs, got):
-        low = bnd.rc_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
-        high = bnd.rc_upper_bound(cfg.users, cfg.n_rx, grid)
-        cap_low = bnd.cap_lower_bound(cfg.users, cfg.n_tx, cfg.n_rx, grid)
+        low, high, cap_low = (_BOUNDS[m](cfg.users, cfg.n_tx, cfg.n_rx, grid)
+                              for m in ("rc_lb", "rc_ub", "cap_lb"))
         out.append((float(np.max(low - 3 * cdd_err - cdd_mean)),
                     float(np.max(cdd_mean - 3 * cdd_err - high)),
                     float(np.max(cap_low - 3 * cap_err - cap_mean))))
@@ -533,14 +532,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snr-db", dest="snr_db", metavar="GRID",
                         help="dB grid: 'start:stop:step' or 'a,b,c'; attach "
                              "a negative one: --snr-db=-10:40:2.5")
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trials")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--trials", help="Monte-Carlo trials")
+    parser.add_argument("--seed", help="master seed")
     parser.add_argument("--metrics", help="comma list from: "
                                           + ",".join(METRICS))
     parser.add_argument("--out", metavar="FILE", help="output CSV path")
-    parser.add_argument("--workers", type=int,
-                        help="parallel workers, at most one per chunk and "
-                             "CPU (results identical for any value)")
+    parser.add_argument("--workers", help="parallel workers, at most one per "
+                        "chunk and CPU (results identical for any value)")
     parser.add_argument("--verify", action="store_true",
                         help="run the invariant self-check suite and exit")
     parser.add_argument("--plot-script", dest="plot_script", metavar="FILE",
@@ -564,7 +562,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.verify:
-            seed = _parse_seed(str(args.seed or 0))
+            seed = _parse_seed("0" if args.seed is None else args.seed)
             for dest in _RUN_FLAGS:
                 if getattr(args, dest) is not None:
                     flag = "--" + dest.replace("_", "-")
@@ -586,10 +584,9 @@ def main(argv=None) -> int:
             settings["scenario"] = scenario
             settings.update(SCENARIOS[scenario])
         settings.update(file_settings)
-        for key in ("snr_db", "trials", "seed", "metrics", "out", "workers"):
-            val = getattr(args, key)
-            if val not in (None, ""):
-                settings[key] = str(val)
+        # a flag that is given, even as "", is checked like the file's key
+        settings.update((key, val) for key, val in vars(args).items()
+                        if key in DEFAULTS and val is not None)
         spec = build_spec(settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

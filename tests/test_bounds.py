@@ -6,6 +6,7 @@ the printed formulas with an independent arithmetic script before the
 implementation existed.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -108,6 +109,20 @@ def test_cap_lower_reduces_to_rc_lower_for_siso_config():
     for snr in (0.5, 10.0, 200.0):
         assert cap_lower_bound(1, 1, 1, snr) == pytest.approx(
             rc_lower_bound(1, 1, 1, snr), rel=1e-14)
+    # SISO is the smallest case of the shape identity: capacity is the CDD
+    # construction on the n_rx x n_tx*K channel at snr/n_tx, and every
+    # bound depends on its two dimensions only through min and max
+    snr = np.array([0.0, 1e-17, 1e-3, 0.5, 1.0, 10.0, 1e3, 1e6, 1e30])
+    for users, n_tx, n_rx in itertools.product(range(1, 7), repeat=3):
+        pooled = (n_tx * users, 1, n_rx, snr / n_tx)
+        assert cap_lower_bound(users, n_tx, n_rx, snr).tobytes() \
+            == rc_lower_bound(*pooled).tobytes()
+        assert jensen_collapsed_bounds(users, n_tx, n_rx, snr)[1].tobytes() \
+            == jensen_collapsed_bounds(*pooled)[0].tobytes()
+        assert rc_lower_bound(users, n_tx, n_rx, snr).tobytes() \
+            == rc_lower_bound(n_rx, n_tx, users, snr).tobytes()
+        assert rc_upper_bound(users, n_rx, snr).tobytes() \
+            == rc_upper_bound(n_rx, users, snr).tobytes()
 
 
 def test_cap_lower_below_mc_capacity():

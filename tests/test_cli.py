@@ -221,6 +221,10 @@ def test_requires_scenario_or_config(capsys):
     (("--verify", "--seed", "18446744073709551616"), "seed"),
     (("--snr-db=0:40:1e-12",), "snr_db"),
     (("--snr-db", "0:100:0.001"), "snr_db"),  # 100001 points
+    (("--metrics=",), "metrics"),  # an empty flag is checked, not dropped
+    (("--snr-db=",), "snr_db"),
+    (("--trials", "abc"), "trials"),
+    (("--verify", "--seed="), "seed"),
 ])
 def test_usage_errors_name_offending_field(tmp_path, capsys, flags, needle):
     out = tmp_path / "x.csv"
@@ -284,6 +288,48 @@ def test_gap_note_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "note: gap skipped for n_rx=2" in captured.err
     assert "note: gap skipped" not in captured.out
+
+
+def test_csv_row_order(tmp_path):
+    # per n_rx: Monte-Carlo rows (cdd_mc before cap_mc), then closed-form
+    # rows in the order metrics lists them, then region rows
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text("users = 2\nn_tx = 2\nn_rx = 1,2\nsnr_db = 0,10\n"
+                   "trials = 50\nmetrics = rc_ub,region,cap_mc,cap_lb_jensen,"
+                   "cdd_mc,rc_lb\n")
+    out = tmp_path / "order.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    expected = []
+    for tag in ("_nrx1", "_nrx2"):
+        for metric in ("cdd_mc", "cap_mc", "rc_ub", "cap_lb_jensen", "rc_lb"):
+            expected += [metric + tag] * 2
+        expected += [f"region_{scheme}_{label}{tag}" for point in (0, 10)
+                     for scheme in ("cap", "cdd")
+                     for label, _ in region.REGION_ROWS]
+    assert [row[1] for row in read_rows(out)] == expected
+
+
+def test_bound_rows_call_the_bounds_module_per_row(tmp_path, monkeypatch):
+    # a wrapper set on cli.bnd after import must see every closed-form row
+    names = ("rc_lower_bound", "cap_lower_bound", "jensen_collapsed_bounds",
+             "rc_upper_bound")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli.bnd, name,
+                            counted(name, getattr(cli.bnd, name)))
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("n_rx = 2\nsnr_db = 0,10\nmetrics = rc_lb,rc_lb_jensen,"
+                   "rc_ub,cap_lb,cap_lb_jensen\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "b.csv")]) \
+        == 0
+    assert sorted(set(calls)) == sorted(names)
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -413,7 +459,8 @@ def test_benchmark_tracer_installs(tmp_path):
         "assert cli.main(['--scenario', 'figure2', '--trials', '50',\n"
         "                 '--snr-db', '0,10', '--out', sys.argv[1]]) == 0\n"
         "drawn = tracer.per_layer()['channel.trials_drawn']\n"
-        "assert drawn == (100, 'count'), drawn\n")
+        "assert drawn == (100, 'count'), drawn\n"
+        "assert tracer.per_layer()['bounds.s'][0] > 0  # rc_lb rows\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "f2.csv")],
