@@ -2,7 +2,7 @@
 
 The package computes exact per-realization rates through two independent
 paths (a structured space-time matrix and its parallel-channel reduction),
-Monte-Carlo ergodic averages with reproducible per-trial seeding, the full
+Monte-Carlo ergodic averages with reproducible per-chunk seeding, the full
 set of closed-form lower/upper bounds, and high-SNR gap formulas, plus
 two-user rate-region corner estimates.
 """

@@ -43,15 +43,16 @@ def _match(value: np.ndarray, snr):
 
 
 def _lower(n_rx, m, s):
+    # log1p(x) / LN2, not log2(1 + x): at low SNR 1 + x rounds x away
     lo, hi = min(n_rx, m), max(n_rx, m)
-    return sum(np.log2(1.0 + s * math.exp(harmonic(hi - l) - EULER_GAMMA))
-               for l in range(1, lo + 1))
+    return sum(np.log1p(s * math.exp(harmonic(hi - l) - EULER_GAMMA))
+               for l in range(1, lo + 1)) / LN2
 
 
 def _lower_jensen(n_rx, m, s):
     lo, hi = min(n_rx, m), max(n_rx, m)
     mean_h = sum(harmonic(hi - l) for l in range(1, lo + 1)) / lo
-    return lo * np.log2(1.0 + s * math.exp(mean_h - EULER_GAMMA))
+    return lo * np.log1p(s * math.exp(mean_h - EULER_GAMMA)) / LN2
 
 
 def _upper(n_rx, m, s):
@@ -65,7 +66,11 @@ def _upper(n_rx, m, s):
         log_terms.append(const + i * log_s)
     stack = np.stack(log_terms)
     peak = np.max(stack, axis=0)
-    return (peak + np.log(np.sum(np.exp(stack - peak), axis=0))) / LN2
+    scaled = np.exp(stack - peak)
+    # no term above 1 (peak 0): take the i = 0 term exactly, as log1p of the
+    # others; otherwise the log-sum-exp
+    return np.where(peak > 0, peak + np.log(np.sum(scaled, axis=0)),
+                    np.log1p(np.sum(scaled[1:], axis=0))) / LN2
 
 
 def rc_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:

@@ -26,6 +26,13 @@ import numpy as np
 
 from .linalg import dft_matrix
 
+# Fixed Monte-Carlo chunk size.  It fixes the summation order of every
+# estimate (rates.run_chunks) and keys the channel stream (one Philox key per
+# chunk), so it is part of the contract: changing it changes every estimate.
+CHUNK = 4096
+# Channel entries per Philox stream within a chunk (see sample_channel_block).
+GROUP = 8
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -57,50 +64,51 @@ class SystemConfig:
         return self.n_tx
 
 
-def _philox_start(seed: int, trial: int) -> dict:
-    """The .state of a new Philox keyed by (seed, trial): counter 0, empty
-    buffer.  Plain ints, because the state setter reads the dict entry by
-    entry, which is cheaper from ints than from the uint64 arrays the
-    getter returns."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [seed, trial]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-
-
 def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray:
     """All user channels of trials [start, stop), shape
     (stop-start, users, n_rx, n_tx), i.i.d. unit-power circularly-symmetric
-    complex Gaussian.  Trial t is (z[..., 0] + 1j * z[..., 1]) / sqrt(2) for
-    the standard normals z, shape (users, n_rx, n_tx, 2), of a Philox keyed
-    by (cfg.seed, t): any worker reproduces any trial, so results never
-    depend on scheduling.
+    complex Gaussian.
 
-    The normals of a trial are read from the start of its stream, so a
-    config's block is the C-order flat prefix (block_prefix) of the block
-    of any config with the same seed and trial span and at least as many
-    entries per trial.
+    Entry e of a trial is its C-order index over (users, n_rx, n_tx).  Trial
+    t of chunk c = t // CHUNK holds, as entries 8g ... 8g+7, row t - c*CHUNK
+    of stream (c, g), the standard normals of
+    Generator(Philox(key=[seed, c], counter=[0, 0, g, 0])) read as shape
+    (trials, 8, 2); each entry is (re + 1j*im) / sqrt(2).  So
+
+    * the key depends only on the fixed chunk schedule, and any worker
+      reproduces any chunk: results never depend on scheduling;
+    * a config's block is the C-order flat prefix (block_prefix) of the
+      block of any config with the same seed and trial span and at least as
+      many entries per trial;
+    * trial t's channel depends neither on cfg.trials nor on how a span is
+      split: each stream is read from its chunk's first trial up to stop
+      and the rows before start are dropped.
     """
     if not 0 <= start <= stop <= cfg.trials:
         raise ValueError(f"trials [{start}, {stop}) outside [0, {cfg.trials})")
-    z = np.empty((stop - start, cfg.users, cfg.n_rx, cfg.n_tx, 2))
-    bits = np.random.Philox(key=np.array([cfg.seed, start], np.uint64))
-    gen = np.random.Generator(bits)
-    # One pair serves the block: before each trial the Philox is reset to
-    # the state a new Philox keyed by (seed, t) starts in (counter 0, empty
-    # buffer), which costs a fraction of constructing a new pair.  The
-    # Generator keeps no state of its own between standard_normal calls.
-    fresh = _philox_start(cfg.seed, start)
-    key = fresh["state"]["key"]
-    for j, trial in enumerate(range(start, stop)):
-        key[1] = trial
-        bits.state = fresh
-        gen.standard_normal(out=z[j])
-    # divide as complex numbers: dividing the real buffer instead changes
-    # the last bit of about a quarter of the entries
-    block = z.view(np.complex128)[..., 0]
-    block /= np.sqrt(2.0)
-    return block
+    size = cfg.users * cfg.n_rx * cfg.n_tx
+    z = np.empty((stop - start, size, 2))
+    # one stream's rows: at most a chunk, fewer when the span ends early
+    normals = np.empty((min(stop - start // CHUNK * CHUNK, CHUNK), GROUP, 2))
+    chunks = range(start // CHUNK, -(-stop // CHUNK)) if stop > start else ()
+    for chunk in chunks:
+        first = chunk * CHUNK
+        lo, hi = max(start, first), min(stop, first + CHUNK)
+        # uint64 arrays: a plain-int key of 2**63 or more is cast wrongly
+        key = np.array([cfg.seed, chunk], np.uint64)
+        for group, entry in enumerate(range(0, size, GROUP)):
+            counter = np.array([0, 0, group, 0], np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key,
+                                                      counter=counter))
+            gen.standard_normal(out=normals[:hi - first])
+            # numpy divides a complex by a real c as a multiply by 1.0 / c,
+            # so this gives the bits of (re + 1j*im) / sqrt(2) (tested);
+            # dividing the normals by sqrt(2) would not
+            np.multiply(normals[lo - first:hi - first, :size - entry],
+                        1.0 / np.sqrt(2.0),
+                        out=z[lo - start:hi - start, entry:entry + GROUP])
+    return z.view(np.complex128).reshape(stop - start, cfg.users, cfg.n_rx,
+                                         cfg.n_tx)
 
 
 def block_prefix(block: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -120,7 +128,9 @@ def block_prefix(block: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 def sample_channels(cfg: SystemConfig, trial_index: int) -> np.ndarray:
     """One realization of all user channels, shape (users, n_rx, n_tx):
-    row 0 of sample_channel_block(cfg, trial_index, trial_index + 1)."""
+    row 0 of sample_channel_block(cfg, trial_index, trial_index + 1).  Each
+    call draws its chunk's streams from the chunk's first trial, so loops
+    over many trials should draw one block instead."""
     return sample_channel_block(cfg, trial_index, trial_index + 1)[0]
 
 

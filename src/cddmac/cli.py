@@ -11,7 +11,8 @@ rows come first (always ``cdd_mc`` before ``cap_mc``), then closed-form rows
 in the order ``metrics`` lists them, then region rows.  Units are always dB
 and bits per channel use; linear SNR never appears in output.  With the
 same spec and seed the CSV is byte-identical for any ``--workers`` value:
-trials are keyed individually and reduced in fixed chunk order.
+the channel streams are keyed by (seed, chunk) and reduced in fixed chunk
+order.
 
 Exit codes: 0 ok, 1 runtime/property failure, 2 usage error.
 """
@@ -25,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as bnd
-from .channel import (SystemConfig, effective_channel, reduce_to_parallel,
-                      sample_channel_block, sample_channels,
-                      shuffle_permutation)
+from .channel import (CHUNK, SystemConfig, effective_channel,
+                      reduce_to_parallel, sample_channel_block,
+                      sample_channels, shuffle_permutation)
 from .linalg import dft_matrix
 from .rates import (REGION_METRICS, _sweep_values, monte_carlo_sweep,
                     rate_cdd, rate_cdd_reduced, run_shared, sum_capacity)
@@ -487,8 +488,12 @@ def _check_determinism(rng, corrupt):
     first = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
     second = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
     same = all(first[m] == second[m] for m in ("cdd", "cap"))
-    redraw = np.array_equal(sample_channels(cfg, 3), sample_channels(cfg, 3))
-    return same and redraw, "repeated runs bit-identical"
+    # a single trial, drawn alone, is the same row of the whole block
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    redraw = all(np.array_equal(sample_channels(cfg, t), block[t])
+                 for t in (0, CHUNK - 1, CHUNK, cfg.trials - 1))
+    return same and redraw, ("repeated runs and single-trial redraws "
+                             "bit-identical")
 
 
 CHECKS = (

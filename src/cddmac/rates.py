@@ -5,10 +5,11 @@ Gram matrix of the smaller side (same nonzero spectrum), with natural logs
 converted to bits once at the end.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
-trials are processed in fixed-size chunks and the per-chunk (sum,
-sum-of-squares) pairs are reduced in chunk-index order.  Because channel
-draws are keyed by (seed, trial) and the reduction schedule never depends
-on the worker count, estimates are bit-identical for any --workers setting.
+trials are processed in fixed-size chunks (channel.CHUNK) and the per-chunk
+(sum, sum-of-squares) pairs are reduced in chunk-index order.  Because the
+channel streams are keyed by (seed, chunk) and the reduction schedule never
+depends on the worker count, estimates are bit-identical for any --workers
+setting.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (SystemConfig, block_prefix, effective_channel,
+from .channel import (CHUNK, SystemConfig, block_prefix, effective_channel,
                       reduce_to_parallel, sample_channel_block)
 from .linalg import logdet_hermitian_psd
 
 LN2 = float(np.log(2.0))
-
-# Fixed Monte-Carlo chunk size.  Changing it changes the summation order and
-# therefore the last few bits of every estimate; it is part of the contract.
-CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -212,17 +209,19 @@ def _gram_eigvals(x: np.ndarray) -> np.ndarray:
 def _log_sums(scale: np.ndarray, x: np.ndarray, axes=()) -> np.ndarray:
     """(S, B) array whose row i is log2(1 + scale[i] * x) summed over axes.
 
-    x has trials on axis 0.  One grid point at a time through one x-sized
-    buffer, so memory does not grow with the grid; each entry is computed
-    and summed exactly as the whole-grid broadcast would.
+    x has trials on axis 0.  Each term is log1p(scale[i] * x), converted to
+    bits once per sum, so a rate far below 1 bit keeps its relative accuracy
+    (1 + tiny would round to 1).  One grid point at a time through one
+    x-sized buffer, so memory does not grow with the grid; each entry is
+    computed and summed exactly as the whole-grid broadcast would.
     """
     out = np.empty((scale.size, x.shape[0]))
     buf = np.empty_like(x)
     for row, s in zip(out, scale):
         np.multiply(s, x, out=buf)
-        buf += 1.0
-        np.log2(buf, out=buf)
+        np.log1p(buf, out=buf)
         buf.sum(axis=axes, out=row)
+    out /= LN2
     return out
 
 

@@ -15,7 +15,8 @@ from scipy.special import exp1
 
 from cddmac.bounds import (cap_lower_bound, gap_high_snr, rc_lower_bound,
                            rc_upper_bound)
-from cddmac.channel import SystemConfig, sample_channels, shuffle_permutation
+from cddmac.channel import (SystemConfig, sample_channel_block,
+                            shuffle_permutation)
 from cddmac.cli import (_digamma_error, _dual_path_residuals, _psi_residual,
                         _sandwich_excess)
 from cddmac.rates import monte_carlo_sweep
@@ -44,10 +45,9 @@ def test_criterion_01_dual_path_equivalence():
                 cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                                    snr=0.0, trials=16, seed=101)
                 perm = shuffle_permutation(n_tx, n_rx)
-                for trial in range(16):
+                for ch in sample_channel_block(cfg, 0, cfg.trials):
                     snr = float(10 ** rng.uniform(-1, 3))
-                    delta, _ = _dual_path_residuals(
-                        sample_channels(cfg, trial), snr, perm)
+                    delta, _ = _dual_path_residuals(ch, snr, perm)
                     worst = max(worst, delta)
                     count += 1
     report(1, worst < 1e-9,
@@ -59,8 +59,8 @@ def test_criterion_02_bin_grouping_permutation():
     perm = shuffle_permutation(4, 2)
     exact = np.array_equal(perm, EXPECTED_PERMUTATION_4_2)
     cfg = SystemConfig(users=2, n_tx=4, n_rx=2, snr=1.0, trials=100, seed=202)
-    worst = max(_dual_path_residuals(sample_channels(cfg, trial), cfg.snr,
-                                     perm)[1] for trial in range(100))
+    worst = max(_dual_path_residuals(ch, cfg.snr, perm)[1]
+                for ch in sample_channel_block(cfg, 0, cfg.trials))
     report(2, exact and worst < 1e-9,
            f"8x8 matrix {'exact' if exact else 'WRONG'}; conjugation "
            f"identity max residual {worst:.2e} over 100 channels (tol 1e-9)")

@@ -316,3 +316,28 @@ def test_bound_orderings_hold_on_random_grid():
         assert cap_jensen <= cap_lower + 1e-12
         for value in (rc_lower, rc_jensen, rc_upper, cap_lower, cap_jensen):
             assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [
+    (1, 4, 1), (2, 2, 2), (1, 4, 2), (6, 3, 3), (8, 4, 8)])
+def test_bounds_first_order_at_low_snr(users, n_tx, n_rx):
+    # at snr 1e-17 every bound is its first-order term up to a relative
+    # 1e-17: log2(1 + s*c) -> s*c/ln2, with exp(psi(M - l + 1)) for the
+    # lower bounds and L*M*s (the i = 1 moment term) for the upper bound
+    snr = 1e-17
+
+    def lower(m, s):
+        lo, hi = min(n_rx, m), max(n_rx, m)
+        exponents = digamma(hi - np.arange(1, lo + 1) + 1)
+        return (s * np.exp(exponents).sum() / LN2,
+                lo * s * np.exp(exponents.mean()) / LN2)
+
+    rc, rc_jensen = lower(users, snr)
+    cap, cap_jensen = lower(n_tx * users, snr / n_tx)
+    upper = min(users, n_rx) * max(users, n_rx) * snr / LN2
+    got = (rc_lower_bound(users, n_tx, n_rx, snr),
+           *jensen_collapsed_bounds(users, n_tx, n_rx, snr),
+           cap_lower_bound(users, n_tx, n_rx, snr),
+           rc_upper_bound(users, n_rx, snr))
+    for value, expected in zip(got, (rc, rc_jensen, cap_jensen, cap, upper)):
+        assert value == pytest.approx(expected, rel=1e-9, abs=0)

@@ -9,12 +9,11 @@ internal shortcut.
 import numpy as np
 import pytest
 
-from cddmac.channel import (SystemConfig, _left_circulant, _philox_start,
+from cddmac.channel import (CHUNK, GROUP, SystemConfig, _left_circulant,
                             block_prefix, cdd_codeword, effective_channel,
                             reduce_to_parallel, sample_channel_block,
                             sample_channels, shuffle_permutation)
 from cddmac.linalg import dft_matrix
-from cddmac.rates import CHUNK
 
 # Bin-grouping permutation for n_tx=4, n_rx=2: row i*4+t carries its 1 in
 # column t*2+i (receive-major in, bin-major out).
@@ -84,79 +83,84 @@ def test_sample_trial_out_of_range():
             sample_channel_block(cfg, start, stop)
 
 
+def documented_stream(users, n_tx, n_rx, seed, start, stop):
+    """The documented stream, rebuilt trial by trial from public
+    constructors: entries 8g ... 8g+7 of trial t are row t - c*CHUNK of
+    Generator(Philox(key=[seed, c], counter=[0, 0, g, 0])).standard_normal
+    read as (trials, 8, 2), c = t // CHUNK, real part first, over sqrt(2)."""
+    size = users * n_rx * n_tx
+    trials = []
+    for t in range(start, stop):
+        chunk, row = divmod(t, CHUNK)
+        entries = []
+        for group in range(-(-size // 8)):
+            bits = np.random.Philox(
+                key=np.array([seed, chunk], dtype=np.uint64),
+                counter=np.array([0, 0, group, 0], dtype=np.uint64))
+            z = np.random.Generator(bits).standard_normal((row + 1, 8, 2))
+            entries.append((z[row, :, 0] + 1j * z[row, :, 1]) / np.sqrt(2.0))
+        trials.append(np.concatenate(entries)[:size].reshape(users, n_rx,
+                                                             n_tx))
+    return np.array(trials)
+
+
 @pytest.mark.parametrize("users,n_tx,n_rx,seed,start,stop", [
     (1, 1, 1, 0, 0, 3),
-    (2, 3, 2, 11, 4, 9),
-    (6, 3, 3, 2 ** 64 - 1, 0, 2),
+    (2, 3, 2, 11, 4, 9),                  # two groups, the second partial
+    (6, 3, 3, 2 ** 64 - 1, 0, 2),         # seven groups
     (1, 4, 2, 7, CHUNK - 3, CHUNK + 2),   # crosses a chunk boundary
+    (3, 2, 2, 2 ** 64 - 1, CHUNK + 5, CHUNK + 8),  # mid-chunk, chunk 1
 ])
-def test_sample_block_frozen_stream(users, n_tx, n_rx, seed, start, stop):
-    # The documented stream, rebuilt here: trial t is one Philox generator
-    # keyed by (seed, t), standard normals of shape (users, n_rx, n_tx, 2),
-    # real part first, scaled to unit power.
+def test_sample_block_documented_stream(users, n_tx, n_rx, seed, start,
+                                        stop):
+    assert GROUP == 8
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
                        trials=stop, seed=seed)
-    expected = []
-    for t in range(start, stop):
-        key = np.array([seed, t], dtype=np.uint64)
-        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
-            (users, n_rx, n_tx, 2))
-        expected.append((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))
     block = sample_channel_block(cfg, start, stop)
-    assert block.dtype == np.complex128
-    assert block.tobytes() == np.array(expected).tobytes()
+    assert block.dtype == np.complex128 and block.flags.c_contiguous
+    expected = documented_stream(users, n_tx, n_rx, seed, start, stop)
+    assert block.tobytes() == expected.tobytes()
 
 
-def test_philox_state_layout_pinned():
-    # sample_channel_block resets one Philox per trial by assigning this
-    # numpy-internal dict; fail loudly if numpy changes its layout
-    state = np.random.Philox(key=np.array([5, 9], dtype=np.uint64)).state
-    assert set(state) == {"bit_generator", "state", "buffer", "buffer_pos",
-                          "has_uint32", "uinteger"}
-    assert state["bit_generator"] == "Philox"
-    assert set(state["state"]) == {"counter", "key"}
-    for array, shape in ((state["state"]["counter"], (4,)),
-                         (state["state"]["key"], (2,)),
-                         (state["buffer"], (4,))):
-        assert array.dtype == np.uint64
-        assert array.shape == shape
-    assert state["state"]["key"].tolist() == [5, 9]
-    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
-    assert state["buffer_pos"] == 4          # empty buffer
-    assert state["has_uint32"] == 0
-    # the plain-int state sample_channel_block assigns leaves a used Philox
-    # in exactly the state of a new one, for the largest seed too
-    for seed, trial in ((5, 9), (2 ** 64 - 1, CHUNK + 1)):
-        new = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
-        used = np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
-        gen = np.random.Generator(used)
-        gen.standard_normal(5)
-        gen.integers(0, 2 ** 32, dtype=np.uint32)
-        used.state = _philox_start(seed, trial)
-        assert repr(used.state) == repr(new.state)  # values and dtypes
+def test_trial_bytes_independent_of_trials_and_split():
+    # trial t's channel depends neither on cfg.trials nor on how [start,
+    # stop) is split into calls
+    def cfg(trials):
+        return SystemConfig(users=3, n_tx=2, n_rx=3, snr=1.0, trials=trials,
+                            seed=23)
+
+    whole = sample_channel_block(cfg(2 * CHUNK + 10), 0, 2 * CHUNK + 10)
+    for trials in (CHUNK + 7, 2 * CHUNK, 2 * CHUNK + 10, 5 * CHUNK):
+        assert sample_channel_block(cfg(trials), 0, CHUNK + 7).tobytes() \
+            == whole[:CHUNK + 7].tobytes()
+    for cuts in ((0, 1, CHUNK, 2 * CHUNK + 10),
+                 (0, CHUNK - 1, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 10),
+                 (0, 17, 17, 2 * CHUNK + 3, 2 * CHUNK + 10)):
+        parts = [sample_channel_block(cfg(2 * CHUNK + 10), a, b)
+                 for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    for t in (0, CHUNK - 1, CHUNK, 2 * CHUNK + 9):
+        assert sample_channels(cfg(2 * CHUNK + 10), t).tobytes() \
+            == whole[t].tobytes()
 
 
-def test_philox_reset_discards_buffered_draws():
-    bits = np.random.Philox(key=np.array([3, 17], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    fresh = bits.state
-    gen.standard_normal(5)
-    gen.integers(0, 2 ** 32, dtype=np.uint32)
-    used = bits.state
-    assert used["has_uint32"] == 1 and used["buffer_pos"] != 4
-    fresh["state"]["key"][1] = 18
-    bits.state = fresh
-    got = gen.standard_normal(7)
-    new = np.random.Generator(
-        np.random.Philox(key=np.array([3, 18], dtype=np.uint64)))
-    assert got.tobytes() == new.standard_normal(7).tobytes()
-    assert bits.state["has_uint32"] == 0
+def test_streams_of_chunks_and_groups_differ():
+    # 24 entries: three groups; trials 0 and CHUNK start chunks 0 and 1
+    cfg = SystemConfig(users=3, n_tx=2, n_rx=4, snr=1.0, trials=CHUNK + 1,
+                       seed=5)
+    block = sample_channel_block(cfg, 0, CHUNK + 1)
+    rows = [block[t].reshape(3, GROUP) for t in (0, CHUNK)]
+    groups = [row[g] for row in rows for g in range(3)]
+    for i, a in enumerate(groups):
+        for b in groups[i + 1:]:
+            assert not np.any(a == b)
 
 
 @pytest.mark.parametrize("narrow,wide,seed,start,stop", [
     ((1, 4, 1), (4, 4, 1), 3, 0, 5),
     ((1, 2, 1), (4, 2, 1), 2 ** 64 - 1, CHUNK - 3, CHUNK + 2),
     ((2, 2, 2), (4, 1, 2), 8, 1, 6),      # same size: a reshape
+    ((13, 1, 1), (10, 2, 2), 4, CHUNK - 2, CHUNK + 3),  # past a group end
 ])
 def test_block_is_flat_prefix_of_wider_block(narrow, wide, seed, start,
                                              stop):

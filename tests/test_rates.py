@@ -15,8 +15,7 @@ from scipy.special import exp1
 
 from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
-                            reduce_to_parallel, sample_channel_block,
-                            sample_channels)
+                            reduce_to_parallel, sample_channel_block)
 from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, _sweep_values,
                           ergodic, monte_carlo_sweep, rate_cdd,
                           rate_cdd_reduced, run_chunks, run_shared,
@@ -326,10 +325,9 @@ def test_sweep_matches_per_trial_rates():
     # the vectorized engine must agree with the scalar per-realization path
     cfg = SystemConfig(users=2, n_tx=3, n_rx=2, snr=7.0, trials=64, seed=13)
     got = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
-    cdd_vals = [rate_cdd(sample_channels(cfg, t), 7.0)
-                for t in range(cfg.trials)]
-    cap_vals = [sum_capacity(sample_channels(cfg, t), 7.0)
-                for t in range(cfg.trials)]
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    cdd_vals = [rate_cdd(ch, 7.0) for ch in block]
+    cap_vals = [sum_capacity(ch, 7.0) for ch in block]
     assert got["cdd"].mean == pytest.approx(np.mean(cdd_vals), abs=1e-10)
     assert got["cap"].mean == pytest.approx(np.mean(cap_vals), abs=1e-10)
 
@@ -353,6 +351,22 @@ def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
                          for k in (0, 1)]
         np.testing.assert_allclose(got[:, point], expected, rtol=0,
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [
+    (1, 4, 1), (1, 4, 2), (2, 2, 2), (6, 3, 3), (8, 4, 8)])
+def test_sweep_values_first_order_at_low_snr(users, n_tx, n_rx):
+    # at snr 1e-16 both sum rates are s * tr(sum_k Hk Hk^H) / (n_tx ln 2) up
+    # to a relative 1e-16; log2(1 + x) would round most terms to 0
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+                       trials=200, seed=31)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = 1e-16
+    trace = (np.abs(block) ** 2).sum(axis=(1, 2, 3))
+    first_order = snr * trace / (n_tx * np.log(2.0))
+    got = _sweep_values(block, np.array([snr]), ("cdd", "cap"))
+    for row in got[:, 0]:
+        np.testing.assert_allclose(row, first_order, rtol=1e-9, atol=0)
 
 
 def eigvalsh_reference(x):
@@ -410,16 +424,16 @@ def broadcast_sweep(block, snr, name):
         par = reduce_to_parallel(block)
         if user is not None:
             gain = (np.abs(par[:, 0, :, user]) ** 2).sum(-1)
-            return np.log2(1.0 + snr[:, None] * gain)
+            return np.log1p(snr[:, None] * gain) / rates.LN2
         mu = rates._gram_eigvals(par)
-        cdd = np.log2(1.0 + snr[:, None, None, None] * mu).sum(axis=(2, 3))
-        return cdd / n_tx
+        cdd = np.log1p(snr[:, None, None, None] * mu).sum(axis=(2, 3))
+        return cdd / rates.LN2 / n_tx
     scale = snr[:, None, None] / n_tx
     if user is not None:
         nu = rates._gram_eigvals(block[:, user])
     else:
         nu = rates._gram_eigvals(rates._stack_users(block))
-    return np.log2(1.0 + scale * nu).sum(axis=2)
+    return np.log1p(scale * nu).sum(axis=2) / rates.LN2
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8)])
