@@ -14,7 +14,7 @@ from .channel import (SystemConfig, cdd_codeword, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
 from .linalg import dft_matrix, logdet_hermitian_psd
-from .rates import (RateEstimate, ergodic, monte_carlo_sweep, rate_cdd,
+from .rates import (RateEstimate, monte_carlo_sweep, rate_cdd,
                     rate_cdd_reduced, sum_capacity)
 from .region import (RegionEstimate, pareto_segment, region_capacity,
                      region_cdd)
@@ -30,7 +30,6 @@ __all__ = [
     "cdd_codeword",
     "dft_matrix",
     "effective_channel",
-    "ergodic",
     "gap_high_snr",
     "harmonic",
     "jensen_collapsed_bounds",

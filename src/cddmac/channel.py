@@ -59,10 +59,6 @@ class SystemConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
-    @property
-    def block_length(self) -> int:
-        return self.n_tx
-
 
 def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray:
     """All user channels of trials [start, stop), shape

@@ -395,7 +395,7 @@ def _psi_residual(n_tx_values, k_max):
             max(float(np.max(np.diff(r))) for r in res))
 
 
-def _check_dft_unitarity(rng, corrupt):
+def _check_dft_unitarity(rng):
     worst = 0.0
     for size in range(1, 17):
         mat = dft_matrix(size)
@@ -404,7 +404,7 @@ def _check_dft_unitarity(rng, corrupt):
     return worst < 1e-12, f"max |D D^H - I| = {worst:.3e} over T=1..16"
 
 
-def _check_circulant_diag(rng, corrupt):
+def _check_circulant_diag(rng):
     from .channel import _left_circulant, cdd_codeword
     worst = 0.0
     for size in (2, 3, 4, 8):
@@ -418,15 +418,13 @@ def _check_circulant_diag(rng, corrupt):
     return worst < 1e-9, f"max off-diagonal leak = {worst:.3e}"
 
 
-def _check_dual_path(rng, corrupt):
+def _check_dual_path(rng):
     worst_rate = 0.0
     worst_block = 0.0
     for users, n_tx, n_rx in ((1, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 3)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=8.0,
                            trials=50, seed=int(rng.integers(2**32)))
         perm = shuffle_permutation(n_tx, n_rx)
-        if corrupt and perm.shape[0] >= 2:
-            perm = perm[:, ::-1]  # deliberately wrong bin grouping
         for ch in sample_channel_block(cfg, 0, cfg.trials):
             rate, block = _dual_path_residuals(ch, cfg.snr, perm)
             worst_rate = max(worst_rate, rate)
@@ -436,7 +434,7 @@ def _check_dual_path(rng, corrupt):
                 f"max block-diagonalization leak = {worst_block:.3e}")
 
 
-def _check_dominance(rng, corrupt):
+def _check_dominance(rng):
     worst = -np.inf
     for users, n_tx, n_rx in ((1, 3, 2), (2, 2, 2), (4, 2, 1)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=25.0,
@@ -447,7 +445,7 @@ def _check_dominance(rng, corrupt):
     return worst < 1e-9, f"max (cdd - capacity) = {worst:.3e}"
 
 
-def _check_sandwich(rng, corrupt):
+def _check_sandwich(rng):
     configs = ((1, 2, 1), (2, 2, 2), (4, 2, 1))
     grid = np.array([1.0, 10.0, 100.0])
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
@@ -458,12 +456,12 @@ def _check_sandwich(rng, corrupt):
         " ".join(f"({users},{n_tx},{n_rx})" for users, n_tx, n_rx in configs)
 
 
-def _check_digamma(rng, corrupt):
+def _check_digamma(rng):
     worst = max(_digamma_error((1, 2, 4), 50000, 99))
     return worst < 0.02, f"max |E[ln lambda] - psi(K)| = {worst:.4f}"
 
 
-def _check_gap_convergence(rng, corrupt):
+def _check_gap_convergence(rng):
     pairs = ((1, 2), (2, 2))
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, snr=0.0,
                          trials=30000, seed=7) for users, n_tx in pairs]
@@ -476,13 +474,13 @@ def _check_gap_convergence(rng, corrupt):
     return worst < 0, f"worst tolerance excess = {worst:.4f} bits at 40 dB"
 
 
-def _check_psi_limit(rng, corrupt):
+def _check_psi_limit(rng):
     last, rise = _psi_residual((2, 4), 2000)
     return last < 1e-3 and rise <= 1e-15, \
         f"residual at K=2000: {last:.2e}, nonincreasing"
 
 
-def _check_determinism(rng, corrupt):
+def _check_determinism(rng):
     cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=6000,
                        seed=31337)
     first = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
@@ -509,12 +507,12 @@ CHECKS = (
 )
 
 
-def verify(seed: int = 0, corrupt_permutation: bool = False) -> int:
+def verify(seed: int = 0) -> int:
     """Run the invariant suite at reduced scale; 0 if every property holds."""
     rng = np.random.default_rng(seed)
     failures = 0
     for name, check in CHECKS:
-        ok, detail = check(rng, corrupt_permutation)
+        ok, detail = check(rng)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     print(f"{len(CHECKS) - failures}/{len(CHECKS)} properties hold")
@@ -549,8 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot-script", dest="plot_script", metavar="FILE",
                         help="also write a plain-text companion plotting "
                              "script")
-    parser.add_argument("--corrupt-permutation", dest="corrupt_permutation",
-                        action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -573,10 +569,7 @@ def main(argv=None) -> int:
                     flag = "--" + dest.replace("_", "-")
                     raise UsageError(f"{flag}: --verify runs the self-check "
                                      f"only and takes no run flag but --seed")
-            return verify(seed=seed,
-                          corrupt_permutation=args.corrupt_permutation)
-        if args.corrupt_permutation:
-            raise UsageError("--corrupt-permutation: only valid with --verify")
+            return verify(seed=seed)
         file_settings = parse_config_file(args.config) if args.config else {}
         # the flag wins, but the file's scenario must still be a real one
         file_scenario = file_settings.pop("scenario", "")

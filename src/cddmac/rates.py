@@ -2,14 +2,18 @@
 
 All rates are bits per channel use.  Determinants are evaluated through the
 Gram matrix of the smaller side (same nonzero spectrum), with natural logs
-converted to bits once at the end.
+converted to bits once at the end.  There are two independent paths: the
+direct rates (rate_cdd on the block-circulant effective channel,
+sum_capacity) take one Cholesky log-det per realization, and the sweep
+engine (monte_carlo_sweep) takes Gram spectra and log-sums over batches of
+DFT-bin blocks; rate_cdd_reduced is that engine at one trial.
 
-Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
-trials are processed in fixed-size chunks (channel.CHUNK) and the per-chunk
-(sum, sum-of-squares) pairs are reduced in chunk-index order.  Because the
-channel streams are keyed by (seed, chunk) and the reduction schedule never
-depends on the worker count, estimates are bit-identical for any --workers
-setting.
+Every Monte-Carlo estimate is a sweep and goes through one chunk runner,
+run_chunks: trials are processed in fixed-size chunks (channel.CHUNK) and
+the per-chunk (sum, sum-of-squares) pairs are reduced in chunk-index order.
+Because the channel streams are keyed by (seed, chunk) and the reduction
+schedule never depends on the worker count, estimates are bit-identical for
+any --workers setting.
 """
 
 from __future__ import annotations
@@ -76,16 +80,18 @@ def rate_cdd_reduced(blocks, snr: float) -> float:
     """CDD sum rate from the DFT-bin blocks of reduce_to_parallel.
 
     (1/T) sum_t log2 det(I + snr * Hp_t Hp_t^H); the 1/n_tx power split is
-    already absorbed by the reduction, so snr appears undivided.
+    already absorbed by the reduction, so snr appears undivided.  Evaluated
+    by the sweep's own kernels (_gram_eigvals, _log_sums) at one trial, so
+    the dual-path check against rate_cdd tests the code behind every
+    Monte-Carlo CDD estimate.
     """
     if snr < 0:
         raise ValueError("snr must be >= 0")
     blk = np.asarray(blocks)
     if blk.ndim != 3 or blk.shape[0] < 1:
         raise ValueError("blocks must be a nonempty (n_tx, n_rx, users) stack")
-    n_tx = blk.shape[0]
-    total = sum(_gram_logdet(b, snr) for b in blk)
-    return total / LN2 / n_tx
+    return float(_log_sums(np.array([snr]), _gram_eigvals(blk)[None],
+                           (1, 2))[0, 0]) / blk.shape[0]
 
 
 def sum_capacity(channels, snr: float) -> float:
@@ -152,20 +158,6 @@ def run_shared(values, cfgs, args=()) -> list:
     widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
     means, stderrs = run_chunks(_prefix_values, widest, (values, cfgs, args))
     return list(zip(means, stderrs))
-
-
-def _metric_values(block: np.ndarray, metric, snr: float) -> np.ndarray:
-    return np.array([metric(ch, snr) for ch in block])
-
-
-def ergodic(metric, cfg: SystemConfig, workers: int = 1) -> RateEstimate:
-    """Monte-Carlo mean/stderr of metric(channels, cfg.snr) over cfg.trials.
-
-    metric must be a picklable (module-level) callable when workers > 1.
-    """
-    mean, stderr = run_chunks(_metric_values, cfg, (metric, cfg.snr), workers)
-    return RateEstimate(mean=float(mean), stderr=float(stderr),
-                        trials=cfg.trials)
 
 
 # ---------------------------------------------------------------------------

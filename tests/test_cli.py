@@ -434,18 +434,19 @@ def test_verify_refuses_run_flags(tmp_path, monkeypatch, capsys, flag,
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
 
-def test_corrupt_permutation_needs_verify(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    assert main(["--scenario", "figure2", "--trials", "5", "--snr-db", "0",
-                 "--out", str(out), "--corrupt-permutation"]) == 2
-    assert "--corrupt-permutation" in capsys.readouterr().err
-    assert not out.exists()
+def test_verify_corrupt_permutation_negative_control(monkeypatch, capsys):
+    # a wrong bin grouping must show as a block-diagonalization leak
+    true_perm = cli.shuffle_permutation
 
+    def reversed_perm(n_tx, n_rx):
+        perm = true_perm(n_tx, n_rx)
+        return perm[:, ::-1] if perm.shape[0] >= 2 else perm
 
-def test_verify_corrupt_permutation_negative_control():
-    proc = run_cli("--verify", "--corrupt-permutation")
-    assert proc.returncode == 1
-    assert "FAIL dual-path" in proc.stdout
+    monkeypatch.setattr(cli, "shuffle_permutation", reversed_perm)
+    assert cli.verify(seed=0) == 1
+    out = capsys.readouterr().out
+    assert "FAIL dual-path" in out
+    assert "8/9 properties hold" in out
 
 
 def test_benchmark_tracer_installs(tmp_path):
@@ -460,12 +461,14 @@ def test_benchmark_tracer_installs(tmp_path):
         "                 '--snr-db', '0,10', '--out', sys.argv[1]]) == 0\n"
         "drawn = tracer.per_layer()['channel.trials_drawn']\n"
         "assert drawn == (100, 'count'), drawn\n"
-        "assert tracer.per_layer()['bounds.s'][0] > 0  # rc_lb rows\n")
+        "assert tracer.per_layer()['bounds.s'][0] > 0  # rc_lb rows\n"
+        "assert cli.main(['--verify', '--seed', '1']) == 0\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "f2.csv")],
         cwd=ROOT / "bench", env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "9/9 properties hold" in proc.stdout
 
 
 def test_module_entry_point_help():

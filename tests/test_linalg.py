@@ -112,8 +112,10 @@ def test_logdet_rejects_nonsquare():
 
 
 def test_logdet_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        logdet_hermitian_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # the tolerance scales with the entries, so a scaled copy is no excuse
+    for scale in (1.0, 1e12):
+        with pytest.raises(ValueError):
+            logdet_hermitian_psd(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_logdet_rejects_negative_definite():

@@ -17,9 +17,8 @@ from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block)
 from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, _sweep_values,
-                          ergodic, monte_carlo_sweep, rate_cdd,
-                          rate_cdd_reduced, run_chunks, run_shared,
-                          sum_capacity)
+                          monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
+                          run_chunks, run_shared, sum_capacity)
 
 # E[log2(1 + snr*X)], X ~ Exp(1), at snr = 10 (i.e. 10 dB).
 SISO_10DB_BITS = np.log2(np.e) * np.exp(0.1) * exp1(0.1)
@@ -153,25 +152,25 @@ def test_rates_strictly_increase_in_snr():
     assert np.all(np.diff(cap) > 0)
 
 
-# --- ergodic ------------------------------------------------------------
+# --- ergodic estimates (monte_carlo_sweep at one SNR) --------------------
 
 
 def test_ergodic_zero_snr_degenerate():
     cfg = SystemConfig(users=2, n_tx=2, n_rx=1, snr=0.0, trials=50, seed=0)
-    est = ergodic(rate_cdd, cfg)
+    est = monte_carlo_sweep(cfg, metrics=("cdd",))["cdd"]
     assert est == RateEstimate(mean=0.0, stderr=0.0, trials=50)
 
 
 def test_ergodic_rejects_single_trial():
     cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=1, seed=0)
     with pytest.raises(ValueError):
-        ergodic(rate_cdd, cfg)
+        monte_carlo_sweep(cfg, metrics=("cdd",))
 
 
 def test_ergodic_siso_matches_quadrature_oracle():
     cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=10.0, trials=40000,
                        seed=2024)
-    est = ergodic(sum_capacity, cfg)
+    est = monte_carlo_sweep(cfg, metrics=("cap",))["cap"]
     assert abs(est.mean - SISO_10DB_BITS) < 3 * est.stderr
 
 
@@ -180,7 +179,7 @@ def test_ergodic_cdd_two_tx_same_siso_mean():
     # CDD rate has the same expectation as the SISO capacity
     cfg = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=40000,
                        seed=2025)
-    est = ergodic(rate_cdd, cfg)
+    est = monte_carlo_sweep(cfg, metrics=("cdd",))["cdd"]
     assert abs(est.mean - SISO_10DB_BITS) < 3.5 * est.stderr
 
 
@@ -190,16 +189,9 @@ def test_ergodic_stderr_quarter_trials_scaling():
                         seed=77)
     big = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=20000,
                        seed=77)
-    ratio = ergodic(rate_cdd, base).stderr / ergodic(rate_cdd, big).stderr
+    ratio = (monte_carlo_sweep(base, metrics=("cdd",))["cdd"].stderr
+             / monte_carlo_sweep(big, metrics=("cdd",))["cdd"].stderr)
     assert ratio == pytest.approx(2.0, rel=0.2)
-
-
-def test_ergodic_workers_bit_identical():
-    cfg = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0,
-                       trials=CHUNK + 500, seed=5)
-    serial = ergodic(rate_cdd, cfg, workers=1)
-    parallel = ergodic(rate_cdd, cfg, workers=3)
-    assert serial == parallel
 
 
 def test_run_chunks_clamps_workers(monkeypatch):
@@ -231,7 +223,8 @@ def test_run_chunks_clamps_workers(monkeypatch):
     assert sizes == [2]  # capped at the chunk count
     small = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=100,
                          seed=12)  # one chunk
-    assert ergodic(rate_cdd, small, workers=64) == ergodic(rate_cdd, small)
+    assert monte_carlo_sweep(small, metrics=("cdd",), workers=64) \
+        == monte_carlo_sweep(small, metrics=("cdd",))
     monkeypatch.setattr(rates.os, "cpu_count", lambda: 1)
     assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
         == serial
@@ -259,16 +252,6 @@ def test_run_shared_refuses_mixed_seeds_and_trials(other):
 
 
 # --- monte_carlo_sweep --------------------------------------------------
-
-
-def test_sweep_scalar_agrees_with_ergodic():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=3000, seed=9)
-    got = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
-    cdd_ref = ergodic(rate_cdd, cfg)
-    cap_ref = ergodic(sum_capacity, cfg)
-    assert got["cdd"].mean == pytest.approx(cdd_ref.mean, abs=1e-9)
-    assert got["cdd"].stderr == pytest.approx(cdd_ref.stderr, rel=1e-9)
-    assert got["cap"].mean == pytest.approx(cap_ref.mean, abs=1e-9)
 
 
 def test_sweep_grid_shapes_and_monotonicity():
@@ -322,14 +305,20 @@ def test_sweep_rejects_bad_grid():
 
 
 def test_sweep_matches_per_trial_rates():
-    # the vectorized engine must agree with the scalar per-realization path
-    cfg = SystemConfig(users=2, n_tx=3, n_rx=2, snr=7.0, trials=64, seed=13)
-    got = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
-    block = sample_channel_block(cfg, 0, cfg.trials)
-    cdd_vals = [rate_cdd(ch, 7.0) for ch in block]
-    cap_vals = [sum_capacity(ch, 7.0) for ch in block]
-    assert got["cdd"].mean == pytest.approx(np.mean(cdd_vals), abs=1e-10)
-    assert got["cap"].mean == pytest.approx(np.mean(cap_vals), abs=1e-10)
+    # the vectorized engine's mean and stderr must agree with the sample
+    # statistics of the scalar per-realization path
+    for cfg, atol in (
+            (SystemConfig(users=2, n_tx=3, n_rx=2, snr=7.0, trials=64,
+                          seed=13), 1e-10),
+            (SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=3000,
+                          seed=9), 1e-9)):
+        got = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
+        block = sample_channel_block(cfg, 0, cfg.trials)
+        for metric, rate in (("cdd", rate_cdd), ("cap", sum_capacity)):
+            vals = [rate(ch, cfg.snr) for ch in block]
+            stderr = np.std(vals, ddof=1) / np.sqrt(cfg.trials)
+            assert got[metric].mean == pytest.approx(np.mean(vals), abs=atol)
+            assert got[metric].stderr == pytest.approx(stderr, rel=1e-9)
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [
@@ -340,7 +329,8 @@ def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
                        trials=40, seed=17)
     block = sample_channel_block(cfg, 0, cfg.trials)
-    snr = 10.0 ** (np.array([-10.0, 0.0, 20.0, 40.0]) / 10)
+    snr = 10.0 ** (np.array([-10.0, 0.0, 20.0, 40.0, 50.0, 100.0, 300.0])
+                   / 10)
     metrics = ("cdd", "cap") + (("cap_i1", "cap_i2") if users == 2 else ())
     got = _sweep_values(block, snr, metrics)
     for point, s in enumerate(snr):
