@@ -152,19 +152,30 @@ def _left_circulant(taps: np.ndarray) -> np.ndarray:
     return taps[..., idx]
 
 
+def _as_stack(x, name: str = "channels",
+              axes: str = "users, n_rx, n_tx") -> np.ndarray:
+    """x as a complex128 array of shape (..., *axes), any leading (trial)
+    axes kept; the one shape check of every batched entry point."""
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim < 3 or 0 in arr.shape[-3:]:
+        raise ValueError(f"{name} must be a nonempty (..., {axes}) stack, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
 def effective_channel(channels) -> np.ndarray:
-    """Stacked block-circulant CDD channel, shape (n_rx*T, T*users).
+    """Stacked block-circulant CDD channel: (..., users, n_rx, T) channels
+    give (..., n_rx*T, T*users), any leading (trial) axes kept.
 
     Row-block i / column-block k is the left-shift circulant built from the
     taps between user k and receive antenna i, so y_block = H_eff @ x_stack
     reproduces the codeword view cdd_codeword(x_k) @ h for every antenna.
     """
-    ch = np.asarray(channels, dtype=np.complex128)
-    if ch.ndim != 3:
-        raise ValueError("channels must have shape (users, n_rx, n_tx)")
-    users, n_rx, n_tx = ch.shape
-    blocks = _left_circulant(ch)  # [k, i, r, c] -> row i*T + r, col k*T + c
-    return blocks.transpose(1, 2, 0, 3).reshape(n_rx * n_tx, n_tx * users)
+    ch = _as_stack(channels)
+    *lead, users, n_rx, n_tx = ch.shape
+    blocks = _left_circulant(ch)  # [..., k, i, r, c]: row i*T+r, col k*T+c
+    return np.moveaxis(blocks, -4, -2).reshape(*lead, n_rx * n_tx,
+                                               n_tx * users)
 
 
 def shuffle_permutation(n_tx: int, n_rx: int) -> np.ndarray:
@@ -196,9 +207,7 @@ def reduce_to_parallel(channels) -> np.ndarray:
     with P from shuffle_permutation, which is what makes the reduced rate
     path exact.
     """
-    ch = np.asarray(channels)
-    if ch.ndim < 3:
-        raise ValueError("channels must have shape (..., users, n_rx, n_tx)")
+    ch = _as_stack(channels)
     n_tx = ch.shape[-1]
     # one GEMM over all rows instead of one per (n_rx, n_tx) matrix: the
     # same bits (tested); D is symmetric, so rows go through D

@@ -335,21 +335,26 @@ plt.show()
 # configurations, seeds, trial counts and tolerances.
 
 
-def _dual_path_residuals(ch, snr, perm):
-    """(|direct - reduced| rate, block-diagonalization leak) for one channel:
-    the leak is the largest entry of perm^T R Heff Heff^H R^H perm (R is
-    I (x) D) minus the blocks n_tx * Hp_t Hp_t^H; a wrong perm shows there."""
-    n_rx, n_tx = ch.shape[1:]
-    par = reduce_to_parallel(ch)
-    rate = abs(rate_cdd(ch, snr) - rate_cdd_reduced(par, snr))
+def _dual_path_residuals(block, snr, perm):
+    """Per trial of a (trials, users, n_rx, n_tx) channel block, the
+    |direct - reduced| rate and the block-diagonalization leak, as two
+    (trials,) arrays; snr is a scalar or one value per trial.  The leak is
+    the largest entry of perm^T R Heff Heff^H R^H perm (R is I (x) D) minus
+    the blocks n_tx * Hp_t Hp_t^H; a wrong perm shows there."""
+    n_rx, n_tx = block.shape[-2:]
+    par = reduce_to_parallel(block)                   # (B, T, n_rx, K)
+    rate = np.abs(rate_cdd(block, snr) - rate_cdd_reduced(par, snr))
     rot = np.kron(np.eye(n_rx), dft_matrix(n_tx))
-    eff = effective_channel(ch)
-    lhs = perm.T @ (rot @ eff @ eff.conj().T @ rot.conj().T) @ perm
+    eff = effective_channel(block)
+    eff_h = np.conj(np.swapaxes(eff, -1, -2))
+    lhs = perm.T @ (rot @ eff @ eff_h @ rot.conj().T) @ perm
     rhs = np.zeros_like(lhs)
     for t in range(n_tx):
-        rhs[t * n_rx:(t + 1) * n_rx, t * n_rx:(t + 1) * n_rx] = \
-            n_tx * (par[t] @ par[t].conj().T)
-    return rate, float(np.max(np.abs(lhs - rhs)))
+        rows = slice(t * n_rx, (t + 1) * n_rx)
+        bins = par[..., t, :, :]
+        rhs[..., rows, rows] = n_tx * (bins
+                                       @ np.conj(np.swapaxes(bins, -1, -2)))
+    return rate, np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 def _sandwich_excess(cfgs, grid):
@@ -424,11 +429,11 @@ def _check_dual_path(rng):
     for users, n_tx, n_rx in ((1, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 3)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=8.0,
                            trials=50, seed=int(rng.integers(2**32)))
-        perm = shuffle_permutation(n_tx, n_rx)
-        for ch in sample_channel_block(cfg, 0, cfg.trials):
-            rate, block = _dual_path_residuals(ch, cfg.snr, perm)
-            worst_rate = max(worst_rate, rate)
-            worst_block = max(worst_block, block)
+        rate, leak = _dual_path_residuals(
+            sample_channel_block(cfg, 0, cfg.trials), cfg.snr,
+            shuffle_permutation(n_tx, n_rx))
+        worst_rate = max(worst_rate, float(rate.max()))
+        worst_block = max(worst_block, float(leak.max()))
     ok = worst_rate < 1e-9 and worst_block < 1e-9
     return ok, (f"max |direct - reduced| = {worst_rate:.3e}, "
                 f"max block-diagonalization leak = {worst_block:.3e}")
@@ -439,9 +444,9 @@ def _check_dominance(rng):
     for users, n_tx, n_rx in ((1, 3, 2), (2, 2, 2), (4, 2, 1)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=25.0,
                            trials=100, seed=int(rng.integers(2**32)))
-        for ch in sample_channel_block(cfg, 0, cfg.trials):
-            worst = max(worst, rate_cdd(ch, cfg.snr)
-                        - sum_capacity(ch, cfg.snr))
+        block = sample_channel_block(cfg, 0, cfg.trials)
+        worst = max(worst, float(np.max(rate_cdd(block, cfg.snr)
+                                        - sum_capacity(block, cfg.snr))))
     return worst < 1e-9, f"max (cdd - capacity) = {worst:.3e}"
 
 

@@ -21,22 +21,33 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def logdet_hermitian_psd(a: np.ndarray) -> float:
-    """ln det(a) for a Hermitian positive-definite matrix, via Cholesky.
+def logdet_hermitian_psd(a: np.ndarray):
+    """ln det of each Hermitian positive-definite matrix of a (..., n, n)
+    stack, via one stacked Cholesky factorization.
 
-    Rejects non-square or visibly non-Hermitian input: the max element
-    asymmetry may not exceed HERMITIAN_ATOL * max(1, max |a|), so a Gram
-    matrix scaled by a large SNR, Hermitian up to rounding, is accepted.
-    A non-positive-definite matrix surfaces as np.linalg.LinAlgError from
-    the factorization.  Intended callers pass I + (positive semidefinite),
-    which is always in range.  Returns natural log; rate code converts to
-    bits once.
+    Rejects non-square input, non-finite entries and any visibly
+    non-Hermitian matrix: each matrix's max element asymmetry may not exceed
+    HERMITIAN_ATOL * max(1, its own max |entry|), so a Gram matrix scaled by
+    a large SNR, Hermitian up to rounding, is accepted next to unit-scale
+    ones.  A non-positive-definite matrix anywhere in the stack surfaces as
+    np.linalg.LinAlgError from the factorization.  Intended callers pass
+    I + (positive semidefinite), which is always in range.  Returns natural
+    log, shape (...), and a float for one matrix; each value has the bits
+    of a call on its matrix alone (tested).  Rate code converts to bits once.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.conj().T)))
-    if asym > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected a (..., n, n) stack of square matrices, "
+                         f"got shape {a.shape}")
+    mag = np.abs(a).max(axis=(-2, -1))
+    if not np.all(np.isfinite(mag)):  # NaN would pass every test below
+        raise ValueError("matrix has non-finite entries")
+    asym = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max(axis=(-2, -1))
+    bad = asym > HERMITIAN_ATOL * np.maximum(1.0, mag)
+    if np.any(bad):
+        raise ValueError(f"matrix is not Hermitian: max asymmetry "
+                         f"{np.max(asym[bad]):.3e}")
     lower = np.linalg.cholesky(a)
-    return 2.0 * float(np.sum(np.log(lower.diagonal().real)))
+    diag = np.diagonal(lower, axis1=-2, axis2=-1).real
+    logdet = 2.0 * np.log(diag).sum(axis=-1)
+    return float(logdet) if logdet.ndim == 0 else logdet

@@ -4,9 +4,10 @@ All rates are bits per channel use.  Determinants are evaluated through the
 Gram matrix of the smaller side (same nonzero spectrum), with natural logs
 converted to bits once at the end.  There are two independent paths: the
 direct rates (rate_cdd on the block-circulant effective channel,
-sum_capacity) take one Cholesky log-det per realization, and the sweep
-engine (monte_carlo_sweep) takes Gram spectra and log-sums over batches of
-DFT-bin blocks; rate_cdd_reduced is that engine at one trial.
+sum_capacity) take one stacked Cholesky log-det per call, over any leading
+trial axes, with the bits of one call per realization; the sweep engine
+(monte_carlo_sweep) takes Gram spectra and log-sums over batches of DFT-bin
+blocks, and rate_cdd_reduced runs those kernels on its own stack.
 
 Every Monte-Carlo estimate is a sweep and goes through one chunk runner,
 run_chunks: trials are processed in fixed-size chunks (channel.CHUNK) and
@@ -25,8 +26,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (CHUNK, SystemConfig, block_prefix, effective_channel,
-                      reduce_to_parallel, sample_channel_block)
+from .channel import (CHUNK, SystemConfig, _as_stack, block_prefix,
+                      effective_channel, reduce_to_parallel,
+                      sample_channel_block)
 from .linalg import logdet_hermitian_psd
 
 LN2 = float(np.log(2.0))
@@ -55,50 +57,66 @@ def _stack_users(channels: np.ndarray) -> np.ndarray:
     return np.swapaxes(channels, -3, -2).reshape(*lead, n_rx, users * n_tx)
 
 
-def _gram_logdet(mat: np.ndarray, scale: float) -> float:
-    """ln det(I + scale * mat @ mat^H), via the Gram of the smaller side."""
+def _check_snr(snr) -> np.ndarray:
+    snr = np.asarray(snr, dtype=float)
+    if not np.all(np.isfinite(snr)) or np.any(snr < 0):
+        raise ValueError("snr must be finite and >= 0")
+    return snr
+
+
+def _gram_logdet(mat: np.ndarray, scale: np.ndarray):
+    """ln det(I + scale * mat @ mat^H) per matrix of a (..., rows, cols)
+    stack, via the Gram of the smaller side; scale broadcasts over the
+    leading axes."""
     gram = _gram(mat)
-    return logdet_hermitian_psd(np.eye(gram.shape[0]) + scale * gram)
+    return logdet_hermitian_psd(np.eye(gram.shape[-1])
+                                + scale[..., None, None] * gram)
 
 
-def rate_cdd(channels, snr: float) -> float:
+def rate_cdd(channels, snr):
     """Instantaneous CDD sum rate (1/T) log2 det(I + (snr/T) Heff Heff^H).
 
-    Built from the full stacked effective channel; the reduced per-bin path
-    in rate_cdd_reduced must agree to 1e-9 (tested), which is the whole
-    point of the block-diagonal reduction.
+    channels is a (..., users, n_rx, n_tx) stack and snr broadcasts over its
+    leading axes; one realization gives a float.  Built from the full
+    stacked effective channel; the reduced per-bin path in rate_cdd_reduced
+    must agree to 1e-9 (tested), which is the whole point of the
+    block-diagonal reduction.
     """
-    if snr < 0:
-        raise ValueError("snr must be >= 0")
-    ch = np.asarray(channels)
+    snr = _check_snr(snr)
+    ch = _as_stack(channels)
     n_tx = ch.shape[-1]
     eff = effective_channel(ch)
     return _gram_logdet(eff, snr / n_tx) / LN2 / n_tx
 
 
-def rate_cdd_reduced(blocks, snr: float) -> float:
+def rate_cdd_reduced(blocks, snr):
     """CDD sum rate from the DFT-bin blocks of reduce_to_parallel.
 
-    (1/T) sum_t log2 det(I + snr * Hp_t Hp_t^H); the 1/n_tx power split is
+    (1/T) sum_t log2 det(I + snr * Hp_t Hp_t^H) for each (n_tx, n_rx, users)
+    stack of a (..., n_tx, n_rx, users) array, snr broadcast over the
+    leading axes; one stack gives a float.  The 1/n_tx power split is
     already absorbed by the reduction, so snr appears undivided.  Evaluated
-    by the sweep's own kernels (_gram_eigvals, _log_sums) at one trial, so
-    the dual-path check against rate_cdd tests the code behind every
-    Monte-Carlo CDD estimate.
+    by the sweep's own kernels (_gram_eigvals, _log_sums), so the dual-path
+    check against rate_cdd tests the code behind every Monte-Carlo CDD
+    estimate.
     """
-    if snr < 0:
-        raise ValueError("snr must be >= 0")
-    blk = np.asarray(blocks)
-    if blk.ndim != 3 or blk.shape[0] < 1:
-        raise ValueError("blocks must be a nonempty (n_tx, n_rx, users) stack")
-    return float(_log_sums(np.array([snr]), _gram_eigvals(blk)[None],
-                           (1, 2))[0, 0]) / blk.shape[0]
+    snr = _check_snr(snr)
+    blk = _as_stack(blocks, "blocks", "n_tx, n_rx, users")
+    # snr enters before the log-sum, whose unit scale is exact, so each
+    # value has the bits of the sweep at that snr
+    x = snr[..., None, None] * _gram_eigvals(blk)             # (..., T, L)
+    sums = _log_sums(np.ones(1), x.reshape(-1, *x.shape[-2:]), (1, 2))[0]
+    rate = sums.reshape(x.shape[:-2]) / blk.shape[-3]
+    return float(rate) if rate.ndim == 0 else rate
 
 
-def sum_capacity(channels, snr: float) -> float:
-    """No-CSIT equal-power sum capacity log2 det(I + (snr/n_tx) sum_k Hk Hk^H)."""
-    if snr < 0:
-        raise ValueError("snr must be >= 0")
-    ch = np.asarray(channels)
+def sum_capacity(channels, snr):
+    """No-CSIT equal-power sum capacity
+    log2 det(I + (snr/n_tx) sum_k Hk Hk^H) of a (..., users, n_rx, n_tx)
+    stack, snr broadcast over its leading axes; one realization gives a
+    float."""
+    snr = _check_snr(snr)
+    ch = _as_stack(channels)
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 

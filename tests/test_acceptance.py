@@ -44,12 +44,14 @@ def test_criterion_01_dual_path_equivalence():
             for n_rx in range(1, 5):
                 cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                                    snr=0.0, trials=16, seed=101)
-                perm = shuffle_permutation(n_tx, n_rx)
-                for ch in sample_channel_block(cfg, 0, cfg.trials):
-                    snr = float(10 ** rng.uniform(-1, 3))
-                    delta, _ = _dual_path_residuals(ch, snr, perm)
-                    worst = max(worst, delta)
-                    count += 1
+                # one SNR per realization, each raised as a Python float
+                snr = np.array([10 ** u for u in
+                                rng.uniform(-1, 3, cfg.trials).tolist()])
+                delta, _ = _dual_path_residuals(
+                    sample_channel_block(cfg, 0, cfg.trials), snr,
+                    shuffle_permutation(n_tx, n_rx))
+                worst = max(worst, float(delta.max()))
+                count += delta.size
     report(1, worst < 1e-9,
            f"|direct - reduced| max {worst:.2e} over {count} realizations "
            f"spanning (users, n_tx, n_rx) in {{1..4}}^3 (tol 1e-9)")
@@ -59,8 +61,8 @@ def test_criterion_02_bin_grouping_permutation():
     perm = shuffle_permutation(4, 2)
     exact = np.array_equal(perm, EXPECTED_PERMUTATION_4_2)
     cfg = SystemConfig(users=2, n_tx=4, n_rx=2, snr=1.0, trials=100, seed=202)
-    worst = max(_dual_path_residuals(ch, cfg.snr, perm)[1]
-                for ch in sample_channel_block(cfg, 0, cfg.trials))
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    worst = float(_dual_path_residuals(block, cfg.snr, perm)[1].max())
     report(2, exact and worst < 1e-9,
            f"8x8 matrix {'exact' if exact else 'WRONG'}; conjugation "
            f"identity max residual {worst:.2e} over 100 channels (tol 1e-9)")

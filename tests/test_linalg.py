@@ -121,3 +121,53 @@ def test_logdet_rejects_nonhermitian():
 def test_logdet_rejects_negative_definite():
     with pytest.raises(np.linalg.LinAlgError):
         logdet_hermitian_psd(-np.eye(3))
+
+
+def test_logdet_rejects_nonfinite_entries():
+    # NaN compares False in the asymmetry test, and Cholesky does not raise
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            logdet_hermitian_psd(np.full((2, 2), bad))
+        mat = np.eye(3, dtype=complex)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            logdet_hermitian_psd(np.stack([np.eye(3), mat]))
+
+
+def test_logdet_stack_is_one_call_per_matrix():
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_psd(rng, 4) for _ in range(6)])
+    expected = np.array([logdet_hermitian_psd(m) for m in stack])
+    for lead in ((6,), (2, 3), (3, 1, 2)):
+        got = logdet_hermitian_psd(stack.reshape(*lead, 4, 4))
+        assert got.shape == lead
+        assert got.tobytes() == expected.reshape(lead).tobytes()
+    one = logdet_hermitian_psd(stack[0])
+    assert type(one) is float and one == expected[0]
+
+
+def test_logdet_stack_judges_each_matrix_by_its_own_scale():
+    rng = np.random.default_rng(10)
+    unit = random_psd(rng, 3)
+    big = 1e12 * random_psd(rng, 3)
+    big[0, 1] += 0.1      # asymmetry 0.1: rounding at this scale
+    assert logdet_hermitian_psd(np.stack([unit, big])).tolist() \
+        == [logdet_hermitian_psd(unit), logdet_hermitian_psd(big)]
+    # an asymmetry the big neighbour's scale would excuse is still caught
+    skewed = unit.copy()
+    skewed[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        logdet_hermitian_psd(np.stack([big, skewed, unit]))
+
+
+def test_logdet_stack_rejects_one_bad_member():
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_psd(rng, 3) for _ in range(4)])
+    skewed = stack.copy()
+    skewed[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        logdet_hermitian_psd(skewed)
+    indefinite = stack.copy()
+    indefinite[1] = -np.eye(3)
+    with pytest.raises(np.linalg.LinAlgError):
+        logdet_hermitian_psd(indefinite)

@@ -16,6 +16,7 @@ from scipy.special import exp1
 from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block)
+from cddmac.linalg import logdet_hermitian_psd
 from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, _sweep_values,
                           monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
                           run_chunks, run_shared, sum_capacity)
@@ -150,6 +151,70 @@ def test_rates_strictly_increase_in_snr():
     cap = [sum_capacity(ch, s) for s in grid]
     assert np.all(np.diff(cdd) > 0)
     assert np.all(np.diff(cap) > 0)
+
+
+@pytest.mark.parametrize("rate", [rate_cdd, sum_capacity, rate_cdd_reduced])
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, -0.5,
+                                 np.array([1.0, np.nan]),
+                                 np.array([1.0, np.inf])])
+def test_direct_rates_refuse_negative_or_nonfinite_snr(rate, snr):
+    rng = np.random.default_rng(14)
+    ch = np.stack([random_channels(rng, 2, 2, 2) for _ in range(2)])
+    x = reduce_to_parallel(ch) if rate is rate_cdd_reduced else ch
+    with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+        rate(x, snr)
+
+
+@pytest.mark.parametrize("entry", [rate_cdd, sum_capacity, rate_cdd_reduced,
+                                   effective_channel, reduce_to_parallel])
+@pytest.mark.parametrize("shape", [(2, 2), (4,), (), (0, 2, 2), (2, 0, 2)])
+def test_batched_entry_points_share_one_shape_error(entry, shape):
+    args = (np.ones(shape),) + ((1.0,) if entry in (
+        rate_cdd, sum_capacity, rate_cdd_reduced) else ())
+    with pytest.raises(ValueError, match=r"must be a nonempty \(\.\.\., "
+                                         r"\w+, n_rx, \w+\) stack, got shape"):
+        entry(*args)
+
+
+@pytest.mark.parametrize("db", [0.0, 10.0, 50.0, 300.0, 3000.0])
+@pytest.mark.parametrize("users,n_tx,n_rx", [
+    (1, 4, 1), (2, 2, 2), (6, 3, 3), (8, 4, 8)])
+def test_batched_direct_path_is_per_realization_path(users, n_tx, n_rx, db):
+    # a stack with 0, 1 or 2 leading axes gives, bit for bit, one call per
+    # realization; snr is a scalar or one value per realization
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0, trials=6,
+                       seed=23)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = 10.0 ** (db / 10)
+    per_trial = snr * np.linspace(0.5, 1.5, cfg.trials)
+    cases = (((), block[0], per_trial[0]), ((6,), block, per_trial),
+             ((2, 3), block.reshape(2, 3, users, n_rx, n_tx),
+              per_trial.reshape(2, 3)))
+    for lead, ch, snrs in cases:
+        flat = ch.reshape(-1, users, n_rx, n_tx)
+        par = reduce_to_parallel(ch)
+        gram = rates._gram(rates._stack_users(ch))
+        mats = np.eye(gram.shape[-1]) + (snr / n_tx) * gram
+        pairs = [
+            (effective_channel(ch),
+             np.stack([effective_channel(c) for c in flat])),
+            (logdet_hermitian_psd(mats),
+             [logdet_hermitian_psd(m)
+              for m in mats.reshape(-1, *mats.shape[-2:])]),
+        ]
+        for rate, x in ((rate_cdd, ch), (sum_capacity, ch),
+                        (rate_cdd_reduced, par)):
+            items = x.reshape(-1, *x.shape[-3:])
+            for s in (snr, snrs):
+                got = rate(x, s)
+                if lead == ():
+                    assert type(got) is float
+                each = np.broadcast_to(s, lead).flat
+                pairs.append((got, [rate(i, v) for i, v in zip(items, each)]))
+        for got, expected in pairs:
+            got = np.asarray(got)
+            assert got.shape[:len(lead)] == lead
+            assert got.tobytes() == np.asarray(expected).tobytes()
 
 
 # --- ergodic estimates (monte_carlo_sweep at one SNR) --------------------
