@@ -6,8 +6,9 @@ converted to bits once at the end.  There are two independent paths: the
 direct rates (rate_cdd on the block-circulant effective channel,
 sum_capacity) take one stacked Cholesky log-det per call, over any leading
 trial axes, with the bits of one call per realization; the sweep engine
-(monte_carlo_sweep) takes Gram spectra and log-sums over batches of DFT-bin
-blocks, and rate_cdd_reduced runs those kernels on its own stack.
+(monte_carlo_sweep) reduces each Gram to a real tridiagonal once and reads
+log det(I + sG) at every grid point from the LDL^T pivots of I + sT
+(_logdet_sums), and rate_cdd_reduced runs that kernel on its own stack.
 
 Every Monte-Carlo estimate is a sweep and goes through one chunk runner,
 run_chunks: trials are processed in fixed-size chunks (channel.CHUNK) and
@@ -93,20 +94,20 @@ def rate_cdd_reduced(blocks, snr):
     """CDD sum rate from the DFT-bin blocks of reduce_to_parallel.
 
     (1/T) sum_t log2 det(I + snr * Hp_t Hp_t^H) for each (n_tx, n_rx, users)
-    stack of a (..., n_tx, n_rx, users) array, snr broadcast over the
-    leading axes; one stack gives a float.  The 1/n_tx power split is
-    already absorbed by the reduction, so snr appears undivided.  Evaluated
-    by the sweep's own kernels (_gram_eigvals, _log_sums), so the dual-path
-    check against rate_cdd tests the code behind every Monte-Carlo CDD
+    stack of a (..., n_tx, n_rx, users) array, snr broadcast against the
+    leading axes; one stack and a scalar snr give a float.  The 1/n_tx
+    power split is already absorbed by the reduction, so snr appears
+    undivided.  Evaluated by the sweep's own kernel (_logdet_sums), so the
+    dual-path check against rate_cdd tests the code behind every Monte-Carlo
     estimate.
     """
     snr = _check_snr(snr)
     blk = _as_stack(blocks, "blocks", "n_tx, n_rx, users")
-    # snr enters before the log-sum, whose unit scale is exact, so each
-    # value has the bits of the sweep at that snr
-    x = snr[..., None, None] * _gram_eigvals(blk)             # (..., T, L)
-    sums = _log_sums(np.ones(1), x.reshape(-1, *x.shape[-2:]), (1, 2))[0]
-    rate = sums.reshape(x.shape[:-2]) / blk.shape[-3]
+    lead = np.broadcast_shapes(snr.shape, blk.shape[:-3])
+    blk = np.broadcast_to(blk, lead + blk.shape[-3:])
+    scale = np.broadcast_to(snr, lead).reshape(1, -1)      # one per stack
+    sums = _logdet_sums(scale, blk.reshape(-1, *blk.shape[-3:]))[0]
+    rate = sums.reshape(lead) / blk.shape[-3]
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -120,9 +121,31 @@ def sum_capacity(channels, snr):
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 
+# Channel entries per sub-block of trials that values() sees at once: the
+# per-trial buffers stay cache-sized (1024 trials of the 8-user 4x8 config);
+# every figure and --verify config fits a chunk in one sub-block.
+_SUB_BLOCK_ENTRIES = 1 << 18
+
+
 def _chunk_sums(values, cfg: SystemConfig, args, start: int, stop: int):
-    vals = values(sample_channel_block(cfg, start, stop), *args)
+    block = sample_channel_block(cfg, start, stop)
+    rows = max(1, _SUB_BLOCK_ENTRIES // block[0].size)
+    vals = None
+    for lo in range(0, len(block), rows):
+        part = values(block[lo:lo + rows], *args)
+        if vals is None:
+            vals = np.empty(part.shape[:-1] + (len(block),))
+        vals[..., lo:lo + rows] = part
+    # one pass over the whole chunk, so the sums never see the sub-blocks
     return vals.sum(axis=-1), np.square(vals).sum(axis=-1)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one), not all the CPUs of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_chunks(values, cfg: SystemConfig, args, workers: int = 1):
@@ -130,14 +153,17 @@ def run_chunks(values, cfg: SystemConfig, args, workers: int = 1):
 
     values maps a (trials, users, n_rx, n_tx) channel block to per-trial
     values with trials on the last axis; the statistics keep the other axes.
-    At most min(workers, chunks, CPUs) processes run, and one runs serially;
-    values and args must be picklable (module-level) when more run.
+    Each chunk is drawn whole and handed to values in sub-blocks of at most
+    _SUB_BLOCK_ENTRIES channel entries, so values must treat trials
+    independently.  At most min(workers, chunks, usable CPUs) processes run,
+    and one runs serially; values and args must be picklable (module-level)
+    when more run.
     """
     if cfg.trials < 2:
         raise ValueError("need trials >= 2 for a standard error")
     spans = [(s, min(s + CHUNK, cfg.trials))
              for s in range(0, cfg.trials, CHUNK)]
-    procs = min(workers, len(spans), os.cpu_count() or 1)
+    procs = min(workers, len(spans), _usable_cpus())
     if procs > 1:
         starts, stops = zip(*spans)
         with ProcessPoolExecutor(max_workers=procs) as pool:
@@ -180,8 +206,9 @@ def run_shared(values, cfgs, args=()) -> list:
 
 # ---------------------------------------------------------------------------
 # Vectorized sweep engine: one pass over the trials serves every metric and
-# every SNR grid point (eigenvalues are computed once per realization), so
-# cross-metric differences like capacity-minus-CDD are tightly coupled.
+# every SNR grid point (each Gram is reduced to a real tridiagonal once per
+# realization), so cross-metric differences like capacity-minus-CDD are
+# tightly coupled.
 #
 # The two-user region metrics "<scheme>_<part>" (scheme cap or cdd) are the
 # pentagon's constraints: each user's single-user rate (other user silent),
@@ -193,44 +220,159 @@ REGION_METRICS = tuple(f"{scheme}_{part}" for scheme in ("cap", "cdd")
                        for part in REGION_PARTS)
 SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
+# Matrices per Gram product block of _tridiagonal.  Copied batch-last in
+# one piece, a sub-block's Gram (4 MB for 1024 trials of the 8-user 4x8
+# config) misses the cache on every entry; in blocks of 256 the copy stays
+# in cache.  The benchmark's wide-sweep workload, 10 alternating pairs on a
+# shared 2-vCPU x86-64 machine: wall_s median 0.591 s in one piece, 0.522 s
+# in blocks.
+_GRAM_BLOCK = 256
+# Doubles per buffer of _logdet_sums' loop over blocks of grid points.
+_POINT_BUFFER = 1 << 16
 
-def _gram_eigvals(x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of x @ x^H via the smaller-side Gram, batched, ascending,
-    clipped >= 0.
 
-    With one or two rows on the smaller side the spectrum is taken in
-    closed form from the row powers a, c and inner product b, with no
-    per-matrix LAPACK call: lambda = m -/+ hypot((a - c)/2, |b|),
-    m = (a + c)/2.
+def _householder(gram: np.ndarray):
+    """(d, e2) of a real tridiagonal unitarily similar to each Hermitian
+    matrix of a batch-last (L, L, N) stack, which is overwritten.
+
+    L - 2 Householder reflections, each applied to all N matrices at once
+    (Golub & Van Loan, Matrix Computations, 8.3.1), to the lower triangle
+    only.  Only the squared off-diagonal e2 is kept: the pivots need no
+    phases.  Every sum over matrix entries is a sequential loop, so no sum
+    depends on the batch size; numpy may still round a complex product with
+    or without FMA depending on the batch's length and strides, so a
+    matrix's bits can differ between batches by an ulp or so.
     """
+    size, _, n = gram.shape
+    e2 = np.empty((size - 1, n))
+    p_buf, tmp = np.empty((2, size - 1, n), complex)
+    for k in range(size - 2):
+        col = gram[k + 1:, k]                                   # x, (m, N)
+        m = len(col)
+        power = np.square(col.real) + np.square(col.imag)
+        norm2 = e2[k]
+        norm2[...] = power[0]
+        for row in power[1:]:
+            norm2 += row
+        alpha, lead = np.sqrt(norm2), np.sqrt(power[0])
+        # v = x + (x0 / |x0|) |x| e1 is mapped to a multiple of e1 without
+        # cancellation; tau = 2 / |v|^2
+        v = col.copy()
+        v[0] += alpha * np.divide(col[0], lead, out=np.ones(n, complex),
+                                  where=lead > 0)
+        tau = np.divide(1.0, norm2 + lead * alpha, out=np.zeros(n),
+                        where=norm2 > 0)
+        vh = np.conj(v)
+        sub = gram[k + 1:, k + 1:]
+        # p = tau A v, A Hermitian and kept below the diagonal: column j
+        # gives rows j.., row i gives entries ..i - 1 through conj(A_ij)
+        p = p_buf[:m]
+        np.multiply(sub[:, 0], v[0], out=p)
+        for j in range(1, m):
+            np.multiply(sub[j:, j], v[j], out=tmp[j:m])
+            p[j:] += tmp[j:m]
+        for i in range(1, m):
+            np.multiply(np.conj(sub[i, :i]), v[i], out=tmp[:i])
+            p[:i] += tmp[:i]
+        p *= tau
+        # A <- H A H = A - v w^H - w v^H, w = p - tau/2 (v^H p) v
+        np.multiply(vh, p, out=tmp[:m])
+        vp = tmp[0].real.copy()
+        for i in range(1, m):
+            vp += tmp[i].real
+        w = p - (0.5 * tau * vp) * v
+        wh = np.conj(w)
+        for j in range(m):
+            part = tmp[j:m]
+            np.multiply(v[j:], wh[j], out=part)
+            sub[j:, j] -= part
+            np.multiply(w[j:], vh[j], out=part)
+            sub[j:, j] -= part
+    last = gram[-1, -2]
+    e2[-1] = np.square(last.real) + np.square(last.imag)
+    return np.diagonal(gram).real.T, e2
+
+
+def _tridiagonal(x: np.ndarray):
+    """Real tridiagonal of the smaller-side Gram of each matrix of a
+    (trials, ..., rows, cols) stack: its diagonal d, (L, T, trials), and
+    squared off-diagonal e2, (L - 1, T, trials), T the middle axes
+    flattened.
+
+    One or two rows need no Gram product: d holds the row powers and e2 the
+    squared inner product of the two rows.  Larger Grams are reduced by
+    _householder.
+    """
+    trials = x.shape[0]
     rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
-    if rows.shape[-2] > 2:
-        return np.clip(np.linalg.eigvalsh(_gram(x)), 0.0, None)
-    power = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
-    if rows.shape[-2] == 1:
-        return power
-    a, c = power[..., 0], power[..., 1]
-    b = (rows[..., 0, :] * np.conj(rows[..., 1, :])).sum(axis=-1)
-    mid = (a + c) / 2
-    rad = np.hypot((a - c) / 2, np.abs(b))
-    return np.stack([np.maximum(mid - rad, 0.0), mid + rad], axis=-1)
+    size, cols = rows.shape[-2:]
+    rows = rows.reshape(trials, -1, size, cols)
+    per = rows.shape[1]
+    if size <= 2:
+        rows = np.ascontiguousarray(rows)
+        power = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
+        d = np.ascontiguousarray(power.transpose(2, 1, 0))
+        if size == 1:
+            return d, np.empty((0, per, trials))
+        b = (rows[..., 0, :] * np.conj(rows[..., 1, :])).sum(axis=-1)
+        return d, (np.square(b.real) + np.square(b.imag)).T[None]
+    # Gram products and their batch-last copy in blocks of _GRAM_BLOCK
+    # matrices, so that the transposition runs in cache
+    gram = np.empty((size, size, per, trials), complex)
+    step = max(1, _GRAM_BLOCK // per)
+    for lo in range(0, trials, step):
+        part = _gram(np.ascontiguousarray(rows[lo:lo + step]))
+        gram[..., lo:lo + step] = part.transpose(2, 3, 1, 0)
+    d, e2 = _householder(gram.reshape(size, size, -1))
+    return (np.ascontiguousarray(d).reshape(size, per, trials),
+            e2.reshape(size - 1, per, trials))
 
 
-def _log_sums(scale: np.ndarray, x: np.ndarray, axes=()) -> np.ndarray:
-    """(S, B) array whose row i is log2(1 + scale[i] * x) summed over axes.
+def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
+    """(S, trials) array: entry [i, b] sums log2 det(I + scale[i] G) over
+    the smaller-side Grams G of the matrices of x[b].
 
-    x has trials on axis 0.  Each term is log1p(scale[i] * x), converted to
-    bits once per sum, so a rate far below 1 bit keeps its relative accuracy
-    (1 + tiny would round to 1).  One grid point at a time through one
-    x-sized buffer, so memory does not grow with the grid; each entry is
-    computed and summed exactly as the whole-grid broadcast would.
+    x is a (trials, ..., rows, cols) stack; scale is (S,), or (S, trials)
+    for one value per trial.  With d, e2 from _tridiagonal, det(I + sT) is
+    the product of the LDL^T pivots 1 + s u_k (Golub & Van Loan, 4.3.6):
+
+        u_0 = d_0,   u_k = d_k - e2_{k-1} / (1/s + u_{k-1}).
+
+    Each pivot adds log1p(s u_k), converted to bits once per sum, so a rate
+    far below 1 bit keeps its relative accuracy, s^2 never appears (3000 dB
+    stays finite), and s = 0 gives exactly 0.  The u_k are >= 0 in exact
+    arithmetic and are clipped there.  Grid points go in blocks that fill
+    buffers of _POINT_BUFFER doubles, so memory does not grow with the grid
+    and an entry's bits do not depend on the block it is in.
     """
-    out = np.empty((scale.size, x.shape[0]))
-    buf = np.empty_like(x)
-    for row, s in zip(out, scale):
-        np.multiply(s, x, out=buf)
-        np.log1p(buf, out=buf)
-        buf.sum(axis=axes, out=row)
+    scale = np.asarray(scale, dtype=float)
+    if len(x) == 0:
+        return np.zeros((len(scale), 0))
+    d, e2 = _tridiagonal(x)
+    size, per, trials = d.shape
+    scale = scale.reshape(len(scale), 1, -1)                    # (S,1,1|B)
+    out = np.zeros((len(scale), trials))
+    step = max(1, _POINT_BUFFER // d[0].size)
+    u, term, acc = np.empty((3, min(step, len(scale)), per, trials))
+    for lo in range(0, len(scale), step):
+        s = scale[lo:lo + step]
+        n = len(s)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / s                     # inf at s = 0: e2 / inf = 0
+        np.copyto(u[:n], d[0])
+        np.multiply(u[:n], s, out=acc[:n])
+        np.log1p(acc[:n], out=acc[:n])
+        for k in range(1, size):
+            np.add(u[:n], inv, out=term[:n])
+            np.divide(e2[k - 1], term[:n], out=term[:n])
+            np.subtract(d[k], term[:n], out=u[:n])
+            np.maximum(u[:n], 0.0, out=u[:n])
+            np.multiply(u[:n], s, out=term[:n])
+            np.log1p(term[:n], out=term[:n])
+            acc[:n] += term[:n]
+        rows = out[lo:lo + n]
+        for t in range(per):
+            rows += acc[:n, t]
     out /= LN2
     return out
 
@@ -245,23 +387,20 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     picks = {}
     if "cdd" in schemes:
         par = reduce_to_parallel(block)                         # (B,T,n_rx,K)
-        mu = _gram_eigvals(par)                                 # (B,T,L)
-        picks["cdd"] = _log_sums(snr, mu, (1, 2)) / n_tx        # (S,B)
+        picks["cdd"] = _logdet_sums(snr, par)                   # (S,B)
+        picks["cdd"] /= n_tx
         if region:
             # single-user rate from the first DFT bin, other user absent
             # (rank 1); every bin is identically distributed, which a test
             # checks
             for k in (1, 2):
-                gain = (np.abs(par[:, 0, :, k - 1]) ** 2).sum(-1)
-                picks[f"cdd_i{k}"] = _log_sums(snr, gain)
+                picks[f"cdd_i{k}"] = _logdet_sums(snr, par[:, 0, :, k - 1:k])
     if "cap" in schemes:
-        nu = _gram_eigvals(_stack_users(block))                 # (B,Lcap)
         scale = snr / n_tx
-        picks["cap"] = _log_sums(scale, nu, 1)
+        picks["cap"] = _logdet_sums(scale, _stack_users(block))
         if region:
             for k in (1, 2):
-                alone = _gram_eigvals(block[:, k - 1])
-                picks[f"cap_i{k}"] = _log_sums(scale, alone, 1)
+                picks[f"cap_i{k}"] = _logdet_sums(scale, block[:, k - 1])
     if region:
         for scheme in schemes - {"diff"}:
             tot = picks[f"{scheme}_isum"] = picks[scheme]

@@ -96,6 +96,30 @@ def test_rate_cdd_reduced_n_tx_one_identity():
     assert reduced == pytest.approx(rate_cdd(ch, 4.0), abs=1e-12)
 
 
+def test_rate_cdd_reduced_empty_leading_axis_gives_no_rates():
+    # like rate_cdd: a stack of no realizations has no rates
+    ch = np.zeros((0, 2, 2, 2), dtype=complex)
+    for rate, x in ((rate_cdd, ch),
+                    (rate_cdd_reduced, reduce_to_parallel(ch))):
+        assert rate(x, 1.0).shape == (0,)
+
+
+def test_rate_cdd_reduced_broadcasts_snr_against_the_stack():
+    # an SNR grid for one realization, and a column of SNRs against a row
+    # of realizations, as rate_cdd broadcasts them
+    rng = np.random.default_rng(6)
+    snr = np.array([0.0, 0.5, 4.0, 30.0])
+    one = random_channels(rng, 3, 3, 2)
+    np.testing.assert_allclose(
+        rate_cdd_reduced(reduce_to_parallel(one), snr), rate_cdd(one, snr),
+        rtol=0, atol=1e-9)
+    many = np.stack([random_channels(rng, 3, 3, 2) for _ in range(5)])
+    got = rate_cdd_reduced(reduce_to_parallel(many), snr[:, None])
+    assert got.shape == (4, 5)
+    np.testing.assert_allclose(got, rate_cdd(many, snr[:, None]), rtol=0,
+                               atol=1e-9)
+
+
 def test_dual_path_sweep():
     rng = np.random.default_rng(4)
     worst = 0.0
@@ -278,7 +302,7 @@ def test_run_chunks_clamps_workers(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(rates.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 64)
     cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=5000,
                        seed=12)  # two chunks
     serial = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
@@ -290,10 +314,23 @@ def test_run_chunks_clamps_workers(monkeypatch):
                          seed=12)  # one chunk
     assert monte_carlo_sweep(small, metrics=("cdd",), workers=64) \
         == monte_carlo_sweep(small, metrics=("cdd",))
-    monkeypatch.setattr(rates.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 1)
     assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
         == serial
     assert sizes == [2]  # one chunk or one CPU runs serially
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # a process pinned to one CPU of a 64-CPU machine may use one; without
+    # an affinity call the CPU count is all there is to go by
+    monkeypatch.setattr(rates.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(rates.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert rates._usable_cpus() == 1
+    monkeypatch.delattr(rates.os, "sched_getaffinity")
+    assert rates._usable_cpus() == 64
+    monkeypatch.setattr(rates.os, "cpu_count", lambda: None)
+    assert rates._usable_cpus() == 1
 
 
 def test_run_shared_equals_one_run_per_config():
@@ -386,11 +423,16 @@ def test_sweep_matches_per_trial_rates():
             assert got[metric].stderr == pytest.approx(stderr, rel=1e-9)
 
 
+# A Gram larger than any figure, benchmark or --verify config forms.
+LARGE_ROWS = 21
+
+
 @pytest.mark.parametrize("users,n_tx,n_rx", [
-    (1, 4, 1), (1, 4, 2), (2, 2, 2), (2, 3, 2), (6, 3, 3)])
+    (1, 4, 1), (1, 4, 2), (2, 2, 2), (2, 3, 2), (6, 3, 3), (8, 4, 8),
+    (LARGE_ROWS, 2, LARGE_ROWS)])
 def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
-    # every branch of the eigenvalue kernel (one row either way round, two
-    # rows, eigvalsh) against the scalar Cholesky path, trial by trial
+    # every branch of the tridiagonal kernel (one row either way round, two
+    # rows, Householder) against the scalar Cholesky path, trial by trial
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
                        trials=40, seed=17)
     block = sample_channel_block(cfg, 0, cfg.trials)
@@ -424,15 +466,26 @@ def test_sweep_values_first_order_at_low_snr(users, n_tx, n_rx):
         np.testing.assert_allclose(row, first_order, rtol=1e-9, atol=0)
 
 
-def eigvalsh_reference(x):
-    return np.clip(np.linalg.eigvalsh(rates._gram(x)), 0.0, None)
+def tridiagonal_spectrum(x):
+    """Eigenvalues of the real tridiagonals rates._tridiagonal builds for a
+    (trials, ..., rows, cols) stack, (trials, ..., L) ascending."""
+    d, e2 = (a.T for a in rates._tridiagonal(x))        # (trials, T, L)
+    size = d.shape[-1]
+    t = np.zeros(d.shape + (size,))
+    i = np.arange(size)
+    t[..., i, i] = d
+    t[..., i[1:], i[:-1]] = t[..., i[:-1], i[1:]] = np.sqrt(e2)
+    return np.linalg.eigvalsh(t).reshape(*x.shape[:-2], size)
 
 
 def assert_spectrum_matches(x):
-    got = rates._gram_eigvals(x)
-    expected = eigvalsh_reference(x)
+    d, e2 = rates._tridiagonal(x)
+    assert np.all(e2 >= 0)
+    if min(x.shape[-2:]) <= 2:        # row powers: no rounding below zero
+        assert np.all(d >= 0)
+    got = tridiagonal_spectrum(x)
+    expected = np.clip(np.linalg.eigvalsh(rates._gram(x)), 0.0, None)
     assert got.shape == expected.shape
-    assert np.all(got >= 0) and np.all(np.diff(got, axis=-1) >= 0)
     tol = 1e-13 * expected.max(axis=-1, keepdims=True)
     assert np.all(np.abs(got - expected) <= tol)
 
@@ -440,32 +493,139 @@ def assert_spectrum_matches(x):
 @pytest.mark.parametrize("short", [1, 2])
 @pytest.mark.parametrize("long", range(2, 7))
 def test_gram_eigvals_closed_form_matches_eigvalsh(short, long):
+    # one or two rows: the tridiagonal is the Gram itself, built from the
+    # row powers and the inner product without a Gram product
+    # (the kernel's stacks always carry a trials axis, so one matrix is a
+    # stack of one)
     rng = np.random.default_rng(100 * short + long)
     for shape in ((short, long), (long, short)):
         x = rng.standard_normal((500, 3, *shape)) \
             + 1j * rng.standard_normal((500, 3, *shape))
         assert_spectrum_matches(x)
-        assert_spectrum_matches(x[0, 0])
+        assert_spectrum_matches(x[0, 0][None])
+        d, e2 = rates._tridiagonal(x)
+        gram = rates._gram(x)
+        diagonal = np.diagonal(gram, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(d.T, diagonal, rtol=1e-15)
+        if short == 2:
+            # |g01|^2 to rounding of the row powers' product, which bounds it
+            err = np.abs(e2[0].T - np.abs(gram[..., 0, 1]) ** 2)
+            assert np.all(err <= 1e-14 * diagonal[..., 0] * diagonal[..., 1])
 
 
 def test_gram_eigvals_closed_form_edge_cases():
     rng = np.random.default_rng(9)
     for size in (2, 4):
         row = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        assert_spectrum_matches(np.stack([row, row]))  # rank one
-        assert_spectrum_matches(np.stack([row, 1j * row]).T)
-    for shape in ((1, 3), (2, 2), (2, 5), (5, 2)):
-        zero = np.zeros(shape, dtype=complex)
-        assert rates._gram_eigvals(zero).tolist() == [0.0] * min(shape)
+        assert_spectrum_matches(np.stack([row, row])[None])  # rank one
+        assert_spectrum_matches(np.stack([row, 1j * row]).T[None])
+    for shape in ((1, 3), (2, 2), (2, 5), (5, 2), (3, 3), (8, 9), (22, 22)):
+        d, e2 = rates._tridiagonal(np.zeros((1, *shape), dtype=complex))
+        assert not d.any() and not e2.any()
     x = rng.standard_normal((200, 2, 3)) + 1j * rng.standard_normal((200, 2, 3))
     x[:, 0] *= 1e6                                   # powers differ by 1e12
     assert_spectrum_matches(x)
     assert_spectrum_matches(np.swapaxes(x, -1, -2))
 
 
+@pytest.mark.parametrize("rows", [3, 4, 5, 8, 13, 20, LARGE_ROWS])
+def test_tridiagonal_keeps_the_gram_spectrum(rows):
+    # the Householder reduction in both orientations; a matrix reduced alone
+    # agrees with its reduction in a batch to rounding
+    rng = np.random.default_rng(rows)
+    for shape in ((rows, rows + 3), (rows + 1, rows)):
+        x = rng.standard_normal((40, 2, *shape)) \
+            + 1j * rng.standard_normal((40, 2, *shape))
+        assert_spectrum_matches(x.reshape(80, *shape))
+        d, e2 = rates._tridiagonal(x)
+        assert d.shape == (rows, 2, 40) and e2.shape == (rows - 1, 2, 40)
+        one_d, one_e2 = rates._tridiagonal(x[7:8])
+        top = d.max()
+        np.testing.assert_allclose(one_d, d[:, :, 7:8], rtol=1e-13,
+                                   atol=1e-13 * top)
+        np.testing.assert_allclose(one_e2, e2[:, :, 7:8], rtol=1e-12,
+                                   atol=1e-13 * top ** 2)
+
+
+# SNR points of the accuracy test: -200 to 3000 dB
+ACCURACY_DB = np.array([-200.0, -60.0, 0.0, 20.0, 60.0, 300.0, 1000.0,
+                        3000.0])
+
+
+def mpmath_log2det(x, scales):
+    """log2 det(I + s x x^H) at 60 digits from the exact entries of x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        rows = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                              for row in x.tolist()])
+        gram = rows * rows.H
+        eye = mpmath.eye(gram.rows)
+        return np.array([float(mpmath.log(mpmath.re(mpmath.det(
+            eye + mpmath.mpf(float(s)) * gram)), 2)) for s in scales])
+
+
+def relative_errors(got, exact):
+    return np.abs(got - exact) / exact
+
+
+def test_logdet_sums_accuracy_against_mpmath():
+    # random draws, near-singular draws (one singular value times 1e-6),
+    # rank-one rows and the zero matrix, L = 1 ... 8 and LARGE_ROWS, from
+    # -200 to 3000 dB.  At seed 2718 the worst relative errors are 5.8e-16
+    # (random) and 3.5e-5 against eigvalsh's 3.5e-5 (near-singular); seeds
+    # 0 ... 9 give ratios 0.15 ... 2.1
+    rng = np.random.default_rng(2718)
+    scale = 10.0 ** (ACCURACY_DB / 10)
+    with_zero = np.concatenate([[0.0], scale])
+    worst = {"random": 0.0, "near": 0.0, "near_eigvalsh": 0.0}
+    for rows, draws in [(size, 2) for size in range(1, 9)] + [(LARGE_ROWS, 1)]:
+        shape = (draws, rows, rows + 1)
+        x = (rng.standard_normal(shape)
+             + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        u, sv, vh = np.linalg.svd(x, full_matrices=False)
+        sv[:, -1] *= 1e-6
+        near = (u * sv[:, None, :]) @ vh
+        rank_one = x[:, :, :1] * x[:, :1, :]
+        zero = np.zeros_like(x)
+        for kind, stack in (("random", x), ("near", near),
+                            ("rank_one", rank_one), ("zero", zero)):
+            got = rates._logdet_sums(with_zero, stack)
+            assert np.all(np.isfinite(got)), (rows, kind)
+            assert not got[0].any(), (rows, kind)           # s = 0 exactly
+            if kind == "zero":
+                assert not got.any()
+            if kind not in worst:
+                continue
+            exact = np.stack([mpmath_log2det(m, scale) for m in stack], 1)
+            worst[kind] = max(worst[kind],
+                              relative_errors(got[1:], exact).max())
+            if kind == "near":
+                lam = np.clip(np.linalg.eigvalsh(rates._gram(stack)), 0.0,
+                              None)
+                eig = np.log1p(scale[:, None, None] * lam).sum(-1) / rates.LN2
+                worst["near_eigvalsh"] = max(worst["near_eigvalsh"],
+                                             relative_errors(eig, exact).max())
+    assert worst["random"] <= 1e-13, worst
+    assert worst["near"] <= 4 * worst["near_eigvalsh"], worst
+
+
+def test_logdet_sums_per_trial_scale_is_one_scale_per_trial():
+    # rate_cdd_reduced's (1, trials) scale gives each trial the bits of its
+    # own scalar grid point
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 3, 4, 5)) + 1j * rng.standard_normal(
+        (6, 3, 4, 5))
+    per_trial = np.array([0.0, 1e-20, 0.3, 10.0, 1e8, 1e300])
+    got = rates._logdet_sums(per_trial[None], x)[0]
+    alone = [rates._logdet_sums(np.array([s]), x)[0, b]
+             for b, s in enumerate(per_trial)]
+    assert got.tobytes() == np.array(alone).tobytes()
+
+
 def broadcast_sweep(block, snr, name):
-    """Reference for rates._sweep_values: metric name's per-trial values as
-    one whole-grid broadcast with (S, B, ...) temporaries, shape (S, B)."""
+    """Reference for rates._sweep_values: metric name's per-trial values from
+    the tridiagonals of rates._tridiagonal, every grid point at once in one
+    whole-grid (S, T, B) broadcast of the pivot recurrence, shape (S, B)."""
     n_tx = block.shape[-1]
     scheme, _, part = name.partition("_")
     if scheme == "diff":
@@ -477,18 +637,25 @@ def broadcast_sweep(block, snr, name):
     user = int(part[1]) - 1 if part in ("i1", "i2") else None
     if scheme == "cdd":
         par = reduce_to_parallel(block)
-        if user is not None:
-            gain = (np.abs(par[:, 0, :, user]) ** 2).sum(-1)
-            return np.log1p(snr[:, None] * gain) / rates.LN2
-        mu = rates._gram_eigvals(par)
-        cdd = np.log1p(snr[:, None, None, None] * mu).sum(axis=(2, 3))
-        return cdd / rates.LN2 / n_tx
-    scale = snr[:, None, None] / n_tx
-    if user is not None:
-        nu = rates._gram_eigvals(block[:, user])
+        x = par if user is None else par[:, 0, :, user:user + 1]
+        scale = snr
     else:
-        nu = rates._gram_eigvals(rates._stack_users(block))
-    return np.log1p(scale * nu).sum(axis=2) / rates.LN2
+        x = rates._stack_users(block) if user is None else block[:, user]
+        scale = snr / n_tx
+    d, e2 = rates._tridiagonal(x)
+    s = scale[:, None, None]
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / s
+    u = np.broadcast_to(d[0], (len(s),) + d.shape[1:])
+    terms = np.log1p(s * u)
+    for k in range(1, len(d)):
+        u = np.maximum(d[k] - e2[k - 1] / (inv + u), 0.0)
+        terms += np.log1p(s * u)
+    out = np.zeros((len(s), block.shape[0]))
+    for t in range(terms.shape[1]):
+        out += terms[:, t]
+    out /= rates.LN2
+    return out / n_tx if scheme == "cdd" and user is None else out
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8)])
@@ -496,7 +663,8 @@ def test_sweep_values_equal_whole_grid_broadcast(users, n_tx, n_rx):
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
                        trials=300, seed=21)
     block = sample_channel_block(cfg, 0, cfg.trials)
-    snr = np.concatenate([[0.0], 10.0 ** (np.arange(-30.0, 41.0, 3.5) / 10)])
+    snr = np.concatenate([[0.0], 10.0 ** (np.arange(-30.0, 41.0, 3.5) / 10),
+                          [1e300]])
     names = [m for m in SWEEP_METRICS
              if users == 2 or m not in rates.REGION_METRICS]
     expected = {m: broadcast_sweep(block, snr, m) for m in names}
@@ -505,6 +673,51 @@ def test_sweep_values_equal_whole_grid_broadcast(users, n_tx, n_rx):
         assert got.shape == (len(metrics), snr.size, cfg.trials)
         for row, name in zip(got, metrics):
             assert row.tobytes() == expected[name].tobytes(), name
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
+def test_sweep_values_do_not_depend_on_the_trial_split(users, n_tx, n_rx):
+    # a trial's values agree whether it is evaluated alone, in blocks of 7
+    # or 512 trials, or in _chunk_sums' sub-blocks, to 8 ulp of its capacity
+    # at that point, which bounds every metric.  Bits are not compared:
+    # numpy may round a complex product of _householder with or without FMA
+    # depending on the batch's length and strides (a lone (6, 3, 3) or
+    # (8, 4, 8) trial moves by up to 1.3 ulp of its capacity)
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+                       trials=1100, seed=44)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = np.array([0.0, 1e-20, 1.0, 1e4, 1e300])
+    metrics = ("cdd", "cap", "diff") + (rates.REGION_METRICS
+                                        if users == 2 else ())
+    whole = _sweep_values(block, snr, metrics)
+    budget = rates._SUB_BLOCK_ENTRIES // block[0].size
+    for rows, trials in ((1, 40), (7, 300), (512, 1100), (budget, 1100)):
+        parts = [_sweep_values(block[lo:min(lo + rows, trials)], snr, metrics)
+                 for lo in range(0, trials, rows)]
+        split = np.concatenate(parts, axis=-1)
+        tol = 8 * np.finfo(float).eps * whole[1, :, :trials]
+        assert np.all(np.abs(split - whole[..., :trials]) <= tol), rows
+
+
+def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
+    # the 8-user 4x8 config takes 1024-trial sub-blocks; its statistics keep
+    # the bits of one values() call on the whole chunk
+    cfg = SystemConfig(users=8, n_tx=4, n_rx=8, snr=1.0, trials=CHUNK + 1500,
+                       seed=45)
+    args = (np.array([1.0, 100.0]), ("cdd", "cap"))
+    assert rates._SUB_BLOCK_ENTRIES // (8 * 4 * 8) == 1024
+    calls = []
+
+    def counted(block, *rest):
+        calls.append(len(block))
+        return _sweep_values(block, *rest)
+
+    got = run_chunks(counted, cfg, args)
+    assert calls == [1024] * 4 + [1024, 476]
+    monkeypatch.setattr(rates, "_SUB_BLOCK_ENTRIES", 1 << 40)
+    whole = run_chunks(_sweep_values, cfg, args)
+    for a, b in zip(got, whole):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("metric", ["cdd", "cap"])
