@@ -14,8 +14,8 @@ from .channel import (SystemConfig, cdd_codeword, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
 from .linalg import dft_matrix, logdet_hermitian_psd
-from .rates import (RateEstimate, monte_carlo_sweep, rate_cdd,
-                    rate_cdd_reduced, sum_capacity)
+from .rates import (monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
+                    sum_capacity)
 from .region import (RegionEstimate, pareto_segment, region_capacity,
                      region_cdd)
 
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EULER_GAMMA",
-    "RateEstimate",
     "RegionEstimate",
     "SystemConfig",
     "cap_lower_bound",

@@ -36,16 +36,14 @@ GROUP = 8
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scenario parameters for one Monte-Carlo experiment.
-
-    snr is a linear power ratio; dB conversion happens only at the CLI
-    boundary.  The CDD block length always equals n_tx.
+    """The channel draw of one Monte-Carlo experiment: system size, trial
+    count and seed.  SNR is an argument of the rates, not part of the draw.
+    The CDD block length always equals n_tx.
     """
 
     users: int
     n_tx: int
     n_rx: int
-    snr: float
     trials: int
     seed: int
 
@@ -54,8 +52,6 @@ class SystemConfig:
             raise ValueError("users, n_tx and n_rx must all be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not np.isfinite(self.snr) or self.snr < 0:
-            raise ValueError("snr must be finite and >= 0 (linear scale)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,7 +218,7 @@ def _sweep_rows(spec, n_rx, tag, linear):
         series += REGION_METRICS
     if not series:
         return [], []
-    cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx, snr=0.0,
+    cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx,
                        trials=spec.trials, seed=spec.seed)
     got = monte_carlo_sweep(cfg, snr=linear, metrics=tuple(series),
                             workers=spec.workers)
@@ -383,8 +383,8 @@ def _log_bin_gains(block):
 def _digamma_error(user_counts, trials, seed):
     """|E[ln lambda] - psi(K)|, psi(K) = H_{K-1} - gamma, at n_tx=4, n_rx=1,
     one per user count K, all from one draw."""
-    cfgs = [SystemConfig(users=users, n_tx=4, n_rx=1, snr=1.0,
-                         trials=trials, seed=seed) for users in user_counts]
+    cfgs = [SystemConfig(users=users, n_tx=4, n_rx=1, trials=trials,
+                         seed=seed) for users in user_counts]
     errors = []
     for users, (mean, _) in zip(user_counts, run_shared(_log_bin_gains, cfgs)):
         psi = bnd.harmonic(users - 1) - bnd.EULER_GAMMA
@@ -427,10 +427,10 @@ def _check_dual_path(rng):
     worst_rate = 0.0
     worst_block = 0.0
     for users, n_tx, n_rx in ((1, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 3)):
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=8.0,
-                           trials=50, seed=int(rng.integers(2**32)))
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=50,
+                           seed=int(rng.integers(2**32)))
         rate, leak = _dual_path_residuals(
-            sample_channel_block(cfg, 0, cfg.trials), cfg.snr,
+            sample_channel_block(cfg, 0, cfg.trials), 8.0,
             shuffle_permutation(n_tx, n_rx))
         worst_rate = max(worst_rate, float(rate.max()))
         worst_block = max(worst_block, float(leak.max()))
@@ -442,19 +442,19 @@ def _check_dual_path(rng):
 def _check_dominance(rng):
     worst = -np.inf
     for users, n_tx, n_rx in ((1, 3, 2), (2, 2, 2), (4, 2, 1)):
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=25.0,
-                           trials=100, seed=int(rng.integers(2**32)))
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=100,
+                           seed=int(rng.integers(2**32)))
         block = sample_channel_block(cfg, 0, cfg.trials)
-        worst = max(worst, float(np.max(rate_cdd(block, cfg.snr)
-                                        - sum_capacity(block, cfg.snr))))
+        worst = max(worst, float(np.max(rate_cdd(block, 25.0)
+                                        - sum_capacity(block, 25.0))))
     return worst < 1e-9, f"max (cdd - capacity) = {worst:.3e}"
 
 
 def _check_sandwich(rng):
     configs = ((1, 2, 1), (2, 2, 2), (4, 2, 1))
     grid = np.array([1.0, 10.0, 100.0])
-    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
-                         trials=20000, seed=2026)
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=20000,
+                         seed=2026)
             for users, n_tx, n_rx in configs]
     worst = max(max(excess) for excess in _sandwich_excess(cfgs, grid))
     return worst <= 0, "rc_lb <= MC cdd <= rc_ub and cap_lb <= MC cap on " + \
@@ -468,8 +468,8 @@ def _check_digamma(rng):
 
 def _check_gap_convergence(rng):
     pairs = ((1, 2), (2, 2))
-    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, snr=0.0,
-                         trials=30000, seed=7) for users, n_tx in pairs]
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, trials=30000,
+                         seed=7) for users, n_tx in pairs]
     got = run_shared(_sweep_values, cfgs, (np.array([1e4]), ("diff",)))
     worst = -np.inf
     for (users, n_tx), ((mean,), (err,)) in zip(pairs, got):  # one metric
@@ -486,11 +486,11 @@ def _check_psi_limit(rng):
 
 
 def _check_determinism(rng):
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=6000,
-                       seed=31337)
-    first = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
-    second = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
-    same = all(first[m] == second[m] for m in ("cdd", "cap"))
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=6000, seed=31337)
+    first = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"))
+    second = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"))
+    same = all(x.tobytes() == y.tobytes() for m in ("cdd", "cap")
+               for x, y in zip(first[m], second[m]))
     # a single trial, drawn alone, is the same row of the whole block
     block = sample_channel_block(cfg, 0, cfg.trials)
     redraw = all(np.array_equal(sample_channels(cfg, t), block[t])

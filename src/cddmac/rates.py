@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -33,15 +32,6 @@ from .channel import (CHUNK, SystemConfig, _as_stack, block_prefix,
 from .linalg import logdet_hermitian_psd
 
 LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Monte-Carlo mean rate with standard error, in bits per channel use."""
-
-    mean: float
-    stderr: float
-    trials: int
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -411,14 +401,14 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     return np.stack([picks[m] for m in metrics])
 
 
-def monte_carlo_sweep(cfg: SystemConfig, snr=None, metrics=("cdd", "cap"),
+def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),
                       workers: int = 1) -> dict:
     """Ergodic estimates for several metrics over a shared linear-SNR grid.
 
     Metrics are named in SWEEP_METRICS; the REGION_METRICS need exactly two
-    users.  Returns {metric: RateEstimate} for scalar snr input, or
-    {metric: (means, stderrs)} arrays matching the grid otherwise.  Results
-    are bit-identical for any workers value (fixed chunk schedule).
+    users.  Returns {metric: (means, stderrs)}, two arrays over the grid; a
+    scalar snr is a one-point grid.  Results are bit-identical for any
+    workers value (fixed chunk schedule).
     """
     if not metrics:
         raise ValueError("metrics: at least one sweep metric is required")
@@ -427,20 +417,10 @@ def monte_carlo_sweep(cfg: SystemConfig, snr=None, metrics=("cdd", "cap"),
         raise ValueError(f"unknown sweep metrics {unknown}")
     if cfg.users != 2 and any(m in REGION_METRICS for m in metrics):
         raise ValueError("rate regions are computed for exactly 2 users")
-    grid = np.atleast_1d(np.asarray(cfg.snr if snr is None else snr,
-                                    dtype=float))
-    if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("snr grid must be nonempty, finite and >= 0")
-    scalar = np.ndim(cfg.snr if snr is None else snr) == 0
-
+    grid = np.atleast_1d(_check_snr(snr))
+    if grid.size == 0:
+        raise ValueError("snr grid must be nonempty")
     means, stderrs = run_chunks(_sweep_values, cfg, (grid, tuple(metrics)),
                                 workers)
-    out = {}
-    for row, name in enumerate(metrics):
-        if scalar:
-            out[name] = RateEstimate(mean=float(means[row, 0]),
-                                     stderr=float(stderrs[row, 0]),
-                                     trials=cfg.trials)
-        else:
-            out[name] = (means[row], stderrs[row])
-    return out
+    return {name: (means[row], stderrs[row])
+            for row, name in enumerate(metrics)}

@@ -52,35 +52,41 @@ class RegionEstimate:
     trials: int
 
 
-def _pack(cfg: SystemConfig, scheme: str, workers: int) -> RegionEstimate:
-    got = monte_carlo_sweep(cfg, metrics=tuple(f"{scheme}_{part}"
-                                               for part in REGION_PARTS),
-                            workers=workers)
-    row = {label: got[f"{scheme}_{part}"] for label, part in REGION_ROWS}
+def _pack(cfg: SystemConfig, snr: float, scheme: str,
+          workers: int) -> RegionEstimate:
+    if np.ndim(snr) != 0:
+        raise ValueError("a region is computed at one snr point")
+    got = monte_carlo_sweep(cfg, snr, tuple(f"{scheme}_{part}"
+                                            for part in REGION_PARTS),
+                            workers)
+    # (mean, stderr) of each coordinate at the one grid point
+    row = {label: [float(a[0]) for a in got[f"{scheme}_{part}"]]
+           for label, part in REGION_ROWS}
 
     def corner(name, field):
-        return tuple(getattr(row[f"{name}_r{k}"], field) for k in (1, 2))
+        return tuple(row[f"{name}_r{k}"][field] for k in (1, 2))
 
     return RegionEstimate(
-        i1=row["i1"].mean, i2=row["i2"].mean, i_sum=row["isum"].mean,
-        i1_stderr=row["i1"].stderr, i2_stderr=row["i2"].stderr,
-        i_sum_stderr=row["isum"].stderr,
-        corner_a=corner("corner_a", "mean"),
-        corner_b=corner("corner_b", "mean"),
-        corner_a_stderr=corner("corner_a", "stderr"),
-        corner_b_stderr=corner("corner_b", "stderr"),
+        i1=row["i1"][0], i2=row["i2"][0], i_sum=row["isum"][0],
+        i1_stderr=row["i1"][1], i2_stderr=row["i2"][1],
+        i_sum_stderr=row["isum"][1],
+        corner_a=corner("corner_a", 0), corner_b=corner("corner_b", 0),
+        corner_a_stderr=corner("corner_a", 1),
+        corner_b_stderr=corner("corner_b", 1),
         trials=cfg.trials,
     )
 
 
-def region_capacity(cfg: SystemConfig, workers: int = 1) -> RegionEstimate:
-    """Ergodic capacity region of the two-user MAC at cfg.snr."""
-    return _pack(cfg, "cap", workers)
+def region_capacity(cfg: SystemConfig, snr: float,
+                    workers: int = 1) -> RegionEstimate:
+    """Ergodic capacity region of the two-user MAC at linear SNR snr."""
+    return _pack(cfg, snr, "cap", workers)
 
 
-def region_cdd(cfg: SystemConfig, workers: int = 1) -> RegionEstimate:
-    """Ergodic achievable region of two-user CDD at cfg.snr."""
-    return _pack(cfg, "cdd", workers)
+def region_cdd(cfg: SystemConfig, snr: float,
+               workers: int = 1) -> RegionEstimate:
+    """Ergodic achievable region of two-user CDD at linear SNR snr."""
+    return _pack(cfg, snr, "cdd", workers)
 
 
 def pareto_segment(r: RegionEstimate, samples: int):

@@ -43,7 +43,7 @@ def test_criterion_01_dual_path_equivalence():
         for n_tx in range(1, 5):
             for n_rx in range(1, 5):
                 cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
-                                   snr=0.0, trials=16, seed=101)
+                                   trials=16, seed=101)
                 # one SNR per realization, each raised as a Python float
                 snr = np.array([10 ** u for u in
                                 rng.uniform(-1, 3, cfg.trials).tolist()])
@@ -60,9 +60,9 @@ def test_criterion_01_dual_path_equivalence():
 def test_criterion_02_bin_grouping_permutation():
     perm = shuffle_permutation(4, 2)
     exact = np.array_equal(perm, EXPECTED_PERMUTATION_4_2)
-    cfg = SystemConfig(users=2, n_tx=4, n_rx=2, snr=1.0, trials=100, seed=202)
+    cfg = SystemConfig(users=2, n_tx=4, n_rx=2, trials=100, seed=202)
     block = sample_channel_block(cfg, 0, cfg.trials)
-    worst = float(_dual_path_residuals(block, cfg.snr, perm)[1].max())
+    worst = float(_dual_path_residuals(block, 1.0, perm)[1].max())
     report(2, exact and worst < 1e-9,
            f"8x8 matrix {'exact' if exact else 'WRONG'}; conjugation "
            f"identity max residual {worst:.2e} over 100 channels (tol 1e-9)")
@@ -79,7 +79,7 @@ def test_criterion_03_digamma_identity():
 
 def test_criterion_04_bound_sandwich():
     grid = np.array([0.1, 1.0, 10.0, 100.0, 1000.0])
-    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                          trials=100000, seed=404)
             for users in range(1, 5)
             for n_tx in range(1, 5)
@@ -97,15 +97,13 @@ def test_criterion_04_bound_sandwich():
 def test_criterion_05_figure2_gap_and_slopes():
     grid_db = np.array([30.0, 35.0, 40.0])
     grid = 10 ** (grid_db / 10)
-    one_rx = SystemConfig(users=1, n_tx=4, n_rx=1, snr=0.0, trials=100000,
-                          seed=505)
+    one_rx = SystemConfig(users=1, n_tx=4, n_rx=1, trials=100000, seed=505)
     diff_mean, diff_err = monte_carlo_sweep(one_rx, snr=grid,
                                             metrics=("diff",))["diff"]
     gap30 = float(diff_mean[0])
     gap_ok = abs(gap30 - 0.645) <= 0.1
 
-    two_rx = SystemConfig(users=1, n_tx=4, n_rx=2, snr=0.0, trials=100000,
-                          seed=505)
+    two_rx = SystemConfig(users=1, n_tx=4, n_rx=2, trials=100000, seed=505)
     got = monte_carlo_sweep(two_rx, snr=grid, metrics=("cdd", "cap"))
     cap_slope = float(got["cap"][0][2] - got["cap"][0][0]) * 3.0 / 10.0
     cdd_slope = float(got["cdd"][0][2] - got["cdd"][0][0]) * 3.0 / 10.0
@@ -117,10 +115,9 @@ def test_criterion_05_figure2_gap_and_slopes():
 
 
 def test_criterion_06_figure3_corner_placement():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=100.0, trials=100000,
-                       seed=606)
-    cap = region_capacity(cfg)
-    cdd = region_cdd(cfg)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=100000, seed=606)
+    cap = region_capacity(cfg, 100.0)
+    cdd = region_cdd(cfg, 100.0)
 
     def left_or_below(cap_pt, cap_err, cdd_pt, cdd_err):
         left = cap_pt[0] <= cdd_pt[0] + 3 * (cap_err[0] + cdd_err[0])
@@ -143,8 +140,7 @@ def test_criterion_06_figure3_corner_placement():
 def test_criterion_07_figure4_gap_bound_and_ordering():
     grid_db = np.arange(0.0, 41.0, 5.0)
     grid = 10 ** (grid_db / 10)
-    cfg = SystemConfig(users=6, n_tx=3, n_rx=3, snr=0.0, trials=100000,
-                       seed=707)
+    cfg = SystemConfig(users=6, n_tx=3, n_rx=3, trials=100000, seed=707)
     got = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap", "diff"))
     cdd_mean, cdd_err = got["cdd"]
     cap_mean, cap_err = got["cap"]
@@ -192,12 +188,11 @@ def test_criterion_09_cli_determinism_across_workers(tmp_path):
 
 def test_criterion_10_siso_quadrature_oracle():
     oracle = float(np.log2(np.e) * np.exp(0.1) * exp1(0.1))
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=10.0, trials=1000000,
-                       seed=1010)
-    est = monte_carlo_sweep(cfg, metrics=("cap",))["cap"]
-    delta = abs(est.mean - oracle)
-    ok = delta < 3 * est.stderr
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=1000000, seed=1010)
+    (mean,), (err,) = monte_carlo_sweep(cfg, 10.0, metrics=("cap",))["cap"]
+    delta = abs(mean - oracle)
+    ok = delta < 3 * err
     report(10, ok,
-           f"SISO 10 dB over 1e6 trials: {est.mean:.6f} vs exponential-"
+           f"SISO 10 dB over 1e6 trials: {mean:.6f} vs exponential-"
            f"integral oracle {oracle:.6f}, |delta| {delta:.2e} < 3 stderr "
-           f"{3 * est.stderr:.2e}")
+           f"{3 * err:.2e}")

@@ -126,8 +126,7 @@ def test_cap_lower_reduces_to_rc_lower_for_siso_config():
 
 
 def test_cap_lower_below_mc_capacity():
-    cfg = SystemConfig(users=6, n_tx=3, n_rx=3, snr=0.0, trials=20000,
-                       seed=606)
+    cfg = SystemConfig(users=6, n_tx=3, n_rx=3, trials=20000, seed=606)
     got = monte_carlo_sweep(cfg, snr=np.array([1000.0]), metrics=("cap",))
     mean, err = got["cap"]
     assert cap_lower_bound(6, 3, 3, 1000.0) <= float(mean[0]) \
@@ -251,7 +250,7 @@ def test_gap_upper_trends():
 def test_gap_convergence_at_high_snr():
     # MC capacity-minus-CDD at 40 dB approaches the closed-form gap
     for users, n_tx in [(1, 2), (2, 2)]:
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=1, snr=0.0,
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=1,
                            trials=30000, seed=40)
         got = monte_carlo_sweep(cfg, snr=np.array([1e4]), metrics=("diff",))
         mean, err = got["diff"]
@@ -262,7 +261,7 @@ def test_gap_convergence_at_high_snr():
 def test_lower_bound_tightens_with_snr():
     # MC cdd minus rc_lower shrinks from 0 dB to 40 dB
     for users, n_tx, n_rx in [(1, 2, 1), (2, 2, 2)]:
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                            trials=20000, seed=41)
         grid = np.array([1.0, 1e4])
         mean, _ = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd",))["cdd"]

@@ -27,16 +27,15 @@ for _i in range(2):
 
 
 def test_config_accepts_valid():
-    SystemConfig(users=2, n_tx=3, n_rx=2, snr=10.0, trials=50, seed=1)
+    SystemConfig(users=2, n_tx=3, n_rx=2, trials=50, seed=1)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(users=0), dict(n_tx=0), dict(n_rx=0), dict(trials=0),
-    dict(snr=-1.0), dict(snr=float("inf")), dict(snr=float("nan")),
     dict(seed=-1), dict(seed=2 ** 64),
 ])
 def test_config_rejects_invalid(kwargs):
-    base = dict(users=1, n_tx=1, n_rx=1, snr=1.0, trials=10, seed=0)
+    base = dict(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
     base.update(kwargs)
     with pytest.raises(ValueError):
         SystemConfig(**base)
@@ -46,25 +45,24 @@ def test_config_rejects_invalid(kwargs):
 
 
 def test_sample_shapes_and_dtype():
-    cfg = SystemConfig(users=2, n_tx=3, n_rx=2, snr=1.0, trials=10, seed=0)
+    cfg = SystemConfig(users=2, n_tx=3, n_rx=2, trials=10, seed=0)
     ch = sample_channels(cfg, 0)
     assert ch.shape == (2, 2, 3)
     assert ch.dtype == np.complex128
 
 
 def test_sample_deterministic_per_trial():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=10, seed=42)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=42)
     first = sample_channels(cfg, 7)
     second = sample_channels(cfg, 7)
     np.testing.assert_array_equal(first, second)
     assert not np.array_equal(first, sample_channels(cfg, 6))
-    other_seed = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=10,
-                              seed=43)
+    other_seed = SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=43)
     assert not np.array_equal(first, sample_channels(other_seed, 7))
 
 
 def test_sample_order_independent():
-    cfg = SystemConfig(users=1, n_tx=2, n_rx=1, snr=1.0, trials=10, seed=5)
+    cfg = SystemConfig(users=1, n_tx=2, n_rx=1, trials=10, seed=5)
     backwards = [sample_channels(cfg, t) for t in reversed(range(10))]
     forwards = [sample_channels(cfg, t) for t in range(10)]
     for fwd, bwd in zip(forwards, reversed(backwards)):
@@ -72,7 +70,7 @@ def test_sample_order_independent():
 
 
 def test_sample_trial_out_of_range():
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=5, seed=0)
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=5, seed=0)
     with pytest.raises(ValueError):
         sample_channels(cfg, 5)
     with pytest.raises(ValueError):
@@ -113,7 +111,7 @@ def documented_stream(users, n_tx, n_rx, seed, start, stop):
 def test_sample_block_documented_stream(users, n_tx, n_rx, seed, start,
                                         stop):
     assert GROUP == 8
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                        trials=stop, seed=seed)
     block = sample_channel_block(cfg, start, stop)
     assert block.dtype == np.complex128 and block.flags.c_contiguous
@@ -125,8 +123,7 @@ def test_trial_bytes_independent_of_trials_and_split():
     # trial t's channel depends neither on cfg.trials nor on how [start,
     # stop) is split into calls
     def cfg(trials):
-        return SystemConfig(users=3, n_tx=2, n_rx=3, snr=1.0, trials=trials,
-                            seed=23)
+        return SystemConfig(users=3, n_tx=2, n_rx=3, trials=trials, seed=23)
 
     whole = sample_channel_block(cfg(2 * CHUNK + 10), 0, 2 * CHUNK + 10)
     for trials in (CHUNK + 7, 2 * CHUNK, 2 * CHUNK + 10, 5 * CHUNK):
@@ -145,8 +142,7 @@ def test_trial_bytes_independent_of_trials_and_split():
 
 def test_streams_of_chunks_and_groups_differ():
     # 24 entries: three groups; trials 0 and CHUNK start chunks 0 and 1
-    cfg = SystemConfig(users=3, n_tx=2, n_rx=4, snr=1.0, trials=CHUNK + 1,
-                       seed=5)
+    cfg = SystemConfig(users=3, n_tx=2, n_rx=4, trials=CHUNK + 1, seed=5)
     block = sample_channel_block(cfg, 0, CHUNK + 1)
     rows = [block[t].reshape(3, GROUP) for t in (0, CHUNK)]
     groups = [row[g] for row in rows for g in range(3)]
@@ -165,7 +161,7 @@ def test_block_is_flat_prefix_of_wider_block(narrow, wide, seed, start,
                                              stop):
     def block(shape):
         users, n_tx, n_rx = shape
-        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                            trials=stop, seed=seed)
         return cfg, sample_channel_block(cfg, start, stop)
 
@@ -180,14 +176,14 @@ def test_block_is_flat_prefix_of_wider_block(narrow, wide, seed, start,
 
 
 def test_block_prefix_refuses_narrower_block():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=3, seed=0)
-    narrow = SystemConfig(users=1, n_tx=2, n_rx=2, snr=1.0, trials=3, seed=0)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=3, seed=0)
+    narrow = SystemConfig(users=1, n_tx=2, n_rx=2, trials=3, seed=0)
     with pytest.raises(ValueError):
         block_prefix(sample_channel_block(narrow, 0, 3), cfg)
 
 
 def test_sample_block_matches_individual_draws():
-    cfg = SystemConfig(users=2, n_tx=3, n_rx=2, snr=1.0, trials=20, seed=11)
+    cfg = SystemConfig(users=2, n_tx=3, n_rx=2, trials=20, seed=11)
     block = sample_channel_block(cfg, 4, 9)
     for offset, trial in enumerate(range(4, 9)):
         np.testing.assert_array_equal(block[offset],
@@ -195,7 +191,7 @@ def test_sample_block_matches_individual_draws():
 
 
 def test_sample_unit_power_and_balanced_parts():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=6250, seed=3)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=6250, seed=3)
     block = sample_channel_block(cfg, 0, cfg.trials)  # 50000 entries
     power = np.abs(block) ** 2
     assert power.mean() == pytest.approx(1.0, abs=0.02)
@@ -369,8 +365,7 @@ def test_reduce_block_diagonalization_oracle(users, n_tx, n_rx):
 def test_reduce_leading_axes_match_per_trial_calls():
     # the sweep engine reduces whole chunks at once; every trial must get
     # the bits a one-channel call gives it
-    cfg = SystemConfig(users=3, n_tx=4, n_rx=2, snr=1.0, trials=CHUNK + 50,
-                       seed=21)
+    cfg = SystemConfig(users=3, n_tx=4, n_rx=2, trials=CHUNK + 50, seed=21)
     block = sample_channel_block(cfg, CHUNK - 50, CHUNK + 50)
     batched = reduce_to_parallel(block)
     assert batched.shape == (100, 4, 2, 3)
@@ -383,8 +378,7 @@ def test_reduce_leading_axes_match_per_trial_calls():
 def test_reduce_one_gemm_equals_broadcast_matmul(n_tx):
     # the reduction multiplies all rows by D in one GEMM; every bit must
     # equal the per-matrix broadcast ch @ D it replaces
-    cfg = SystemConfig(users=3, n_tx=n_tx, n_rx=2, snr=1.0, trials=40,
-                       seed=40 + n_tx)
+    cfg = SystemConfig(users=3, n_tx=n_tx, n_rx=2, trials=40, seed=40 + n_tx)
     block = sample_channel_block(cfg, 0, cfg.trials)
     mat = dft_matrix(n_tx)
     for ch in (block[0], block, block.reshape(4, 10, 3, 2, n_tx),
@@ -401,7 +395,7 @@ def test_reduce_rejects_matrix():
 
 
 def test_reduce_preserves_unit_power():
-    cfg = SystemConfig(users=2, n_tx=4, n_rx=1, snr=1.0, trials=7000, seed=12)
+    cfg = SystemConfig(users=2, n_tx=4, n_rx=1, trials=7000, seed=12)
     block = sample_channel_block(cfg, 0, cfg.trials)
     pooled = np.stack([reduce_to_parallel(ch) for ch in block])
     assert (np.abs(pooled) ** 2).mean() == pytest.approx(1.0, abs=0.02)

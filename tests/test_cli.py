@@ -404,7 +404,7 @@ def test_verify_passes_and_is_deterministic():
 
 def test_sandwich_kernel_shared_draw_equals_per_config():
     grid = np.array([1.0, 100.0])
-    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                          trials=rates.CHUNK + 100, seed=2026)
             for users, n_tx, n_rx in ((1, 2, 1), (2, 2, 2), (4, 2, 1))]
     assert cli._sandwich_excess(cfgs, grid) \
@@ -447,6 +447,28 @@ def test_verify_corrupt_permutation_negative_control(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL dual-path" in out
     assert "8/9 properties hold" in out
+
+
+def test_verify_determinism_negative_control(monkeypatch, capsys):
+    # a repeated sweep whose cdd means move by one ulp must fail the
+    # bit-for-bit comparison
+    true_sweep = cli.monte_carlo_sweep
+    calls = []
+
+    def drifting_sweep(*args, **kwargs):
+        got = true_sweep(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            means, errs = got["cdd"]
+            got["cdd"] = (np.nextafter(means, np.inf), errs)
+        return got
+
+    monkeypatch.setattr(cli, "monte_carlo_sweep", drifting_sweep)
+    assert cli.verify(seed=0) == 1
+    out = capsys.readouterr().out
+    assert "FAIL determinism" in out
+    assert "8/9 properties hold" in out
+    assert len(calls) == 2
 
 
 def test_benchmark_tracer_installs(tmp_path):

@@ -21,7 +21,7 @@ grids = st.lists(st.integers(-200, 300), min_size=2, max_size=6,
 
 def sweep(system, grid):
     users, n_tx, n_rx, seed = system
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                        trials=TRIALS, seed=seed)
     block = sample_channel_block(cfg, 0, TRIALS)
     return block, _sweep_values(block, grid, ("cdd", "cap"))

@@ -17,13 +17,21 @@ from cddmac import rates
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block)
 from cddmac.linalg import logdet_hermitian_psd
-from cddmac.rates import (CHUNK, SWEEP_METRICS, RateEstimate, _sweep_values,
+from cddmac.rates import (CHUNK, SWEEP_METRICS, _sweep_values,
                           monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
                           run_chunks, run_shared, sum_capacity)
+from cddmac.region import region_capacity, region_cdd
 
 # E[log2(1 + snr*X)], X ~ Exp(1), at snr = 10 (i.e. 10 dB).
 SISO_10DB_BITS = np.log2(np.e) * np.exp(0.1) * exp1(0.1)
 SISO_10DB_FROZEN = 2.906514808414805
+
+
+def same_bits(got, expected):
+    """Two sweep results hold the same metrics with the same bytes."""
+    return got.keys() == expected.keys() and all(
+        x.tobytes() == y.tobytes()
+        for m in got for x, y in zip(got[m], expected[m]))
 
 
 def test_siso_oracle_matches_frozen_constant():
@@ -206,8 +214,7 @@ def test_batched_entry_points_share_one_shape_error(entry, shape):
 def test_batched_direct_path_is_per_realization_path(users, n_tx, n_rx, db):
     # a stack with 0, 1 or 2 leading axes gives, bit for bit, one call per
     # realization; snr is a scalar or one value per realization
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0, trials=6,
-                       seed=23)
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=6, seed=23)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = 10.0 ** (db / 10)
     per_trial = snr * np.linspace(0.5, 1.5, cfg.trials)
@@ -245,41 +252,37 @@ def test_batched_direct_path_is_per_realization_path(users, n_tx, n_rx, db):
 
 
 def test_ergodic_zero_snr_degenerate():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=1, snr=0.0, trials=50, seed=0)
-    est = monte_carlo_sweep(cfg, metrics=("cdd",))["cdd"]
-    assert est == RateEstimate(mean=0.0, stderr=0.0, trials=50)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=1, trials=50, seed=0)
+    means, errs = monte_carlo_sweep(cfg, 0.0, metrics=("cdd",))["cdd"]
+    assert means.tolist() == [0.0] and errs.tolist() == [0.0]
 
 
 def test_ergodic_rejects_single_trial():
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=1, seed=0)
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=1, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo_sweep(cfg, metrics=("cdd",))
+        monte_carlo_sweep(cfg, 1.0, metrics=("cdd",))
 
 
 def test_ergodic_siso_matches_quadrature_oracle():
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=10.0, trials=40000,
-                       seed=2024)
-    est = monte_carlo_sweep(cfg, metrics=("cap",))["cap"]
-    assert abs(est.mean - SISO_10DB_BITS) < 3 * est.stderr
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=40000, seed=2024)
+    (mean,), (err,) = monte_carlo_sweep(cfg, 10.0, metrics=("cap",))["cap"]
+    assert abs(mean - SISO_10DB_BITS) < 3 * err
 
 
 def test_ergodic_cdd_two_tx_same_siso_mean():
     # each DFT bin of a 2-tap i.i.d. channel is unit-mean exponential, so the
     # CDD rate has the same expectation as the SISO capacity
-    cfg = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=40000,
-                       seed=2025)
-    est = monte_carlo_sweep(cfg, metrics=("cdd",))["cdd"]
-    assert abs(est.mean - SISO_10DB_BITS) < 3.5 * est.stderr
+    cfg = SystemConfig(users=1, n_tx=2, n_rx=1, trials=40000, seed=2025)
+    (mean,), (err,) = monte_carlo_sweep(cfg, 10.0, metrics=("cdd",))["cdd"]
+    assert abs(mean - SISO_10DB_BITS) < 3.5 * err
 
 
 def test_ergodic_stderr_quarter_trials_scaling():
     # stderr scales as 1/sqrt(trials): 4x the trials halves it (within 20%)
-    base = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=5000,
-                        seed=77)
-    big = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=20000,
-                       seed=77)
-    ratio = (monte_carlo_sweep(base, metrics=("cdd",))["cdd"].stderr
-             / monte_carlo_sweep(big, metrics=("cdd",))["cdd"].stderr)
+    base = SystemConfig(users=1, n_tx=2, n_rx=1, trials=5000, seed=77)
+    big = SystemConfig(users=1, n_tx=2, n_rx=1, trials=20000, seed=77)
+    ratio = (monte_carlo_sweep(base, 10.0, metrics=("cdd",))["cdd"][1][0]
+             / monte_carlo_sweep(big, 10.0, metrics=("cdd",))["cdd"][1][0])
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
@@ -303,20 +306,21 @@ def test_run_chunks_clamps_workers(monkeypatch):
 
     monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(rates, "_usable_cpus", lambda: 64)
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=5000,
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=5000,
                        seed=12)  # two chunks
-    serial = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
+    serial = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"))
     assert sizes == []
-    assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
-        == serial
+    assert same_bits(monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"),
+                                       workers=64), serial)
     assert sizes == [2]  # capped at the chunk count
-    small = SystemConfig(users=1, n_tx=2, n_rx=1, snr=10.0, trials=100,
+    small = SystemConfig(users=1, n_tx=2, n_rx=1, trials=100,
                          seed=12)  # one chunk
-    assert monte_carlo_sweep(small, metrics=("cdd",), workers=64) \
-        == monte_carlo_sweep(small, metrics=("cdd",))
+    assert same_bits(monte_carlo_sweep(small, 10.0, metrics=("cdd",),
+                                       workers=64),
+                     monte_carlo_sweep(small, 10.0, metrics=("cdd",)))
     monkeypatch.setattr(rates, "_usable_cpus", lambda: 1)
-    assert monte_carlo_sweep(cfg, metrics=("cdd", "cap"), workers=64) \
-        == serial
+    assert same_bits(monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"),
+                                       workers=64), serial)
     assert sizes == [2]  # one chunk or one CPU runs serially
 
 
@@ -335,7 +339,7 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
 
 def test_run_shared_equals_one_run_per_config():
     args = (np.array([1.0, 100.0]), ("cdd", "cap", "diff"))
-    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=0.0,
+    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                          trials=CHUNK + 300, seed=21)
             for users, n_tx, n_rx in ((1, 2, 1), (3, 2, 2), (2, 2, 1))]
     for cfg, (means, errs) in zip(cfgs, run_shared(_sweep_values, cfgs,
@@ -347,7 +351,7 @@ def test_run_shared_equals_one_run_per_config():
 
 @pytest.mark.parametrize("other", [dict(seed=22), dict(trials=CHUNK)])
 def test_run_shared_refuses_mixed_seeds_and_trials(other):
-    base = dict(users=1, n_tx=2, n_rx=1, snr=0.0, trials=100, seed=21)
+    base = dict(users=1, n_tx=2, n_rx=1, trials=100, seed=21)
     cfgs = [SystemConfig(**base), SystemConfig(**{**base, **other})]
     with pytest.raises(ValueError, match="one seed and one trial count"):
         run_shared(_sweep_values, cfgs, (np.array([1.0]), ("cdd",)))
@@ -357,7 +361,7 @@ def test_run_shared_refuses_mixed_seeds_and_trials(other):
 
 
 def test_sweep_grid_shapes_and_monotonicity():
-    cfg = SystemConfig(users=1, n_tx=4, n_rx=2, snr=0.0, trials=2000, seed=10)
+    cfg = SystemConfig(users=1, n_tx=4, n_rx=2, trials=2000, seed=10)
     grid = np.array([1.0, 10.0, 100.0])
     got = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap", "diff"))
     for metric in ("cdd", "cap", "diff"):
@@ -368,17 +372,18 @@ def test_sweep_grid_shapes_and_monotonicity():
 
 
 def test_sweep_diff_is_coupled_per_trial():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=1, snr=10.0, trials=4000, seed=11)
-    got = monte_carlo_sweep(cfg, metrics=("cdd", "cap", "diff"))
-    assert got["diff"].mean == pytest.approx(
-        got["cap"].mean - got["cdd"].mean, abs=1e-10)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=1, trials=4000, seed=11)
+    got = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap", "diff"))
+    (diff,), (diff_err,) = got["diff"]
+    (cdd,), (cdd_err,) = got["cdd"]
+    (cap,), (cap_err,) = got["cap"]
+    assert diff == pytest.approx(cap - cdd, abs=1e-10)
     # shared trials make the difference tighter than independent estimates
-    assert got["diff"].stderr < got["cdd"].stderr + got["cap"].stderr
+    assert diff_err < cdd_err + cap_err
 
 
 def test_sweep_workers_bit_identical_on_grid():
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=0.0,
-                       trials=CHUNK + 100, seed=12)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=CHUNK + 100, seed=12)
     grid = np.array([1.0, 31.6, 1000.0])
     serial = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap"))
     parallel = monte_carlo_sweep(cfg, snr=grid, metrics=("cdd", "cap"),
@@ -389,38 +394,55 @@ def test_sweep_workers_bit_identical_on_grid():
 
 
 def test_sweep_rejects_unknown_metric():
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=10, seed=0)
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo_sweep(cfg, metrics=("cdd", "outage"))
+        monte_carlo_sweep(cfg, 1.0, metrics=("cdd", "outage"))
 
 
 def test_sweep_rejects_empty_metrics():
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=10, seed=0)
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
     with pytest.raises(ValueError, match="metrics"):
-        monte_carlo_sweep(cfg, metrics=(), workers=2)
+        monte_carlo_sweep(cfg, 1.0, metrics=(), workers=2)
 
 
 def test_sweep_rejects_bad_grid():
-    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, snr=1.0, trials=10, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_sweep(cfg, snr=np.array([1.0, -2.0]), metrics=("cdd",))
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
+    for snr in (np.array([1.0, -2.0]), np.array([]), float("nan"),
+                float("inf"), -0.5):
+        with pytest.raises(ValueError, match="snr"):
+            monte_carlo_sweep(cfg, snr, metrics=("cdd",))
+    two_users = SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=0)
+    for region in (region_capacity, region_cdd):
+        for snr in (-0.5, [1.0, 2.0]):  # a region is one point
+            with pytest.raises(ValueError, match="snr"):
+                region(two_users, snr)
+
+
+def test_sweep_scalar_snr_is_a_one_point_grid():
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=CHUNK + 100, seed=14)
+    for snr in (0.0, 3.5, 1e4):
+        scalar = monte_carlo_sweep(cfg, snr, metrics=SWEEP_METRICS)
+        assert same_bits(scalar, monte_carlo_sweep(cfg, [snr],
+                                                   metrics=SWEEP_METRICS))
+        assert all(a.shape == (1,) for pair in scalar.values() for a in pair)
 
 
 def test_sweep_matches_per_trial_rates():
     # the vectorized engine's mean and stderr must agree with the sample
     # statistics of the scalar per-realization path
-    for cfg, atol in (
-            (SystemConfig(users=2, n_tx=3, n_rx=2, snr=7.0, trials=64,
-                          seed=13), 1e-10),
-            (SystemConfig(users=2, n_tx=2, n_rx=2, snr=10.0, trials=3000,
-                          seed=9), 1e-9)):
-        got = monte_carlo_sweep(cfg, metrics=("cdd", "cap"))
+    for cfg, snr, atol in (
+            (SystemConfig(users=2, n_tx=3, n_rx=2, trials=64, seed=13),
+             7.0, 1e-10),
+            (SystemConfig(users=2, n_tx=2, n_rx=2, trials=3000, seed=9),
+             10.0, 1e-9)):
+        got = monte_carlo_sweep(cfg, snr, metrics=("cdd", "cap"))
         block = sample_channel_block(cfg, 0, cfg.trials)
         for metric, rate in (("cdd", rate_cdd), ("cap", sum_capacity)):
-            vals = [rate(ch, cfg.snr) for ch in block]
+            vals = [rate(ch, snr) for ch in block]
             stderr = np.std(vals, ddof=1) / np.sqrt(cfg.trials)
-            assert got[metric].mean == pytest.approx(np.mean(vals), abs=atol)
-            assert got[metric].stderr == pytest.approx(stderr, rel=1e-9)
+            (mean,), (err,) = got[metric]
+            assert mean == pytest.approx(np.mean(vals), abs=atol)
+            assert err == pytest.approx(stderr, rel=1e-9)
 
 
 # A Gram larger than any figure, benchmark or --verify config forms.
@@ -433,8 +455,7 @@ LARGE_ROWS = 21
 def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
     # every branch of the tridiagonal kernel (one row either way round, two
     # rows, Householder) against the scalar Cholesky path, trial by trial
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
-                       trials=40, seed=17)
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=40, seed=17)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = 10.0 ** (np.array([-10.0, 0.0, 20.0, 40.0, 50.0, 100.0, 300.0])
                    / 10)
@@ -455,8 +476,7 @@ def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
 def test_sweep_values_first_order_at_low_snr(users, n_tx, n_rx):
     # at snr 1e-16 both sum rates are s * tr(sum_k Hk Hk^H) / (n_tx ln 2) up
     # to a relative 1e-16; log2(1 + x) would round most terms to 0
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
-                       trials=200, seed=31)
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=200, seed=31)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = 1e-16
     trace = (np.abs(block) ** 2).sum(axis=(1, 2, 3))
@@ -492,7 +512,7 @@ def assert_spectrum_matches(x):
 
 @pytest.mark.parametrize("short", [1, 2])
 @pytest.mark.parametrize("long", range(2, 7))
-def test_gram_eigvals_closed_form_matches_eigvalsh(short, long):
+def test_tridiagonal_closed_form_matches_eigvalsh(short, long):
     # one or two rows: the tridiagonal is the Gram itself, built from the
     # row powers and the inner product without a Gram product
     # (the kernel's stacks always carry a trials axis, so one matrix is a
@@ -513,7 +533,7 @@ def test_gram_eigvals_closed_form_matches_eigvalsh(short, long):
             assert np.all(err <= 1e-14 * diagonal[..., 0] * diagonal[..., 1])
 
 
-def test_gram_eigvals_closed_form_edge_cases():
+def test_tridiagonal_closed_form_edge_cases():
     rng = np.random.default_rng(9)
     for size in (2, 4):
         row = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -660,8 +680,7 @@ def broadcast_sweep(block, snr, name):
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8)])
 def test_sweep_values_equal_whole_grid_broadcast(users, n_tx, n_rx):
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
-                       trials=300, seed=21)
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=300, seed=21)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = np.concatenate([[0.0], 10.0 ** (np.arange(-30.0, 41.0, 3.5) / 10),
                           [1e300]])
@@ -683,8 +702,7 @@ def test_sweep_values_do_not_depend_on_the_trial_split(users, n_tx, n_rx):
     # numpy may round a complex product of _householder with or without FMA
     # depending on the batch's length and strides (a lone (6, 3, 3) or
     # (8, 4, 8) trial moves by up to 1.3 ulp of its capacity)
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, snr=1.0,
-                       trials=1100, seed=44)
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=1100, seed=44)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = np.array([0.0, 1e-20, 1.0, 1e4, 1e300])
     metrics = ("cdd", "cap", "diff") + (rates.REGION_METRICS
@@ -702,8 +720,7 @@ def test_sweep_values_do_not_depend_on_the_trial_split(users, n_tx, n_rx):
 def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
     # the 8-user 4x8 config takes 1024-trial sub-blocks; its statistics keep
     # the bits of one values() call on the whole chunk
-    cfg = SystemConfig(users=8, n_tx=4, n_rx=8, snr=1.0, trials=CHUNK + 1500,
-                       seed=45)
+    cfg = SystemConfig(users=8, n_tx=4, n_rx=8, trials=CHUNK + 1500, seed=45)
     args = (np.array([1.0, 100.0]), ("cdd", "cap"))
     assert rates._SUB_BLOCK_ENTRIES // (8 * 4 * 8) == 1024
     calls = []
@@ -726,7 +743,7 @@ def test_sweep_values_memory_stays_near_result_size(metric):
     # (S, B) array per metric and buffers the size of one grid point.  A
     # whole-grid (S, B, T, L) broadcast needs 4 result sizes for cdd and 2
     # for cap here, per temporary.
-    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, snr=1.0, trials=512, seed=22)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=512, seed=22)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = np.geomspace(1e-2, 1e4, 20000)
     result_bytes = snr.size * cfg.trials * 8
