@@ -32,6 +32,7 @@ def test_config_accepts_valid():
 
 @pytest.mark.parametrize("kwargs", [
     dict(users=0), dict(n_tx=0), dict(n_rx=0), dict(trials=0),
+    dict(users=-1), dict(n_tx=-1), dict(trials=-1),
     dict(seed=-1), dict(seed=2 ** 64),
 ])
 def test_config_rejects_invalid(kwargs):
