@@ -18,19 +18,21 @@ import math
 
 import numpy as np
 
+from .linalg import _index
+
 EULER_GAMMA = 0.577215664901532861
 LN2 = float(np.log(2.0))
 
 
 def harmonic(n: int) -> float:
     """n-th harmonic number sum_{k=1}^{n} 1/k, with harmonic(0) = 0."""
-    if n < 0:
+    if _index("n", n) < 0:
         raise ValueError("harmonic is defined for n >= 0")
     return float(np.sum(1.0 / np.arange(1, n + 1))) if n else 0.0
 
 
 def _check_args(users, n_tx, n_rx, snr):
-    if min(users, n_tx, n_rx) < 1:
+    if min(map(_index, ("users", "n_tx", "n_rx"), (users, n_tx, n_rx))) < 1:
         raise ValueError("users, n_tx and n_rx must all be >= 1")
     s = np.asarray(snr, dtype=float)
     if np.any(s < 0) or not np.all(np.isfinite(s)):
@@ -155,9 +157,9 @@ def psi_limit_check(n_tx: int, k_max: int) -> np.ndarray:
     The sum telescopes two digamma values, so the residual decays like
     O(1/K); callers assert it is monotone and small at large K.
     """
-    if n_tx < 1:
+    if _index("n_tx", n_tx) < 1:
         raise ValueError("n_tx must be >= 1")
-    if k_max < 2:
+    if _index("k_max", k_max) < 2:
         raise ValueError("k_max must be >= 2")
     top = n_tx * k_max
     # prefix[i] = H_i for i = 0..top; both where() branches are evaluated

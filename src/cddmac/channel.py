@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dft_matrix
+from .linalg import _index, dft_matrix
 
 # Fixed Monte-Carlo chunk size.  It fixes the summation order of every
 # estimate (rates.run_chunks) and keys the channel stream (one Philox key per
@@ -48,6 +48,8 @@ class SystemConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("users", "n_tx", "n_rx", "trials", "seed"):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
         if min(self.users, self.n_tx, self.n_rx) < 1:
             raise ValueError("users, n_tx and n_rx must all be >= 1")
         if self.trials < 1:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .channel import (CHUNK, SystemConfig, effective_channel,
                       sample_channels, shuffle_permutation)
 from .linalg import dft_matrix
 from .rates import (REGION_METRICS, _sweep_values, monte_carlo_sweep,
-                    rate_cdd, rate_cdd_reduced, run_shared, sum_capacity)
+                    rate_cdd, rate_cdd_reduced, run_chunks, sum_capacity)
 from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
 from .region import region_capacity, region_cdd
@@ -362,7 +363,8 @@ def _sandwich_excess(cfgs, grid):
     (cap_lb - 3s - cap) over a linear-SNR grid, s the Monte-Carlo standard
     error; all <= 0 when the closed-form bounds sandwich the config's
     estimates.  The configs share one seed and trial count and one draw."""
-    got = run_shared(_sweep_values, cfgs, (grid, ("cdd", "cap")))
+    got = run_chunks(partial(_sweep_values, snr=grid, metrics=("cdd", "cap")),
+                     cfgs)
     out = []
     for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs, got):
         low, high, cap_low = (_BOUNDS[m](cfg.users, cfg.n_tx, cfg.n_rx, grid)
@@ -386,7 +388,7 @@ def _digamma_error(user_counts, trials, seed):
     cfgs = [SystemConfig(users=users, n_tx=4, n_rx=1, trials=trials,
                          seed=seed) for users in user_counts]
     errors = []
-    for users, (mean, _) in zip(user_counts, run_shared(_log_bin_gains, cfgs)):
+    for users, (mean, _) in zip(user_counts, run_chunks(_log_bin_gains, cfgs)):
         psi = bnd.harmonic(users - 1) - bnd.EULER_GAMMA
         errors.append(abs(float(mean) - psi))
     return tuple(errors)
@@ -470,7 +472,8 @@ def _check_gap_convergence(rng):
     pairs = ((1, 2), (2, 2))
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, trials=30000,
                          seed=7) for users, n_tx in pairs]
-    got = run_shared(_sweep_values, cfgs, (np.array([1e4]), ("diff",)))
+    got = run_chunks(partial(_sweep_values, snr=np.array([1e4]),
+                             metrics=("diff",)), cfgs)
     worst = -np.inf
     for (users, n_tx), ((mean,), (err,)) in zip(pairs, got):  # one metric
         gap, _ = bnd.gap_high_snr(users, n_tx, 1)

@@ -1,6 +1,8 @@
-"""Dense complex linear-algebra helpers shared by every other module."""
+"""Linear-algebra helpers and the integer check shared by every module."""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -9,13 +11,21 @@ import numpy as np
 HERMITIAN_ATOL = 1e-10
 
 
+def _index(name: str, value) -> int:
+    """value as an int (operator.index), or a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix, D[m, k] = exp(-2j*pi*m*k/n) / sqrt(n).
 
     This sign/normalization is frozen: the circulant-diagonalization
     identities in the channel module (and their tests) assume it.
     """
-    if n < 1:
+    if _index("n", n) < 1:
         raise ValueError("dft_matrix requires n >= 1")
     idx = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)

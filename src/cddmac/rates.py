@@ -10,19 +10,20 @@ trial axes, with the bits of one call per realization; the sweep engine
 log det(I + sG) at every grid point from the LDL^T pivots of I + sT
 (_logdet_sums), and rate_cdd_reduced runs that kernel on its own stack.
 
-Every Monte-Carlo estimate is a sweep and goes through one chunk runner,
-run_chunks: trials are processed in fixed-size chunks (channel.CHUNK) and
-the per-chunk (sum, sum-of-squares) pairs are reduced in chunk-index order.
-Because the channel streams are keyed by (seed, chunk) and the reduction
-schedule never depends on the worker count, estimates are bit-identical for
-any --workers setting.
+Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
+trials are processed in fixed-size chunks (channel.CHUNK), configs that
+share a seed and trial count read prefixes of one draw, and the per-chunk
+(sum, sum-of-squares) pairs are reduced in chunk-index order.  Because the
+channel streams are keyed by (seed, chunk) and the reduction schedule never
+depends on the worker count, estimates are bit-identical for any --workers
+setting.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
@@ -117,15 +118,17 @@ def sum_capacity(channels, snr):
 _SUB_BLOCK_ENTRIES = 1 << 18
 
 
-def _chunk_sums(values, cfg: SystemConfig, args, start: int, stop: int):
-    block = sample_channel_block(cfg, start, stop)
+def _chunk_sums(values, cfgs, start: int, stop: int):
+    widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
+    block = sample_channel_block(widest, start, stop)
     rows = max(1, _SUB_BLOCK_ENTRIES // block[0].size)
     vals = None
     for lo in range(0, len(block), rows):
-        part = values(block[lo:lo + rows], *args)
-        if vals is None:
-            vals = np.empty(part.shape[:-1] + (len(block),))
-        vals[..., lo:lo + rows] = part
+        for i, cfg in enumerate(cfgs):
+            part = values(block_prefix(block[lo:lo + rows], cfg))
+            if vals is None:
+                vals = np.empty((len(cfgs),) + part.shape[:-1] + (len(block),))
+            vals[i, ..., lo:lo + rows] = part
     # one pass over the whole chunk, so the sums never see the sub-blocks
     return vals.sum(axis=-1), np.square(vals).sum(axis=-1)
 
@@ -138,60 +141,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_chunks(values, cfg: SystemConfig, args, workers: int = 1):
-    """Monte-Carlo (means, stderrs) of values(block, *args) over cfg.trials.
+def run_chunks(values, cfgs, workers: int = 1) -> list:
+    """Monte-Carlo (means, stderrs) of values(block), one pair per config.
 
-    values maps a (trials, users, n_rx, n_tx) channel block to per-trial
-    values with trials on the last axis; the statistics keep the other axes.
-    Each chunk is drawn whole and handed to values in sub-blocks of at most
-    _SUB_BLOCK_ENTRIES channel entries, so values must treat trials
-    independently.  At most min(workers, chunks, usable CPUs) processes run,
-    and one runs serially; values and args must be picklable (module-level)
-    when more run.
+    values maps a (trials, users, n_rx, n_tx) block to per-trial values
+    with trials on the last axis, one shape for every config; the statistics
+    keep the other axes.  The configs must share seed and trial count: per
+    chunk the widest config's block is drawn once and each config reads its
+    prefix (channel.block_prefix) in sub-blocks of at most
+    _SUB_BLOCK_ENTRIES entries, so values must treat trials independently.
+    At most min(workers, chunks, usable CPUs) processes run, and one runs
+    serially; with more, values must pickle (a module-level function or a
+    functools.partial of one).
     """
-    if cfg.trials < 2:
+    cfgs = tuple(cfgs)
+    if len({(cfg.seed, cfg.trials) for cfg in cfgs}) != 1:
+        raise ValueError("a run's configs need one seed and one trial count")
+    n = cfgs[0].trials
+    if n < 2:
         raise ValueError("need trials >= 2 for a standard error")
-    spans = [(s, min(s + CHUNK, cfg.trials))
-             for s in range(0, cfg.trials, CHUNK)]
+    spans = [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
+    chunk = partial(_chunk_sums, values, cfgs)
     procs = min(workers, len(spans), _usable_cpus())
     if procs > 1:
-        starts, stops = zip(*spans)
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = list(pool.map(_chunk_sums, repeat(values), repeat(cfg),
-                                  repeat(args), starts, stops))
+            parts = list(pool.map(chunk, *zip(*spans)))
     else:
-        parts = [_chunk_sums(values, cfg, args, a, b) for a, b in spans]
+        parts = [chunk(a, b) for a, b in spans]
     total = total_sq = 0.0
     for part_sum, part_sq in parts:  # chunk order, never completion order
         total = total + part_sum
         total_sq = total_sq + part_sq
-    n = cfg.trials
     means = total / n
     var = np.maximum(total_sq - n * means * means, 0.0) / (n - 1)
-    return means, np.sqrt(var / n)
-
-
-def _prefix_values(block: np.ndarray, values, cfgs, args) -> np.ndarray:
-    return np.stack([values(block_prefix(block, cfg), *args) for cfg in cfgs])
-
-
-def run_shared(values, cfgs, args=()) -> list:
-    """run_chunks for several configs on one draw: per-config (means,
-    stderrs) of values(block, *args), equal bit for bit to one serial
-    run_chunks call per config.
-
-    The configs must share seed and trial count; the block of the config
-    with the most entries per trial is drawn once and every config reads
-    its prefix (channel.block_prefix).  values must give the same shape for
-    every config.
-    """
-    cfgs = tuple(cfgs)
-    if len({(cfg.seed, cfg.trials) for cfg in cfgs}) != 1:
-        raise ValueError("shared draws need configs with one seed and one "
-                         "trial count")
-    widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
-    means, stderrs = run_chunks(_prefix_values, widest, (values, cfgs, args))
-    return list(zip(means, stderrs))
+    return list(zip(means, np.sqrt(var / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +393,16 @@ def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),
     scalar snr is a one-point grid.  Results are bit-identical for any
     workers value (fixed chunk schedule).
     """
-    if not metrics:
-        raise ValueError("metrics: at least one sweep metric is required")
-    unknown = [m for m in metrics if m not in SWEEP_METRICS]
-    if unknown:
-        raise ValueError(f"unknown sweep metrics {unknown}")
+    if not metrics or not set(metrics) <= set(SWEEP_METRICS):
+        raise ValueError(f"metrics: need sweep metrics, got {metrics!r}")
     if cfg.users != 2 and any(m in REGION_METRICS for m in metrics):
         raise ValueError("rate regions are computed for exactly 2 users")
-    grid = np.atleast_1d(_check_snr(snr))
-    if grid.size == 0:
-        raise ValueError("snr grid must be nonempty")
-    means, stderrs = run_chunks(_sweep_values, cfg, (grid, tuple(metrics)),
-                                workers)
+    grid = _check_snr(snr)
+    if grid.ndim > 1 or grid.size == 0:
+        raise ValueError(f"snr grid must be a scalar or nonempty 1-D, got "
+                         f"shape {grid.shape}")
+    values = partial(_sweep_values, snr=np.atleast_1d(grid),
+                     metrics=tuple(metrics))
+    [(means, stderrs)] = run_chunks(values, [cfg], workers)
     return {name: (means[row], stderrs[row])
             for row, name in enumerate(metrics)}

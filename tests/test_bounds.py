@@ -281,6 +281,23 @@ def test_psi_limit_rejects_small_k_max():
         psi_limit_check(2, 1)
 
 
+@pytest.mark.parametrize("fn,args,field", [
+    (rc_lower_bound, (2.5, 2, 2, 1.0), "users"),
+    (cap_lower_bound, (2, 2.0, 2, 1.0), "n_tx"),
+    (jensen_collapsed_bounds, (2, 2, 1.5, 1.0), "n_rx"),
+    (rc_upper_bound, (2, 2.0, 1.0), "n_rx"),
+    (gap_high_snr, (2.0, 2, 1), "users"),
+    (harmonic, (2.5,), "n"),
+    (psi_limit_check, (2, 2.5), "k_max"),
+    (psi_limit_check, (2.0, 10), "n_tx"),
+])
+def test_sizes_must_be_integers(fn, args, field):
+    # rc_lower_bound(2.5, ...) gave a number, harmonic(2.5) summed three
+    # terms and psi_limit_check(2, 2.5) raised IndexError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        fn(*args)
+
+
 def test_psi_limit_decays_and_is_monotone():
     for n_tx in (2, 4):
         res = psi_limit_check(n_tx, 1000)

@@ -34,12 +34,26 @@ def test_config_accepts_valid():
     dict(users=0), dict(n_tx=0), dict(n_rx=0), dict(trials=0),
     dict(users=-1), dict(n_tx=-1), dict(trials=-1),
     dict(seed=-1), dict(seed=2 ** 64),
+    dict(seed=1.5), dict(users=2.0), dict(n_tx=1.5), dict(n_rx="2"),
+    dict(trials=10.0),
 ])
 def test_config_rejects_invalid(kwargs):
+    # the message names the field; a float seed would otherwise run the
+    # draw of its integer part, and float sizes fail inside numpy
     base = dict(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         SystemConfig(**base)
+
+
+def test_config_stores_integer_types_as_int():
+    # numpy integer fields would multiply in their own width: a uint8
+    # users * n_rx * n_tx of 16 * 16 * 2 wraps to 0
+    cfg = SystemConfig(users=np.uint8(16), n_tx=np.uint8(16), n_rx=np.uint8(2),
+                       trials=np.int32(10), seed=np.uint64(2 ** 63))
+    assert cfg == SystemConfig(users=16, n_tx=16, n_rx=2, trials=10,
+                               seed=2 ** 63)
+    assert all(type(v) is int for v in vars(cfg).values())
 
 
 # --- sample_channels ----------------------------------------------------

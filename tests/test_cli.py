@@ -471,6 +471,56 @@ def test_verify_determinism_negative_control(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def _capacity_below_cdd(monkeypatch):
+    true_capacity = cli.sum_capacity
+    monkeypatch.setattr(cli, "sum_capacity", lambda block, snr: np.minimum(
+        true_capacity(block, snr), cli.rate_cdd(block, snr) - 1e-6))
+
+
+def _upper_bound_lowered(monkeypatch):
+    # 0.25 bits; at the check's seed and sizes about 0.12 bits already fail
+    true_bound = cli._BOUNDS["rc_ub"]
+    monkeypatch.setitem(cli._BOUNDS, "rc_ub",
+                        lambda *args: true_bound(*args) - 0.25)
+
+
+def _gap_shifted(monkeypatch):
+    # 0.1 bits; at the check's seed and sizes about 0.05 bits already fail
+    true_gap = cli.bnd.gap_high_snr
+    monkeypatch.setattr(cli.bnd, "gap_high_snr", lambda *args: tuple(
+        value + 0.1 for value in true_gap(*args)))
+
+
+def _psi_residual_rising(monkeypatch):
+    true_check = cli.bnd.psi_limit_check
+
+    def rising(n_tx, k_max):
+        res = true_check(n_tx, k_max)
+        res[-1] = res[-2] + 1e-12           # still small, but no longer falls
+        return res
+
+    monkeypatch.setattr(cli.bnd, "psi_limit_check", rising)
+
+
+# check name -> a patch that breaks the code under that check, never the
+# check itself
+NEGATIVE_CONTROLS = {
+    "capacity-dominance": _capacity_below_cdd,
+    "bound-sandwich": _upper_bound_lowered,
+    "gap-convergence": _gap_shifted,
+    "psi-limit-residuals": _psi_residual_rising,
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
+def test_verify_check_negative_control(monkeypatch, capsys, name):
+    NEGATIVE_CONTROLS[name](monkeypatch)
+    assert cli.verify(seed=0) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {name}" in out
+    assert "8/9 properties hold" in out
+
+
 def test_benchmark_tracer_installs(tmp_path):
     # bench/layers.py wraps package names by module global; a refactor that
     # unbinds one must fail here, not only in a traced benchmark run

@@ -52,8 +52,9 @@ def test_dft_symmetric():
     np.testing.assert_allclose(mat, mat.T, atol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0])
 def test_dft_rejects_nonpositive(bad):
+    # 2.5 gave a 3 x 3 matrix scaled by 1/sqrt(2.5), which is not unitary
     with pytest.raises(ValueError):
         dft_matrix(bad)
 

@@ -8,6 +8,7 @@ Independent oracles used here:
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cddmac.channel import (SystemConfig, effective_channel,
 from cddmac.linalg import logdet_hermitian_psd
 from cddmac.rates import (CHUNK, SWEEP_METRICS, _sweep_values,
                           monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
-                          run_chunks, run_shared, sum_capacity)
+                          run_chunks, sum_capacity)
 from cddmac.region import region_capacity, region_cdd
 
 # E[log2(1 + snr*X)], X ~ Exp(1), at snr = 10 (i.e. 10 dB).
@@ -337,24 +338,31 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     assert rates._usable_cpus() == 1
 
 
-def test_run_shared_equals_one_run_per_config():
-    args = (np.array([1.0, 100.0]), ("cdd", "cap", "diff"))
+def test_run_chunks_shared_draw_equals_one_run_per_config():
+    # configs on one draw, serially and in a two-process pool, give the
+    # bits of one run per config
+    values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
+                     metrics=("cdd", "cap", "diff"))
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                          trials=CHUNK + 300, seed=21)
             for users, n_tx, n_rx in ((1, 2, 1), (3, 2, 2), (2, 2, 1))]
-    for cfg, (means, errs) in zip(cfgs, run_shared(_sweep_values, cfgs,
-                                                   args)):
-        alone_means, alone_errs = run_chunks(_sweep_values, cfg, args)
-        assert means.tobytes() == alone_means.tobytes()
-        assert errs.tobytes() == alone_errs.tobytes()
+    shared = run_chunks(values, cfgs)
+    pooled = run_chunks(values, cfgs, workers=2)
+    assert len(shared) == len(pooled) == len(cfgs)
+    for cfg, got, in_pool in zip(cfgs, shared, pooled):
+        [alone] = run_chunks(values, [cfg])
+        for a, b, c in zip(got, in_pool, alone):
+            assert a.shape == (3, 2)
+            assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("other", [dict(seed=22), dict(trials=CHUNK)])
-def test_run_shared_refuses_mixed_seeds_and_trials(other):
+def test_run_chunks_refuses_mixed_seeds_and_trials(other):
     base = dict(users=1, n_tx=2, n_rx=1, trials=100, seed=21)
     cfgs = [SystemConfig(**base), SystemConfig(**{**base, **other})]
+    values = partial(_sweep_values, snr=np.array([1.0]), metrics=("cdd",))
     with pytest.raises(ValueError, match="one seed and one trial count"):
-        run_shared(_sweep_values, cfgs, (np.array([1.0]), ("cdd",)))
+        run_chunks(values, cfgs)
 
 
 # --- monte_carlo_sweep --------------------------------------------------
@@ -407,8 +415,11 @@ def test_sweep_rejects_empty_metrics():
 
 def test_sweep_rejects_bad_grid():
     cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
+    # a grid is a scalar or 1-D: (2, 1) was flattened and (1, 2) failed
+    # inside the log-det kernel
     for snr in (np.array([1.0, -2.0]), np.array([]), float("nan"),
-                float("inf"), -0.5):
+                float("inf"), -0.5, np.ones((2, 1)), np.ones((1, 2)),
+                np.ones((1, 1, 1))):
         with pytest.raises(ValueError, match="snr"):
             monte_carlo_sweep(cfg, snr, metrics=("cdd",))
     two_users = SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=0)
@@ -721,18 +732,19 @@ def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
     # the 8-user 4x8 config takes 1024-trial sub-blocks; its statistics keep
     # the bits of one values() call on the whole chunk
     cfg = SystemConfig(users=8, n_tx=4, n_rx=8, trials=CHUNK + 1500, seed=45)
-    args = (np.array([1.0, 100.0]), ("cdd", "cap"))
+    values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
+                     metrics=("cdd", "cap"))
     assert rates._SUB_BLOCK_ENTRIES // (8 * 4 * 8) == 1024
     calls = []
 
-    def counted(block, *rest):
+    def counted(block):
         calls.append(len(block))
-        return _sweep_values(block, *rest)
+        return values(block)
 
-    got = run_chunks(counted, cfg, args)
+    [got] = run_chunks(counted, [cfg])
     assert calls == [1024] * 4 + [1024, 476]
     monkeypatch.setattr(rates, "_SUB_BLOCK_ENTRIES", 1 << 40)
-    whole = run_chunks(_sweep_values, cfg, args)
+    [whole] = run_chunks(values, [cfg])
     for a, b in zip(got, whole):
         assert a.tobytes() == b.tobytes()
 
