@@ -18,30 +18,23 @@ import math
 
 import numpy as np
 
-from .linalg import _index
+from .linalg import LN2, _index, _scalar, _snr
 
 EULER_GAMMA = 0.577215664901532861
-LN2 = float(np.log(2.0))
 
 
 def harmonic(n: int) -> float:
     """n-th harmonic number sum_{k=1}^{n} 1/k, with harmonic(0) = 0."""
-    if _index("n", n) < 0:
-        raise ValueError("harmonic is defined for n >= 0")
+    n = _index("n", n, 0)
     return float(np.sum(1.0 / np.arange(1, n + 1))) if n else 0.0
 
 
-def _check_args(users, n_tx, n_rx, snr):
-    if min(map(_index, ("users", "n_tx", "n_rx"), (users, n_tx, n_rx))) < 1:
-        raise ValueError("users, n_tx and n_rx must all be >= 1")
-    s = np.asarray(snr, dtype=float)
-    if np.any(s < 0) or not np.all(np.isfinite(s)):
-        raise ValueError("snr must be finite and >= 0")
-    return s
-
-
-def _match(value: np.ndarray, snr):
-    return float(value) if np.ndim(snr) == 0 else value
+def _check_args(users, n_tx, n_rx, snr=0.0):
+    """(users, n_tx, n_rx, snr) as ints >= 1 and a float array: a numpy
+    integer size would multiply in its own width."""
+    sizes = [_index(name, size, 1) for name, size
+             in (("users", users), ("n_tx", n_tx), ("n_rx", n_rx))]
+    return (*sizes, _snr(snr))
 
 
 def _lower(n_rx, m, s):
@@ -82,8 +75,8 @@ def rc_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
     L = min(n_rx, users), M = max(n_rx, users).  n_tx drops out of the bound
     and is kept only to match cap_lower_bound's arguments.
     """
-    s = _check_args(users, n_tx, n_rx, snr)
-    return _match(_lower(n_rx, users, s), snr)
+    users, n_tx, n_rx, s = _check_args(users, n_tx, n_rx, snr)
+    return _scalar(_lower(n_rx, users, s))
 
 
 def cap_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
@@ -92,8 +85,8 @@ def cap_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
     L~ = min(n_rx, n_tx*users), M~ = max(n_rx, n_tx*users), and the per-bin
     power split snr/n_tx.
     """
-    s = _check_args(users, n_tx, n_rx, snr)
-    return _match(_lower(n_rx, n_tx * users, s / n_tx), snr)
+    users, n_tx, n_rx, s = _check_args(users, n_tx, n_rx, snr)
+    return _scalar(_lower(n_rx, n_tx * users, s / n_tx))
 
 
 def jensen_collapsed_bounds(users: int, n_tx: int, n_rx: int, snr):
@@ -103,9 +96,9 @@ def jensen_collapsed_bounds(users: int, n_tx: int, n_rx: int, snr):
     before the log can only lose tightness, so these sit at or below the
     term-by-term bounds; they share the same high-SNR slope and intercept.
     """
-    s = _check_args(users, n_tx, n_rx, snr)
-    return (_match(_lower_jensen(n_rx, users, s), snr),
-            _match(_lower_jensen(n_rx, n_tx * users, s / n_tx), snr))
+    users, n_tx, n_rx, s = _check_args(users, n_tx, n_rx, snr)
+    return (_scalar(_lower_jensen(n_rx, users, s)),
+            _scalar(_lower_jensen(n_rx, n_tx * users, s / n_tx)))
 
 
 def rc_upper_bound(users: int, n_rx: int, snr) -> float:
@@ -115,8 +108,8 @@ def rc_upper_bound(users: int, n_rx: int, snr) -> float:
     M = max(n_rx, users).  Evaluated in log space (log-sum-exp) so large snr
     and factorials cannot overflow.
     """
-    s = _check_args(users, 1, n_rx, snr)
-    return _match(_upper(n_rx, users, s), snr)
+    users, _, n_rx, s = _check_args(users, 1, n_rx, snr)
+    return _scalar(_upper(n_rx, users, s))
 
 
 def gap_high_snr(users: int, n_tx: int, n_rx: int):
@@ -133,7 +126,7 @@ def gap_high_snr(users: int, n_tx: int, n_rx: int):
     Raises ValueError for n_rx > users with n_rx > 1: the formula's stated
     validity ends there and no number is reported.
     """
-    _check_args(users, n_tx, n_rx, 0.0)
+    users, n_tx, n_rx, _ = _check_args(users, n_tx, n_rx)
     if n_rx == 1:
         gap = (harmonic(n_tx * users - 1) - harmonic(users - 1)
                - math.log(n_tx)) / LN2
@@ -157,10 +150,7 @@ def psi_limit_check(n_tx: int, k_max: int) -> np.ndarray:
     The sum telescopes two digamma values, so the residual decays like
     O(1/K); callers assert it is monotone and small at large K.
     """
-    if _index("n_tx", n_tx) < 1:
-        raise ValueError("n_tx must be >= 1")
-    if _index("k_max", k_max) < 2:
-        raise ValueError("k_max must be >= 2")
+    n_tx, k_max = _index("n_tx", n_tx, 1), _index("k_max", k_max, 2)
     top = n_tx * k_max
     # prefix[i] = H_i for i = 0..top; both where() branches are evaluated
     # eagerly, so the table must cover prefix[ks] even when n_tx = 1

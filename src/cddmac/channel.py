@@ -48,12 +48,10 @@ class SystemConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("users", "n_tx", "n_rx", "trials", "seed"):
-            object.__setattr__(self, name, _index(name, getattr(self, name)))
-        if min(self.users, self.n_tx, self.n_rx) < 1:
-            raise ValueError("users, n_tx and n_rx must all be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("users", "n_tx", "n_rx", "trials"):
+            object.__setattr__(self, name,
+                               _index(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", _index("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -78,6 +76,7 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
       split: each stream is read from its chunk's first trial up to stop
       and the rows before start are dropped.
     """
+    start, stop = _index("start", start), _index("stop", stop)
     if not 0 <= start <= stop <= cfg.trials:
         raise ValueError(f"trials [{start}, {stop}) outside [0, {cfg.trials})")
     size = cfg.users * cfg.n_rx * cfg.n_tx
@@ -125,6 +124,7 @@ def sample_channels(cfg: SystemConfig, trial_index: int) -> np.ndarray:
     row 0 of sample_channel_block(cfg, trial_index, trial_index + 1).  Each
     call draws its chunk's streams from the chunk's first trial, so loops
     over many trials should draw one block instead."""
+    trial_index = _index("trial_index", trial_index)
     return sample_channel_block(cfg, trial_index, trial_index + 1)[0]
 
 
@@ -183,8 +183,7 @@ def shuffle_permutation(n_tx: int, n_rx: int) -> np.ndarray:
     t*n_rx + i.  Conjugating the DFT-rotated Gram of the effective channel
     with this matrix leaves exactly one n_rx x n_rx block per bin.
     """
-    if n_tx < 1 or n_rx < 1:
-        raise ValueError("n_tx and n_rx must be >= 1")
+    n_tx, n_rx = _index("n_tx", n_tx, 1), _index("n_rx", n_rx, 1)
     size = n_tx * n_rx
     # row i*n_tx + t of the identity's rows taken in order t*n_rx + i
     return np.eye(size)[np.arange(size).reshape(n_tx, n_rx).T.ravel()]

@@ -30,7 +30,7 @@ from . import bounds as bnd
 from .channel import (CHUNK, SystemConfig, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
-from .linalg import dft_matrix
+from .linalg import _SNR_MAX, dft_matrix
 from .rates import (REGION_METRICS, _sweep_values, monte_carlo_sweep,
                     rate_cdd, rate_cdd_reduced, run_chunks, sum_capacity)
 from .region import REGION_ROWS
@@ -53,9 +53,8 @@ SCENARIOS = {
                     trials="100000"),
 }
 
-# Highest accepted grid point: at 10^300 linear every rate and bound stays
-# finite, while near 3080 dB the linear SNR times a channel gain overflows.
-_SNR_DB_MAX = 3000.0
+# Highest accepted grid point, the rates' and bounds' snr ceiling in dB.
+_SNR_DB_MAX = 10.0 * np.log10(_SNR_MAX)
 # Most grid points accepted, counted before a start:stop:step grid is built.
 _GRID_POINTS_MAX = 100_000
 
@@ -558,11 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse dests of the options that only a run reads
-_RUN_FLAGS = ("scenario", "config", "snr_db", "trials", "metrics", "out",
-              "workers", "plot_script")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not (args.verify or args.scenario or args.config):
@@ -572,8 +566,9 @@ def main(argv=None) -> int:
     try:
         if args.verify:
             seed = _parse_seed("0" if args.seed is None else args.seed)
-            for dest in _RUN_FLAGS:
-                if getattr(args, dest) is not None:
+            # every option but --seed is read only by a run
+            for dest, value in vars(args).items():
+                if dest not in ("verify", "seed") and value is not None:
                     flag = "--" + dest.replace("_", "-")
                     raise UsageError(f"{flag}: --verify runs the self-check "
                                      f"only and takes no run flag but --seed")

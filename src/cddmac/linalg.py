@@ -1,4 +1,4 @@
-"""Linear-algebra helpers and the integer check shared by every module."""
+"""Linear-algebra helpers and the argument checks shared by every module."""
 
 from __future__ import annotations
 
@@ -9,14 +9,37 @@ import numpy as np
 # Max element asymmetry tolerated before a matrix is rejected as non-Hermitian,
 # relative to the largest entry once that exceeds 1.
 HERMITIAN_ATOL = 1e-10
+LN2 = float(np.log(2.0))
+# Largest linear snr accepted (3000 dB): here every rate and bound stays
+# finite, while near 3080 dB the linear snr times a channel gain overflows.
+_SNR_MAX = 1e300
 
 
-def _index(name: str, value) -> int:
-    """value as an int (operator.index), or a ValueError naming it."""
+def _index(name: str, value, minimum: int | None = None) -> int:
+    """value as an int (operator.index), or a ValueError naming it; also
+    one if value is below minimum."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _snr(snr) -> np.ndarray:
+    """A linear snr, scalar or array, as a float array, or a ValueError
+    unless every value is finite, >= 0 and at most _SNR_MAX."""
+    snr = np.asarray(snr, dtype=float)
+    if not np.all((snr >= 0) & (snr <= _SNR_MAX)):  # false for a nan too
+        raise ValueError(f"snr must be finite and >= 0, at most "
+                         f"{_SNR_MAX:g} (3000 dB)")
+    return snr
+
+
+def _scalar(value):
+    """A 0-d result as a float; any other array as it is."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -25,8 +48,7 @@ def dft_matrix(n: int) -> np.ndarray:
     This sign/normalization is frozen: the circulant-diagonalization
     identities in the channel module (and their tests) assume it.
     """
-    if _index("n", n) < 1:
-        raise ValueError("dft_matrix requires n >= 1")
+    n = _index("n", n, 1)
     idx = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
@@ -60,4 +82,4 @@ def logdet_hermitian_psd(a: np.ndarray):
     lower = np.linalg.cholesky(a)
     diag = np.diagonal(lower, axis1=-2, axis2=-1).real
     logdet = 2.0 * np.log(diag).sum(axis=-1)
-    return float(logdet) if logdet.ndim == 0 else logdet
+    return _scalar(logdet)

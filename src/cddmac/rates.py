@@ -30,9 +30,7 @@ import numpy as np
 from .channel import (CHUNK, SystemConfig, _as_stack, block_prefix,
                       effective_channel, reduce_to_parallel,
                       sample_channel_block)
-from .linalg import logdet_hermitian_psd
-
-LN2 = float(np.log(2.0))
+from .linalg import LN2, _index, _scalar, _snr, logdet_hermitian_psd
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -47,13 +45,6 @@ def _stack_users(channels: np.ndarray) -> np.ndarray:
     by side, so that its Gram x @ x^H is sum_k Hk Hk^H."""
     *lead, users, n_rx, n_tx = channels.shape
     return np.swapaxes(channels, -3, -2).reshape(*lead, n_rx, users * n_tx)
-
-
-def _check_snr(snr) -> np.ndarray:
-    snr = np.asarray(snr, dtype=float)
-    if not np.all(np.isfinite(snr)) or np.any(snr < 0):
-        raise ValueError("snr must be finite and >= 0")
-    return snr
 
 
 def _gram_logdet(mat: np.ndarray, scale: np.ndarray):
@@ -74,7 +65,7 @@ def rate_cdd(channels, snr):
     must agree to 1e-9 (tested), which is the whole point of the
     block-diagonal reduction.
     """
-    snr = _check_snr(snr)
+    snr = _snr(snr)
     ch = _as_stack(channels)
     n_tx = ch.shape[-1]
     eff = effective_channel(ch)
@@ -92,14 +83,14 @@ def rate_cdd_reduced(blocks, snr):
     dual-path check against rate_cdd tests the code behind every Monte-Carlo
     estimate.
     """
-    snr = _check_snr(snr)
+    snr = _snr(snr)
     blk = _as_stack(blocks, "blocks", "n_tx, n_rx, users")
     lead = np.broadcast_shapes(snr.shape, blk.shape[:-3])
     blk = np.broadcast_to(blk, lead + blk.shape[-3:])
     scale = np.broadcast_to(snr, lead).reshape(1, -1)      # one per stack
     sums = _logdet_sums(scale, blk.reshape(-1, *blk.shape[-3:]))[0]
     rate = sums.reshape(lead) / blk.shape[-3]
-    return float(rate) if rate.ndim == 0 else rate
+    return _scalar(rate)
 
 
 def sum_capacity(channels, snr):
@@ -107,7 +98,7 @@ def sum_capacity(channels, snr):
     log2 det(I + (snr/n_tx) sum_k Hk Hk^H) of a (..., users, n_rx, n_tx)
     stack, snr broadcast over its leading axes; one realization gives a
     float."""
-    snr = _check_snr(snr)
+    snr = _snr(snr)
     ch = _as_stack(channels)
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
@@ -154,6 +145,7 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
     serially; with more, values must pickle (a module-level function or a
     functools.partial of one).
     """
+    workers = _index("workers", workers, 1)
     cfgs = tuple(cfgs)
     if len({(cfg.seed, cfg.trials) for cfg in cfgs}) != 1:
         raise ValueError("a run's configs need one seed and one trial count")
@@ -397,7 +389,7 @@ def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),
         raise ValueError(f"metrics: need sweep metrics, got {metrics!r}")
     if cfg.users != 2 and any(m in REGION_METRICS for m in metrics):
         raise ValueError("rate regions are computed for exactly 2 users")
-    grid = _check_snr(snr)
+    grid = _snr(snr)
     if grid.ndim > 1 or grid.size == 0:
         raise ValueError(f"snr grid must be a scalar or nonempty 1-D, got "
                          f"shape {grid.shape}")

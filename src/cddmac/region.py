@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig, sample_channel_block
+from .linalg import _index
 from .rates import REGION_PARTS, monte_carlo_sweep
 
 # Pentagon coordinate (also the CSV row label) -> the region series
@@ -91,8 +92,7 @@ def region_cdd(cfg: SystemConfig, snr: float,
 
 def pareto_segment(r: RegionEstimate, samples: int):
     """Evenly spaced points on the time-sharing face between the corners."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    samples = _index("samples", samples, 2)
     a = np.asarray(r.corner_a)
     b = np.asarray(r.corner_b)
     lam = np.linspace(0.0, 1.0, samples)

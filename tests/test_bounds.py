@@ -17,10 +17,17 @@ from scipy.special import digamma
 from cddmac.bounds import (EULER_GAMMA, cap_lower_bound, gap_high_snr,
                            harmonic, jensen_collapsed_bounds, psi_limit_check,
                            rc_lower_bound, rc_upper_bound)
-from cddmac.channel import SystemConfig
+from cddmac.channel import (SystemConfig, sample_channel_block,
+                            sample_channels, shuffle_permutation)
 from cddmac.rates import monte_carlo_sweep
+from cddmac.region import RegionEstimate, pareto_segment
 
 LN2 = math.log(2.0)
+CFG = SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=0)
+# a two-user pentagon with corners (1, 0.5) and (0.5, 1)
+FACE = RegionEstimate(1.0, 1.0, 1.5, 0.0, 0.0, 0.0, corner_a=(1.0, 0.5),
+                      corner_b=(0.5, 1.0), corner_a_stderr=(0.0, 0.0),
+                      corner_b_stderr=(0.0, 0.0), trials=10)
 
 
 # --- harmonic / gamma ---------------------------------------------------
@@ -290,10 +297,17 @@ def test_psi_limit_rejects_small_k_max():
     (harmonic, (2.5,), "n"),
     (psi_limit_check, (2, 2.5), "k_max"),
     (psi_limit_check, (2.0, 10), "n_tx"),
+    (shuffle_permutation, (2.0, 2), "n_tx"),
+    (sample_channel_block, (CFG, 0, 2.5), "stop"),
+    (sample_channels, (CFG, 2.0), "trial_index"),
+    (pareto_segment, (FACE, 2.5), "samples"),
+    (monte_carlo_sweep, (CFG, 1.0, ("cdd",), 2.0), "workers"),
 ])
 def test_sizes_must_be_integers(fn, args, field):
     # rc_lower_bound(2.5, ...) gave a number, harmonic(2.5) summed three
-    # terms and psi_limit_check(2, 2.5) raised IndexError
+    # terms, psi_limit_check(2, 2.5) raised IndexError, the channel sizes
+    # and the sample count raised numpy's TypeError, and workers=2.0 ran
+    # serially on one chunk
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         fn(*args)
 
@@ -312,6 +326,28 @@ def test_psi_limit_matches_digamma_oracle():
     for k in (1, 5, 20):
         expected = abs(digamma(3 * k) - digamma(k + 1) - math.log(3.0))
         assert res[k - 1] == pytest.approx(expected, abs=1e-12)
+
+
+def test_bound_sizes_are_used_as_int():
+    # a uint8 n_tx * users of 16 * 16 wrapped to 0: cap_lower_bound gave 0.0
+    wide = (np.uint8(16), np.uint8(16), np.uint8(1))
+    for fn in (rc_lower_bound, cap_lower_bound, jensen_collapsed_bounds):
+        assert fn(*wide, 10.0) == fn(16, 16, 1, 10.0)
+    assert rc_upper_bound(np.uint8(16), np.uint8(16), 10.0) \
+        == rc_upper_bound(16, 16, 10.0)
+    assert gap_high_snr(*wide) == gap_high_snr(16, 16, 1)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (rc_lower_bound, (2, 2, 2)), (cap_lower_bound, (2, 2, 2)),
+    (jensen_collapsed_bounds, (2, 2, 2)), (rc_upper_bound, (2, 2))])
+def test_bounds_refuse_snr_the_rates_refuse(fn, args):
+    # 1e300 (3000 dB) is the ceiling of the rates and the CLI too; above it
+    # the bounds stayed finite while the rates failed
+    assert np.all(np.isfinite(fn(*args, 1e300)))
+    for snr in (-0.5, np.nan, np.array([1.0, 1e301])):
+        with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+            fn(*args, snr)
 
 
 # --- the bound family together ------------------------------------------

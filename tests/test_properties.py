@@ -1,10 +1,13 @@
 """Property tests of the rates and bounds over random system shapes and SNRs.
 
 Hypothesis draws (users, n_tx, n_rx) up to 8 each, a channel seed and a
-grid of distinct whole-dB points from -200 to +300 dB for the rates, or of
-distinct 0.05 dB points from -200 to +3000 dB for the closed-form bounds.
+grid of distinct whole-dB points from -200 to +300 dB for the rates (-200
+to -120 dB for their first-order term), or of distinct 0.05 dB points from
+-200 to +3000 dB for the closed-form bounds.
 The examples are derandomized, so every run checks the same cases.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,8 @@ shapes = st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
 systems = st.tuples(shapes, st.integers(0, 2 ** 32 - 1))
 grids = st.lists(st.integers(-200, 300), min_size=2, max_size=6,
                  unique=True).map(lambda db: 10.0 ** (np.sort(db) / 10))
+low_grids = st.lists(st.integers(-200, -120), min_size=2, max_size=6,
+                     unique=True).map(lambda db: 10.0 ** (np.sort(db) / 10))
 bound_grids = st.lists(st.integers(-4000, 60000), min_size=2, max_size=8,
                        unique=True).map(lambda db: 10.0 ** (np.sort(db) / 200))
 examples = settings(max_examples=150, deadline=None, derandomize=True,
@@ -60,6 +65,21 @@ def test_sweep_equals_direct_rates_trial_by_trial(system, grid):
                                    rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(cap[point], sum_capacity(block, s),
                                    rtol=1e-12, atol=1e-10)
+
+
+@examples
+@given(systems, low_grids)
+def test_sweep_rates_are_first_order_at_low_snr(system, grid):
+    # log2 det(I + sG) = s tr(G) / ln 2 + O(s^2): capacity's trace is
+    # |H|_F^2 / n_tx, and CDD's, summed over the bins and divided by n_tx,
+    # is the same because the unitary DFT keeps |H|_F.  The direct rates
+    # are left out: their Cholesky log-det returns 0.0 at snr 1e-20
+    block, values = sweep(system, grid)
+    n_tx = block.shape[-1]
+    power = np.square(np.abs(block)).sum(axis=(1, 2, 3))
+    first_order = grid[:, None] * power / (n_tx * math.log(2.0))
+    for rate in values:                                         # cdd, cap
+        np.testing.assert_allclose(rate, first_order, rtol=1e-6, atol=0)
 
 
 @examples
