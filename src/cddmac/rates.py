@@ -13,7 +13,10 @@ log det(I + sG) at every grid point from the LDL^T pivots of I + sT
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), configs that
 share a seed and trial count read prefixes of one draw, and the per-chunk
-(sum, sum-of-squares) pairs are reduced in chunk-index order.  Because the
+(sum, sum-of-squares) pairs are reduced in chunk-index order.  With more
+than one worker the chunks run on threads of the calling process: numpy
+releases the interpreter lock inside the sampling, matmul and ufunc loops
+that do most of a chunk's work, so the threads overlap there.  Because the
 channel streams are keyed by (seed, chunk) and the reduction schedule never
 depends on the worker count, estimates are bit-identical for any --workers
 setting.
@@ -22,7 +25,7 @@ setting.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -141,9 +144,10 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
     chunk the widest config's block is drawn once and each config reads its
     prefix (channel.block_prefix) in sub-blocks of at most
     _SUB_BLOCK_ENTRIES entries, so values must treat trials independently.
-    At most min(workers, chunks, usable CPUs) processes run, and one runs
-    serially; with more, values must pickle (a module-level function or a
-    functools.partial of one).
+    The chunks run on min(workers, chunks, usable CPUs) threads of this
+    process, or in the calling thread when that is one; values may be any
+    callable that is safe to call from two threads at once.  If a chunk
+    raises, or on Ctrl-C, the chunks still queued are cancelled, not run.
     """
     workers = _index("workers", workers, 1)
     cfgs = tuple(cfgs)
@@ -154,10 +158,13 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
         raise ValueError("need trials >= 2 for a standard error")
     spans = [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
     chunk = partial(_chunk_sums, values, cfgs)
-    procs = min(workers, len(spans), _usable_cpus())
-    if procs > 1:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
+    threads = min(workers, len(spans), _usable_cpus())
+    if threads > 1:
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
             parts = list(pool.map(chunk, *zip(*spans)))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         parts = [chunk(a, b) for a, b in spans]
     total = total_sq = 0.0

@@ -12,7 +12,9 @@ carry a coupled, smaller variance than independent runs would give.
 from __future__ import annotations
 
 # ProcessPoolExecutor and sample_channel_block are bound here only for
-# bench/layers.py, which wraps them by name.
+# bench/layers.py, which wraps them by name.  Nothing in the package starts
+# a process pool (rates.run_chunks runs its chunks on threads); the name
+# stays only until bench/layers.py no longer subclasses it.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 

@@ -7,6 +7,11 @@ Independent oracles used here:
     integral (scipy is a test-only dependency).
 """
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -289,7 +294,7 @@ def test_ergodic_stderr_quarter_trials_scaling():
 
 
 def test_run_chunks_clamps_workers(monkeypatch):
-    # a stand-in pool records its size and maps in this process, so no
+    # a stand-in pool records its size and maps in this thread, so no
     # real pool is started however large workers is
     sizes = []
 
@@ -297,16 +302,13 @@ def test_run_chunks_clamps_workers(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(rates, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(rates, "_usable_cpus", lambda: 64)
     cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=5000,
                        seed=12)  # two chunks
@@ -326,6 +328,66 @@ def test_run_chunks_clamps_workers(monkeypatch):
     assert sizes == [2]  # one chunk or one CPU runs serially
 
 
+def test_run_chunks_threads_take_a_closure_in_this_process(monkeypatch):
+    # a closure, which no process pool could pickle, runs on two threads of
+    # this process and gives the serial bits
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+    sweep = partial(_sweep_values, snr=np.array([1.0, 100.0]),
+                    metrics=("cdd", "cap"))
+    calls = []
+
+    def values(block):
+        calls.append((os.getpid(), threading.get_ident()))
+        return sweep(block)
+
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=3 * CHUNK, seed=31)
+    [serial] = run_chunks(sweep, [cfg])
+    [threaded] = run_chunks(values, [cfg], workers=2)
+    for a, b in zip(serial, threaded):
+        assert a.tobytes() == b.tobytes()
+    assert len(calls) == 3
+    assert {pid for pid, _ in calls} == {os.getpid()}
+    assert threading.get_ident() not in {ident for _, ident in calls}
+    assert multiprocessing.active_children() == []
+
+
+def test_run_chunks_threads_keep_the_bits_under_fast_switching(monkeypatch):
+    # more threads than CPUs, switching every microsecond, through both the
+    # two-row and the Householder Gram paths: the serial bits
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 8)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=3, trials=8 * CHUNK, seed=33)
+    grid = np.array([0.1, 10.0, 1000.0])
+    serial = monte_carlo_sweep(cfg, grid, metrics=("cdd", "cap", "diff"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = monte_carlo_sweep(cfg, grid, metrics=("cdd", "cap", "diff"),
+                                     workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert same_bits(threaded, serial)
+
+
+def test_run_chunks_error_cancels_queued_chunks(monkeypatch):
+    # chunk 0 raises at once while the others take a while: the error
+    # reaches the caller and the chunks still queued never run
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+    cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=16 * CHUNK, seed=32)
+    first = sample_channel_block(cfg, 0, CHUNK)
+    ran = []
+
+    def values(block):
+        ran.append(len(block))
+        if np.array_equal(block, first):
+            raise RuntimeError("chunk 0 failed")
+        time.sleep(0.05)
+        return np.zeros((1, len(block)))
+
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        run_chunks(values, [cfg], workers=2)
+    assert 1 <= len(ran) < 16
+
+
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     # a process pinned to one CPU of a 64-CPU machine may use one; without
     # an affinity call the CPU count is all there is to go by
@@ -340,8 +402,8 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
 
 
 def test_run_chunks_shared_draw_equals_one_run_per_config():
-    # configs on one draw, serially and in a two-process pool, give the
-    # bits of one run per config
+    # configs on one draw, serially and on two threads, give the bits of
+    # one run per config
     values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
                      metrics=("cdd", "cap", "diff"))
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
