@@ -6,10 +6,13 @@ A change that keeps every printed hash keeps the program's output bytes.
 The outputs are the CSVs of --scenario figure2, figure3 and figure4 at
 --trials 20000 and of the wide-sweep config below, each at seeds 0 and 7,
 and the stdout of --verify at seeds 0 and 7.  Every CSV is written once at
---workers 1 and once at --workers 2, and the script exits 1 if the two
-differ.  The calls run one at a time, with one BLAS thread, against the
-package source in this checkout's src/, and write into a temporary
-directory that is removed afterwards.
+--workers 1 and once at --workers 2.  --verify, which runs one chunk
+thread per usable CPU, runs once as it is and once pinned to one CPU,
+where the platform has os.sched_setaffinity.  The script exits 1 if a
+CSV differs between the two worker counts or the --verify stdout between
+the two CPU counts.  The calls run one at a time, with one BLAS thread,
+against the package source in this checkout's src/, and write into a
+temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,10 +38,10 @@ trials = 8192
 """
 
 
-def cddmac(args, env) -> bytes:
+def cddmac(args, env, preexec_fn=None) -> bytes:
     """stdout of one CLI call; stops the script if the call fails."""
     proc = subprocess.run([sys.executable, "-m", "cddmac", *args], env=env,
-                          capture_output=True)
+                          capture_output=True, preexec_fn=preexec_fn)
     if proc.returncode != 0:
         sys.exit(f"cddmac {' '.join(args)}: exit {proc.returncode}\n"
                  f"{proc.stderr.decode()}")
@@ -68,14 +72,26 @@ def main() -> int:
                     differ += 1
                     print("  differs by --workers: " + ", ".join(
                         f"{w}: {d}" for w, d in zip(WORKERS, digests)))
+    pinned = None
+    if hasattr(os, "sched_setaffinity"):
+        one_cpu = {min(os.sched_getaffinity(0))}
+        pinned = partial(os.sched_setaffinity, 0, one_cpu)
+    verify_differ = 0
     for seed in SEEDS:
-        stdout = cddmac(["--verify", "--seed", str(seed)], env)
+        args = ["--verify", "--seed", str(seed)]
+        stdout = cddmac(args, env)
         print(f"{'--verify':<12} seed {seed}  "
               f"{hashlib.sha256(stdout).hexdigest()}")
+        if pinned and cddmac(args, env, pinned) != stdout:
+            verify_differ += 1
+            print("  differs when pinned to one CPU")
     if differ:
         print(f"{differ} CSV(s) differ between --workers values",
               file=sys.stderr)
-    return 1 if differ else 0
+    if verify_differ:
+        print(f"{verify_differ} --verify stdout(s) differ between CPU "
+              f"counts", file=sys.stderr)
+    return 1 if differ or verify_differ else 0
 
 
 if __name__ == "__main__":

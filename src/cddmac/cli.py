@@ -31,8 +31,9 @@ from .channel import (CHUNK, SystemConfig, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
 from .linalg import _SNR_MAX, dft_matrix
-from .rates import (REGION_METRICS, _sweep_values, monte_carlo_sweep,
-                    rate_cdd, rate_cdd_reduced, run_chunks, sum_capacity)
+from .rates import (REGION_METRICS, _sweep_values, _usable_cpus,
+                    monte_carlo_sweep, rate_cdd, rate_cdd_reduced, run_chunks,
+                    sum_capacity)
 from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
 from .region import region_capacity, region_cdd
@@ -332,7 +333,10 @@ plt.show()
 # ---------------------------------------------------------------------------
 # verify: reduced-scale invariant suite.  The property kernels below are
 # shared with the full-scale acceptance tests; each caller picks its own
-# configurations, seeds, trial counts and tolerances.
+# configurations, seeds, trial counts and tolerances.  The Monte-Carlo
+# kernels run their chunks on one thread per usable CPU (rates.run_chunks
+# caps that at the chunk count); the reduction is in chunk order, so every
+# result, and every line verify prints, is the same for any CPU count.
 
 
 def _dual_path_residuals(block, snr, perm):
@@ -361,9 +365,10 @@ def _sandwich_excess(cfgs, grid):
     """Per config, the worst (rc_lb - 3s - cdd), (cdd - 3s - rc_ub) and
     (cap_lb - 3s - cap) over a linear-SNR grid, s the Monte-Carlo standard
     error; all <= 0 when the closed-form bounds sandwich the config's
-    estimates.  The configs share one seed and trial count and one draw."""
+    estimates.  The configs share one seed and trial count and one draw,
+    whose chunks run on one thread per usable CPU."""
     got = run_chunks(partial(_sweep_values, snr=grid, metrics=("cdd", "cap")),
-                     cfgs)
+                     cfgs, _usable_cpus())
     out = []
     for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs, got):
         low, high, cap_low = (_BOUNDS[m](cfg.users, cfg.n_tx, cfg.n_rx, grid)
@@ -383,11 +388,12 @@ def _log_bin_gains(block):
 
 def _digamma_error(user_counts, trials, seed):
     """|E[ln lambda] - psi(K)|, psi(K) = H_{K-1} - gamma, at n_tx=4, n_rx=1,
-    one per user count K, all from one draw."""
+    one per user count K, all from one draw on one thread per usable CPU."""
     cfgs = [SystemConfig(users=users, n_tx=4, n_rx=1, trials=trials,
                          seed=seed) for users in user_counts]
     errors = []
-    for users, (mean, _) in zip(user_counts, run_chunks(_log_bin_gains, cfgs)):
+    got = run_chunks(_log_bin_gains, cfgs, _usable_cpus())
+    for users, (mean, _) in zip(user_counts, got):
         psi = bnd.harmonic(users - 1) - bnd.EULER_GAMMA
         errors.append(abs(float(mean) - psi))
     return tuple(errors)
@@ -472,7 +478,7 @@ def _check_gap_convergence(rng):
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, trials=30000,
                          seed=7) for users, n_tx in pairs]
     got = run_chunks(partial(_sweep_values, snr=np.array([1e4]),
-                             metrics=("diff",)), cfgs)
+                             metrics=("diff",)), cfgs, _usable_cpus())
     worst = -np.inf
     for (users, n_tx), ((mean,), (err,)) in zip(pairs, got):  # one metric
         gap, _ = bnd.gap_high_snr(users, n_tx, 1)
@@ -488,9 +494,12 @@ def _check_psi_limit(rng):
 
 
 def _check_determinism(rng):
+    # one worker, then one thread per usable CPU: on one CPU a repeated
+    # run, on more the serial path against the threaded one
     cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=6000, seed=31337)
     first = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"))
-    second = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"))
+    second = monte_carlo_sweep(cfg, 10.0, metrics=("cdd", "cap"),
+                               workers=_usable_cpus())
     same = all(x.tobytes() == y.tobytes() for m in ("cdd", "cap")
                for x, y in zip(first[m], second[m]))
     # a single trial, drawn alone, is the same row of the whole block
@@ -515,7 +524,10 @@ CHECKS = (
 
 
 def verify(seed: int = 0) -> int:
-    """Run the invariant suite at reduced scale; 0 if every property holds."""
+    """Run the invariant suite at reduced scale; 0 if every property holds.
+
+    The Monte-Carlo checks run their chunks on one thread per usable CPU,
+    and what they print is the same for any CPU count."""
     rng = np.random.default_rng(seed)
     failures = 0
     for name, check in CHECKS:
@@ -550,7 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", help="parallel workers, at most one per "
                         "chunk and CPU (results identical for any value)")
     parser.add_argument("--verify", action="store_true",
-                        help="run the invariant self-check suite and exit")
+                        help="run the invariant self-check suite and exit; "
+                             "it uses one chunk thread per usable CPU, and "
+                             "its output is identical for any CPU count")
     parser.add_argument("--plot-script", dest="plot_script", metavar="FILE",
                         help="also write a plain-text companion plotting "
                              "script")

@@ -11,18 +11,28 @@ carry a coupled, smaller variance than independent runs would give.
 
 from __future__ import annotations
 
-# ProcessPoolExecutor and sample_channel_block are bound here only for
-# bench/layers.py, which wraps them by name.  Nothing in the package starts
-# a process pool (rates.run_chunks runs its chunks on threads); the name
-# stays only until bench/layers.py no longer subclasses it.
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+# sample_channel_block is bound here only for bench/layers.py, which wraps
+# it by name
 from .channel import SystemConfig, sample_channel_block
 from .linalg import _index
 from .rates import REGION_PARTS, monte_carlo_sweep
+
+
+def __getattr__(name):
+    # ProcessPoolExecutor stays reachable only for bench/layers.py, which
+    # subclasses it.  Nothing in the package starts a process pool
+    # (rates.run_chunks runs its chunks on threads), so it is imported on
+    # first access: importing it eagerly would load concurrent.futures.process
+    # and multiprocessing with every `import cddmac`.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Pentagon coordinate (also the CSV row label) -> the region series
 # (rates.REGION_PARTS) it reports: corner_a gives user 1 its single-user

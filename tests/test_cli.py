@@ -471,6 +471,66 @@ def test_verify_determinism_negative_control(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_verify_same_bytes_at_any_thread_count(monkeypatch, capsys):
+    # one usable CPU or two, the same stdout; on two, the sandwich, digamma,
+    # gap and second determinism sweeps each ran on a two-thread pool
+    pools = {}
+    running = []
+
+    class RecordingPool(rates.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.setdefault(running[-1], []).append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def named(name, check):
+        def run(rng):
+            running.append(name)
+            return check(rng)
+        return run
+
+    monkeypatch.setattr(rates, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "CHECKS", tuple((name, named(name, check))
+                                             for name, check in cli.CHECKS))
+    # run_chunks' own CPU cap, so that two threads run on any machine
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli.verify(seed=0) == 0
+    serial = capsys.readouterr().out
+    assert pools == {}
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert cli.verify(seed=0) == 0
+    assert capsys.readouterr().out == serial
+    assert pools == {"bound-sandwich": [2], "digamma-identity": [2],
+                     "gap-convergence": [2], "determinism": [2]}
+
+
+def test_verify_determinism_negative_control_on_threads(monkeypatch, capsys):
+    # a pool whose first chunk's sums move by one ulp: only the determinism
+    # check, which compares the serial bits with the threaded ones, fails.
+    # A reversed reduction would not serve: at its two chunks a + b == b + a
+    class DriftingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, *iterables):
+            parts = list(map(fn, *iterables))
+            sums, squares = parts[0]
+            parts[0] = (np.nextafter(sums, np.inf), squares)
+            return parts
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(rates, "ThreadPoolExecutor", DriftingPool)
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert cli.verify(seed=0) == 1
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("FAIL")] == ["FAIL determinism"]
+    assert "8/9 properties hold" in out
+
+
 def _capacity_below_cdd(monkeypatch):
     true_capacity = cli.sum_capacity
     monkeypatch.setattr(cli, "sum_capacity", lambda block, snr: np.minimum(

@@ -1,8 +1,14 @@
 """Two-user rate-region tests (pentagon constraints and corner points)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cddmac import region
 from cddmac.channel import SystemConfig, sample_channel_block
 from cddmac.linalg import dft_matrix
 from cddmac.rates import REGION_METRICS, monte_carlo_sweep
@@ -176,3 +182,21 @@ def test_region_estimate_is_frozen():
     assert isinstance(r, RegionEstimate)
     with pytest.raises(AttributeError):
         r.i1 = 0.0
+
+
+def test_import_loads_no_process_pool_machinery():
+    # nothing in the package starts a process, so a fresh import pays for no
+    # multiprocessing; the name bench/layers.py subclasses still resolves
+    script = (
+        "import sys\n"
+        "import cddmac\n"
+        "unwanted = {'multiprocessing', 'concurrent.futures.process'}\n"
+        "assert not unwanted & set(sys.modules), unwanted & set(sys.modules)\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "assert cddmac.region.ProcessPoolExecutor is ProcessPoolExecutor\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert not hasattr(region, "no_such_name")
