@@ -106,9 +106,9 @@ def sum_capacity(channels, snr):
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 
-# Channel entries per sub-block of trials that values() sees at once: the
-# per-trial buffers stay cache-sized (1024 trials of the 8-user 4x8 config);
-# every figure and --verify config fits a chunk in one sub-block.
+# Channel entries per sub-block of trials that values() sees at once, to cap
+# a chunk's peak memory (wide-sweep, 6 pairs: peak_rss_mb 84.0, 107.3 with
+# no sub-blocks, wall_s level); every figure and --verify chunk fits in one.
 _SUB_BLOCK_ENTRIES = 1 << 18
 
 
@@ -124,7 +124,8 @@ def _chunk_sums(values, cfgs, start: int, stop: int):
                 vals = np.empty((len(cfgs),) + part.shape[:-1] + (len(block),))
             vals[i, ..., lo:lo + rows] = part
     # one pass over the whole chunk, so the sums never see the sub-blocks
-    return vals.sum(axis=-1), np.square(vals).sum(axis=-1)
+    total = vals.sum(axis=-1)                  # before vals is squared
+    return total, np.square(vals, out=vals).sum(axis=-1)
 
 
 def _usable_cpus() -> int:
@@ -192,14 +193,11 @@ REGION_METRICS = tuple(f"{scheme}_{part}" for scheme in ("cap", "cdd")
                        for part in REGION_PARTS)
 SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
-# Matrices per Gram product block of _tridiagonal.  Copied batch-last in
-# one piece, a sub-block's Gram (4 MB for 1024 trials of the 8-user 4x8
-# config) misses the cache on every entry; in blocks of 256 the copy stays
-# in cache.  The benchmark's wide-sweep workload, 10 alternating pairs on a
-# shared 2-vCPU x86-64 machine: wall_s median 0.591 s in one piece, 0.522 s
-# in blocks.
-_GRAM_BLOCK = 256
-# Doubles per buffer of _logdet_sums' loop over blocks of grid points.
+# Doubles per buffer of the sweep kernel, sized for cache: a block of
+# _tridiagonal's Gram products with its batch-last copy, or of _logdet_sums'
+# grid points.  wide-sweep's 4 MB sub-block Gram, copied batch-last in one
+# piece, misses the cache on every entry: wall_s median 0.591 s, against
+# 0.522 s in blocks (10 alternating pairs, shared 2-vCPU x86-64 machine).
 _POINT_BUFFER = 1 << 16
 
 
@@ -288,10 +286,10 @@ def _tridiagonal(x: np.ndarray):
             return d, np.empty((0, per, trials))
         b = (rows[..., 0, :] * np.conj(rows[..., 1, :])).sum(axis=-1)
         return d, (np.square(b.real) + np.square(b.imag)).T[None]
-    # Gram products and their batch-last copy in blocks of _GRAM_BLOCK
-    # matrices, so that the transposition runs in cache
+    # a block's Gram products and their batch-last copy (two complex arrays)
+    # fill one _POINT_BUFFER, so that the transposition runs in cache
     gram = np.empty((size, size, per, trials), complex)
-    step = max(1, _GRAM_BLOCK // per)
+    step = max(1, _POINT_BUFFER // (4 * per * size * size))
     for lo in range(0, trials, step):
         part = _gram(np.ascontiguousarray(rows[lo:lo + step]))
         gram[..., lo:lo + step] = part.transpose(2, 3, 1, 0)

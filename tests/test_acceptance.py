@@ -4,15 +4,18 @@ One test per release criterion, each printing a single pass/fail line; the
 full-scale Monte-Carlo settings make this file the slow part of the suite
 (a few minutes on one core).  Every tolerance is stated inline.  Criteria
 1-4 and 8 share their property kernels with ``cddmac --verify`` (cli.py),
-which runs them at reduced scale.
+which runs them at reduced scale.  Criteria 1-3 and 8 have negative
+controls at the end of the file.
 """
 
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 from scipy.special import exp1
 
+from cddmac import channel
 from cddmac.bounds import (cap_lower_bound, gap_high_snr, rc_lower_bound,
                            rc_upper_bound)
 from cddmac.channel import (SystemConfig, sample_channel_block,
@@ -21,6 +24,8 @@ from cddmac.cli import (_digamma_error, _dual_path_residuals, _psi_residual,
                         _sandwich_excess)
 from cddmac.rates import monte_carlo_sweep
 from cddmac.region import region_capacity, region_cdd
+from test_cli import (_euler_gamma_mistyped, _psi_residual_rising,
+                      _reversed_permutation)
 
 # Bin-grouping permutation, n_tx=4 / n_rx=2: row 4i+t has its one in
 # column 2t+i.
@@ -196,3 +201,35 @@ def test_criterion_10_siso_quadrature_oracle():
            f"SISO 10 dB over 1e6 trials: {mean:.6f} vs exponential-"
            f"integral oracle {oracle:.6f}, |delta| {delta:.2e} < 3 stderr "
            f"{3 * err:.2e}")
+
+
+def _bins_unnormalized(monkeypatch):
+    # the reduced path's bins from an unnormalized DFT: n_tx times the gain
+    true_dft = channel.dft_matrix
+    monkeypatch.setattr(channel, "dft_matrix",
+                        lambda n: true_dft(n) * np.sqrt(n))
+
+
+def _bin_grouping_reversed(monkeypatch):
+    monkeypatch.setitem(globals(), "shuffle_permutation",
+                        _reversed_permutation)
+
+
+# criterion -> (a patch that breaks the code the criterion calls, never the
+# criterion itself; the criterion).  Criterion 4's control would add its
+# 9-14 s run to the suite.
+NEGATIVE_CONTROLS = {
+    1: (_bins_unnormalized, test_criterion_01_dual_path_equivalence),
+    2: (_bin_grouping_reversed, test_criterion_02_bin_grouping_permutation),
+    3: (_euler_gamma_mistyped, test_criterion_03_digamma_identity),
+    8: (_psi_residual_rising, test_criterion_08_psi_limit_residuals),
+}
+
+
+@pytest.mark.parametrize("num", NEGATIVE_CONTROLS)
+def test_criterion_negative_control(monkeypatch, capsys, num):
+    patch, criterion = NEGATIVE_CONTROLS[num]
+    patch(monkeypatch)
+    with pytest.raises(AssertionError):
+        criterion()
+    assert capsys.readouterr().out.startswith(f"criterion {num:2d}: FAIL - ")

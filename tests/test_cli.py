@@ -434,15 +434,15 @@ def test_verify_refuses_run_flags(tmp_path, monkeypatch, capsys, flag,
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
 
+def _reversed_permutation(n_tx, n_rx):
+    """A wrong bin grouping: the true permutation's columns reversed."""
+    perm = channel.shuffle_permutation(n_tx, n_rx)
+    return perm[:, ::-1] if perm.shape[0] >= 2 else perm
+
+
 def test_verify_corrupt_permutation_negative_control(monkeypatch, capsys):
     # a wrong bin grouping must show as a block-diagonalization leak
-    true_perm = cli.shuffle_permutation
-
-    def reversed_perm(n_tx, n_rx):
-        perm = true_perm(n_tx, n_rx)
-        return perm[:, ::-1] if perm.shape[0] >= 2 else perm
-
-    monkeypatch.setattr(cli, "shuffle_permutation", reversed_perm)
+    monkeypatch.setattr(cli, "shuffle_permutation", _reversed_permutation)
     assert cli.verify(seed=0) == 1
     out = capsys.readouterr().out
     assert "FAIL dual-path" in out

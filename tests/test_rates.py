@@ -792,24 +792,46 @@ def test_sweep_values_do_not_depend_on_the_trial_split(users, n_tx, n_rx):
 
 
 def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
-    # the 8-user 4x8 config takes 1024-trial sub-blocks; its statistics keep
-    # the bits of one values() call on the whole chunk
-    cfg = SystemConfig(users=8, n_tx=4, n_rx=8, trials=CHUNK + 1500, seed=45)
+    # statistics keep the bits of one values() call on the whole chunk for
+    # any sub-block and any _POINT_BUFFER: at 2**6 every Gram product block
+    # is one trial and every point block one point.  The 8-user 4x8 config
+    # takes 1024-trial sub-blocks, and its default Gram blocks are 64 trials
+    # of 4 CDD bins and 256 capacity trials; the others take whole chunks
     values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
                      metrics=("cdd", "cap"))
-    assert rates._SUB_BLOCK_ENTRIES // (8 * 4 * 8) == 1024
-    calls = []
+    true_gram = rates._gram
+    default = rates._POINT_BUFFER
+    calls, grams = [], []
 
     def counted(block):
         calls.append(len(block))
         return values(block)
 
-    [got] = run_chunks(counted, [cfg])
-    assert calls == [1024] * 4 + [1024, 476]
-    monkeypatch.setattr(rates, "_SUB_BLOCK_ENTRIES", 1 << 40)
-    [whole] = run_chunks(values, [cfg])
-    for a, b in zip(got, whole):
-        assert a.tobytes() == b.tobytes()
+    def gram(x):
+        grams.append(x.shape[:2])               # (trials, bins) per product
+        return true_gram(x)
+
+    monkeypatch.setattr(rates, "_gram", gram)
+    for users, n_tx, n_rx in ((2, 2, 2), (6, 3, 3), (8, 4, 8)):
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
+                           trials=CHUNK + 1500, seed=45)
+        with monkeypatch.context() as whole_chunk:
+            whole_chunk.setattr(rates, "_SUB_BLOCK_ENTRIES", 1 << 40)
+            whole_chunk.setattr(rates, "_POINT_BUFFER", default)
+            [whole] = run_chunks(values, [cfg])
+        for budget in (1 << 6, default, 1 << 30):
+            monkeypatch.setattr(rates, "_POINT_BUFFER", budget)
+            calls.clear()
+            grams.clear()
+            [got] = run_chunks(counted, [cfg])
+            assert calls == ([1024] * 4 + [1024, 476] if users == 8
+                             else [CHUNK, 1500])
+            if budget == 1 << 6:
+                assert {trials for trials, _ in grams} <= {1}
+            if budget == default and users == 8:  # the last sub-block: 476
+                assert set(grams) == {(64, 4), (28, 4), (256, 1), (220, 1)}
+            for a, b in zip(got, whole):
+                assert a.tobytes() == b.tobytes(), (users, budget)
 
 
 @pytest.mark.parametrize("metric", ["cdd", "cap"])
