@@ -20,6 +20,7 @@ Exit codes: 0 ok, 1 runtime/property failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -31,9 +32,9 @@ from .channel import (CHUNK, SystemConfig, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
 from .linalg import _SNR_MAX, dft_matrix
-from .rates import (REGION_METRICS, _sweep_values, _usable_cpus,
-                    monte_carlo_sweep, rate_cdd, rate_cdd_reduced, run_chunks,
-                    sum_capacity)
+from .rates import (REGION_METRICS, _sweep_values, _tridiagonal,
+                    _usable_cpus, monte_carlo_sweep, rate_cdd,
+                    rate_cdd_reduced, run_chunks, sum_capacity)
 from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
 from .region import region_capacity, region_cdd
@@ -380,10 +381,11 @@ def _sandwich_excess(cfgs, grid):
 
 
 def _log_bin_gains(block):
-    """Per-trial mean of ln(gain) over the DFT bins at receive antenna 0."""
+    """Per-trial mean of ln(gain) over the DFT bins at receive antenna 0,
+    each gain the bin's one-row d from _tridiagonal."""
     bins = reduce_to_parallel(block)                  # (B, T, n_rx, K)
-    lam = (np.abs(bins) ** 2).sum(axis=-1)[:, :, 0]  # (B, T)
-    return np.log(lam).mean(axis=-1)
+    lam = _tridiagonal(bins[:, :, :1])[0][0]          # (T, B)
+    return np.log(lam).mean(axis=0)
 
 
 def _digamma_error(user_counts, trials, seed):
@@ -603,10 +605,18 @@ def main(argv=None) -> int:
         settings.update((key, val) for key, val in vars(args).items()
                         if key in DEFAULTS and val is not None)
         spec = build_spec(settings)
+        if args.plot_script and (os.path.realpath(args.plot_script)
+                                 == os.path.realpath(spec.out)):
+            raise UsageError(f"--plot-script: {args.plot_script} is the "
+                             f"output CSV {spec.out}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return run(spec, plot_script=args.plot_script or "")
+    try:
+        return run(spec, plot_script=args.plot_script or "")
+    except MemoryError as exc:
+        print(f"runtime error: out of memory ({exc})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -201,6 +201,15 @@ SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 _POINT_BUFFER = 1 << 16
 
 
+def _entry_sum(terms: np.ndarray) -> np.ndarray:
+    """Index-order sum over the leading axis of a batch-last stack, one
+    whole-array add per entry: the sweep's one rule for a matrix's entries."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def _householder(gram: np.ndarray):
     """(d, e2) of a real tridiagonal unitarily similar to each Hermitian
     matrix of a batch-last (L, L, N) stack, which is overwritten.
@@ -208,10 +217,11 @@ def _householder(gram: np.ndarray):
     L - 2 Householder reflections, each applied to all N matrices at once
     (Golub & Van Loan, Matrix Computations, 8.3.1), to the lower triangle
     only.  Only the squared off-diagonal e2 is kept: the pivots need no
-    phases.  Every sum over matrix entries is a sequential loop, so no sum
-    depends on the batch size; numpy may still round a complex product with
-    or without FMA depending on the batch's length and strides, so a
-    matrix's bits can differ between batches by an ulp or so.
+    phases.  |x|^2 and v^H p are summed by _entry_sum, and each row of A v
+    adds its columns in index order, so no sum depends on the batch size;
+    numpy may still round a complex product with or without FMA depending
+    on the batch's length and strides, so a matrix's bits can differ
+    between batches by an ulp or so.
     """
     size, _, n = gram.shape
     e2 = np.empty((size - 1, n))
@@ -220,10 +230,7 @@ def _householder(gram: np.ndarray):
         col = gram[k + 1:, k]                                   # x, (m, N)
         m = len(col)
         power = np.square(col.real) + np.square(col.imag)
-        norm2 = e2[k]
-        norm2[...] = power[0]
-        for row in power[1:]:
-            norm2 += row
+        norm2 = e2[k] = _entry_sum(power)
         alpha, lead = np.sqrt(norm2), np.sqrt(power[0])
         # v = x + (x0 / |x0|) |x| e1 is mapped to a multiple of e1 without
         # cancellation; tau = 2 / |v|^2
@@ -247,9 +254,7 @@ def _householder(gram: np.ndarray):
         p *= tau
         # A <- H A H = A - v w^H - w v^H, w = p - tau/2 (v^H p) v
         np.multiply(vh, p, out=tmp[:m])
-        vp = tmp[0].real.copy()
-        for i in range(1, m):
-            vp += tmp[i].real
+        vp = _entry_sum(tmp[:m].real)
         w = p - (0.5 * tau * vp) * v
         wh = np.conj(w)
         for j in range(m):
@@ -270,8 +275,8 @@ def _tridiagonal(x: np.ndarray):
     flattened.
 
     One or two rows need no Gram product: d holds the row powers and e2 the
-    squared inner product of the two rows.  Larger Grams are reduced by
-    _householder.
+    squared inner product of the two rows, both summed by _entry_sum over
+    a batch-last view.  Larger Grams are reduced by _householder.
     """
     trials = x.shape[0]
     rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
@@ -279,13 +284,12 @@ def _tridiagonal(x: np.ndarray):
     rows = rows.reshape(trials, -1, size, cols)
     per = rows.shape[1]
     if size <= 2:
-        rows = np.ascontiguousarray(rows)
-        power = (np.square(rows.real) + np.square(rows.imag)).sum(axis=-1)
-        d = np.ascontiguousarray(power.transpose(2, 1, 0))
+        entries = rows.transpose(3, 2, 1, 0)            # (cols, L, T, trials)
+        d = _entry_sum(np.square(entries.real) + np.square(entries.imag))
         if size == 1:
             return d, np.empty((0, per, trials))
-        b = (rows[..., 0, :] * np.conj(rows[..., 1, :])).sum(axis=-1)
-        return d, (np.square(b.real) + np.square(b.imag)).T[None]
+        b = _entry_sum(entries[:, 0] * np.conj(entries[:, 1]))
+        return d, (np.square(b.real) + np.square(b.imag))[None]
     # a block's Gram products and their batch-last copy (two complex arrays)
     # fill one _POINT_BUFFER, so that the transposition runs in cache
     gram = np.empty((size, size, per, trials), complex)

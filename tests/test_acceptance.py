@@ -4,7 +4,7 @@ One test per release criterion, each printing a single pass/fail line; the
 full-scale Monte-Carlo settings make this file the slow part of the suite
 (a few minutes on one core).  Every tolerance is stated inline.  Criteria
 1-4 and 8 share their property kernels with ``cddmac --verify`` (cli.py),
-which runs them at reduced scale.  Criteria 1-3 and 8 have negative
+which runs them at reduced scale.  Criteria 1-3, 8 and 10 have negative
 controls at the end of the file.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from cddmac import channel
+from cddmac import channel, rates
 from cddmac.bounds import (cap_lower_bound, gap_high_snr, rc_lower_bound,
                            rc_upper_bound)
 from cddmac.channel import (SystemConfig, sample_channel_block,
@@ -215,6 +215,18 @@ def _bin_grouping_reversed(monkeypatch):
                         _reversed_permutation)
 
 
+def _row_power_high(monkeypatch):
+    # the sweep's row powers 1 % high: about 0.013 bits on the SISO rate,
+    # against 3 stderr of about 0.004 bits
+    true_tridiagonal = rates._tridiagonal
+
+    def scaled(x):
+        d, e2 = true_tridiagonal(x)
+        return d * 1.01, e2
+
+    monkeypatch.setattr(rates, "_tridiagonal", scaled)
+
+
 # criterion -> (a patch that breaks the code the criterion calls, never the
 # criterion itself; the criterion).  Criterion 4's control would add its
 # 9-14 s run to the suite.
@@ -223,6 +235,7 @@ NEGATIVE_CONTROLS = {
     2: (_bin_grouping_reversed, test_criterion_02_bin_grouping_permutation),
     3: (_euler_gamma_mistyped, test_criterion_03_digamma_identity),
     8: (_psi_residual_rising, test_criterion_08_psi_limit_residuals),
+    10: (_row_power_high, test_criterion_10_siso_quadrature_oracle),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 from cddmac import channel, cli, rates, region
 from cddmac.channel import SystemConfig
 from cddmac.cli import main
+from test_rates import index_order_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER = ["snr_db", "metric", "value_bits", "stderr_bits", "trials", "seed"]
@@ -194,6 +195,16 @@ def test_plot_script_emitted(config_file, tmp_path):
     for column in HEADER:
         assert column in text
     assert str(out) in text
+
+
+def test_plot_script_on_the_output_csv_is_usage_error(tmp_path, monkeypatch,
+                                                      capsys):
+    # the script used to replace the CSV it was written for, with exit 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["--scenario", "figure3", "--trials", "200", "--out",
+                 "x.csv", "--plot-script", str(tmp_path / "x.csv")]) == 2
+    assert "--plot-script" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- usage errors (exit 2) ----------------------------------------------
@@ -389,6 +400,20 @@ def test_unwritable_output_path(config_file, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_one_runtime_error_line(config_file, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 61.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "monte_carlo_sweep", no_memory)
+    out = tmp_path / "res.csv"
+    assert main(["--config", str(config_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["runtime error: out of memory (Unable to "
+                                "allocate 61.0 GiB for an array)"]
+    assert not out.exists()
+
+
 # --- verify mode --------------------------------------------------------
 
 
@@ -415,6 +440,19 @@ def test_digamma_kernel_shared_draw_equals_per_count():
     counts = (1, 2, 4)
     assert cli._digamma_error(counts, 5000, 99) \
         == tuple(cli._digamma_error((k,), 5000, 99)[0] for k in counts)
+
+
+@pytest.mark.parametrize("n_tx", [4, 9])
+def test_log_bin_gains_are_the_bin_mean_of_ln_d(n_tx):
+    # the digamma kernel's gains are the sweep's row powers of the
+    # antenna-0 bins, in index order, and their logs are averaged in bin
+    # order
+    cfg = SystemConfig(users=5, n_tx=n_tx, n_rx=2, trials=3000, seed=8)
+    block = channel.sample_channel_block(cfg, 0, cfg.trials)
+    bins = channel.reduce_to_parallel(block)[:, :, 0]        # (B, T, K)
+    d = index_order_sum(np.square(bins.real) + np.square(bins.imag))
+    expected = index_order_sum(np.log(d)) / n_tx
+    assert cli._log_bin_gains(block).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("flag,value", [

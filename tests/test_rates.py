@@ -622,6 +622,31 @@ def test_tridiagonal_closed_form_edge_cases():
     assert_spectrum_matches(np.swapaxes(x, -1, -2))
 
 
+def index_order_sum(terms):
+    """Sum over the last axis from left to right (add.accumulate is
+    sequential by definition)."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+@pytest.mark.parametrize("cols", [2, 3, 4, 8, 9])
+def test_tridiagonal_closed_form_sums_in_index_order(cols):
+    # bit for bit at every row length: numpy's sum(axis=-1) goes pairwise
+    # from 8 real or 4 complex entries up, sequentially below that
+    rng = np.random.default_rng(cols)
+    shape = (4096, 3, 2, cols)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    power = index_order_sum(np.square(x.real) + np.square(x.imag))
+    inner = index_order_sum(x[..., 0, :] * np.conj(x[..., 1, :]))
+    expected_e2 = (np.square(inner.real) + np.square(inner.imag)).T
+    # as rows, or as the columns of a tall matrix (a square one is rows)
+    for rows in [x] if cols == 2 else [x, np.swapaxes(x, -1, -2)]:
+        d, e2 = rates._tridiagonal(rows)
+        assert d.tobytes() == power.transpose(2, 1, 0).tobytes()
+        assert e2.tobytes() == expected_e2.tobytes()
+    d, _ = rates._tridiagonal(x[..., :1, :])                # one row alone
+    assert d.tobytes() == power[..., :1].transpose(2, 1, 0).tobytes()
+
+
 @pytest.mark.parametrize("rows", [3, 4, 5, 8, 13, 20, LARGE_ROWS])
 def test_tridiagonal_keeps_the_gram_spectrum(rows):
     # the Householder reduction in both orientations; a matrix reduced alone
