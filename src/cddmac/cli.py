@@ -39,9 +39,6 @@ from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
 from .region import region_capacity, region_cdd
 
-METRICS = ("cdd_mc", "cap_mc", "rc_lb", "rc_lb_jensen", "rc_ub",
-           "cap_lb", "cap_lb_jensen", "gap", "region")
-
 SCENARIOS = {
     # single-user CDD vs capacity, 1 and 2 receive antennas
     "figure2": dict(users="1", n_tx="4", n_rx="1,2", snr_db="0:40:5",
@@ -72,12 +69,8 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenario: str
-    users: int
-    n_tx: int
-    n_rx: tuple
+    cfgs: tuple                     # one SystemConfig per n_rx, in order
     snr_db: tuple
-    trials: int
-    seed: int
     metrics: tuple
     out: str
     workers: int
@@ -90,7 +83,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"config: cannot read {path}: {exc}") from exc
     for num, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -190,18 +183,12 @@ def build_spec(settings: dict) -> ExperimentSpec:
     out = settings["out"] or (f"{scenario or 'results'}.csv")
     trials = _parse_int("trials", settings["trials"], 2)
     seed = _parse_seed(settings["seed"])
+    n_tx = _parse_int("n_tx", settings["n_tx"], 1)
+    cfgs = tuple(SystemConfig(users=users, n_tx=n_tx, n_rx=r, trials=trials,
+                              seed=seed) for r in n_rx)
     return ExperimentSpec(
-        scenario=scenario,
-        users=users,
-        n_tx=_parse_int("n_tx", settings["n_tx"], 1),
-        n_rx=n_rx,
-        snr_db=snr_db,
-        trials=trials,
-        seed=seed,
-        metrics=metrics,
-        out=out,
-        workers=_parse_int("workers", settings["workers"], 1),
-    )
+        scenario=scenario, cfgs=cfgs, snr_db=snr_db, metrics=metrics,
+        out=out, workers=_parse_int("workers", settings["workers"], 1))
 
 
 def _fmt(value: float) -> str:
@@ -211,7 +198,7 @@ def _fmt(value: float) -> str:
 _MC_SERIES = {"cdd_mc": "cdd", "cap_mc": "cap"}
 
 
-def _sweep_rows(spec, n_rx, tag, linear):
+def _sweep_rows(spec, cfg, tag, linear):
     """Monte-Carlo rows and region rows for one receive-antenna count: one
     pass over the trials serves every SNR point and every requested metric."""
     wanted = [m for m in _MC_SERIES if m in spec.metrics]
@@ -220,11 +207,9 @@ def _sweep_rows(spec, n_rx, tag, linear):
         series += REGION_METRICS
     if not series:
         return [], []
-    cfg = SystemConfig(users=spec.users, n_tx=spec.n_tx, n_rx=n_rx,
-                       trials=spec.trials, seed=spec.seed)
     got = monte_carlo_sweep(cfg, snr=linear, metrics=tuple(series),
                             workers=spec.workers)
-    mc = [(point, metric + tag, mean, err, spec.trials)
+    mc = [(point, metric + tag, mean, err, cfg.trials, cfg.seed)
           for metric in wanted
           for point, mean, err in zip(spec.snr_db, *got[_MC_SERIES[metric]])]
     region = []
@@ -234,31 +219,35 @@ def _sweep_rows(spec, n_rx, tag, linear):
                 for label, part in REGION_ROWS:
                     means, errs = got[f"{scheme}_{part}"]
                     region.append((point, f"region_{scheme}_{label}{tag}",
-                                   means[i], errs[i], spec.trials))
+                                   means[i], errs[i], cfg.trials, cfg.seed))
     return mc, region
 
 
-# bnd.<name> is read per call, so a wrapper set on it after import is used
+# (cfg, snr) -> one value per snr point; bnd.<name> is read per call, so a
+# wrapper set on it after import is used
 _BOUNDS = {
-    "rc_lb": lambda *a: bnd.rc_lower_bound(*a),
-    "cap_lb": lambda *a: bnd.cap_lower_bound(*a),
-    "rc_lb_jensen": lambda *a: bnd.jensen_collapsed_bounds(*a)[0],
-    "cap_lb_jensen": lambda *a: bnd.jensen_collapsed_bounds(*a)[1],
-    "rc_ub": lambda k, t, r, x: bnd.rc_upper_bound(k, r, x),
+    "rc_lb": lambda c, x: bnd.rc_lower_bound(c.users, c.n_tx, c.n_rx, x),
+    "rc_lb_jensen": lambda c, x: bnd.jensen_collapsed_bounds(
+        c.users, c.n_tx, c.n_rx, x)[0],
+    "rc_ub": lambda c, x: bnd.rc_upper_bound(c.users, c.n_rx, x),
+    "cap_lb": lambda c, x: bnd.cap_lower_bound(c.users, c.n_tx, c.n_rx, x),
+    "cap_lb_jensen": lambda c, x: bnd.jensen_collapsed_bounds(
+        c.users, c.n_tx, c.n_rx, x)[1],
 }
 
+METRICS = (*_MC_SERIES, *_BOUNDS, "gap", "region")
 
-def _bound_rows(spec, n_rx, tag, linear):
-    table = {m: _BOUNDS[m](spec.users, spec.n_tx, n_rx, linear)
-             for m in spec.metrics if m in _BOUNDS}
+
+def _bound_rows(spec, cfg, tag, linear):
+    table = {m: _BOUNDS[m](cfg, linear) for m in spec.metrics if m in _BOUNDS}
     if "gap" in spec.metrics:
         try:
-            gap, _ = bnd.gap_high_snr(spec.users, spec.n_tx, n_rx)
+            gap, _ = bnd.gap_high_snr(cfg.users, cfg.n_tx, cfg.n_rx)
             table["gap"] = np.full(len(linear), gap)
         except ValueError as exc:
-            print(f"note: gap skipped for n_rx={n_rx}: {exc}",
+            print(f"note: gap skipped for n_rx={cfg.n_rx}: {exc}",
                   file=sys.stderr)
-    return [(point, metric + tag, val, 0.0, 0)
+    return [(point, metric + tag, val, 0.0, 0, cfg.seed)
             for metric in spec.metrics if metric in table  # user's order
             for point, val in zip(spec.snr_db, table[metric])]
 
@@ -267,15 +256,15 @@ def run(spec: ExperimentSpec, plot_script: str = "") -> int:
     """Execute the experiment and write the CSV; returns a process exit code."""
     rows = []
     linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
-    for n_rx in spec.n_rx:
-        tag = f"_nrx{n_rx}" if len(spec.n_rx) > 1 else ""
-        mc, region = _sweep_rows(spec, n_rx, tag, linear)
-        rows += mc + _bound_rows(spec, n_rx, tag, linear) + region
+    for cfg in spec.cfgs:
+        tag = f"_nrx{cfg.n_rx}" if len(spec.cfgs) > 1 else ""
+        mc, region = _sweep_rows(spec, cfg, tag, linear)
+        rows += mc + _bound_rows(spec, cfg, tag, linear) + region
 
     lines = ["snr_db,metric,value_bits,stderr_bits,trials,seed"]
-    for snr_db, metric, value, stderr, trials in rows:
+    for snr_db, metric, value, stderr, trials, seed in rows:
         lines.append(f"{_fmt(snr_db)},{metric},{_fmt(value)},{_fmt(stderr)},"
-                     f"{trials},{spec.seed}")
+                     f"{trials},{seed}")
     text = "\n".join(lines) + "\n"
     try:
         with open(spec.out, "w", newline="") as fh:
@@ -286,7 +275,7 @@ def run(spec: ExperimentSpec, plot_script: str = "") -> int:
 
     print(f"wrote {len(rows)} rows to {spec.out}")
     top = max(spec.snr_db)
-    for snr_db, metric, value, stderr, _ in rows:
+    for snr_db, metric, value, stderr, *_ in rows:
         if snr_db == top:
             print(f"  {metric} @ {_fmt(top)} dB: {_fmt(round(value, 4))}"
                   + (f" +/- {_fmt(round(stderr, 4))}" if stderr else "")
@@ -372,7 +361,7 @@ def _sandwich_excess(cfgs, grid):
                      cfgs, _usable_cpus())
     out = []
     for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs, got):
-        low, high, cap_low = (_BOUNDS[m](cfg.users, cfg.n_tx, cfg.n_rx, grid)
+        low, high, cap_low = (_BOUNDS[m](cfg, grid)
                               for m in ("rc_lb", "rc_ub", "cap_lb"))
         out.append((float(np.max(low - 3 * cdd_err - cdd_mean)),
                     float(np.max(cdd_mean - 3 * cdd_err - high)),
@@ -605,10 +594,15 @@ def main(argv=None) -> int:
         settings.update((key, val) for key, val in vars(args).items()
                         if key in DEFAULTS and val is not None)
         spec = build_spec(settings)
-        if args.plot_script and (os.path.realpath(args.plot_script)
-                                 == os.path.realpath(spec.out)):
-            raise UsageError(f"--plot-script: {args.plot_script} is the "
-                             f"output CSV {spec.out}")
+        # a run must not write over its config or its other output
+        files = {}
+        for flag, path in (("--config", args.config), ("--out", spec.out),
+                           ("--plot-script", args.plot_script)):
+            if path:
+                first = files.setdefault(os.path.realpath(path), flag)
+                if first != flag:
+                    raise UsageError(f"{flag}: {path} is the same file as "
+                                     f"{first}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -217,11 +217,11 @@ def _householder(gram: np.ndarray):
     L - 2 Householder reflections, each applied to all N matrices at once
     (Golub & Van Loan, Matrix Computations, 8.3.1), to the lower triangle
     only.  Only the squared off-diagonal e2 is kept: the pivots need no
-    phases.  |x|^2 and v^H p are summed by _entry_sum, and each row of A v
-    adds its columns in index order, so no sum depends on the batch size;
-    numpy may still round a complex product with or without FMA depending
-    on the batch's length and strides, so a matrix's bits can differ
-    between batches by an ulp or so.
+    phases.  |x|^2 and v^H p are summed by _entry_sum, and A v is formed
+    column by column, each row adding its terms in index order, so no sum
+    depends on the batch size; numpy may still round a complex product
+    with or without FMA depending on the batch's length and strides, so a
+    matrix's bits can differ between batches by an ulp or so.
     """
     size, _, n = gram.shape
     e2 = np.empty((size - 1, n))
@@ -241,16 +241,15 @@ def _householder(gram: np.ndarray):
                         where=norm2 > 0)
         vh = np.conj(v)
         sub = gram[k + 1:, k + 1:]
-        # p = tau A v, A Hermitian and kept below the diagonal: column j
-        # gives rows j.., row i gives entries ..i - 1 through conj(A_ij)
+        # p = tau A v, A Hermitian and kept below the diagonal, one column
+        # at a time: column j gives rows j.. as A_rj v_j and rows ..j - 1
+        # as conj(A_jr) v_j, so every p_r adds its terms in index order
         p = p_buf[:m]
         np.multiply(sub[:, 0], v[0], out=p)
         for j in range(1, m):
+            np.multiply(np.conj(sub[j, :j]), v[j], out=tmp[:j])
             np.multiply(sub[j:, j], v[j], out=tmp[j:m])
-            p[j:] += tmp[j:m]
-        for i in range(1, m):
-            np.multiply(np.conj(sub[i, :i]), v[i], out=tmp[:i])
-            p[:i] += tmp[:i]
+            p += tmp[:m]
         p *= tau
         # A <- H A H = A - v w^H - w v^H, w = p - tau/2 (v^H p) v
         np.multiply(vh, p, out=tmp[:m])
@@ -315,9 +314,11 @@ def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
     Each pivot adds log1p(s u_k), converted to bits once per sum, so a rate
     far below 1 bit keeps its relative accuracy, s^2 never appears (3000 dB
     stays finite), and s = 0 gives exactly 0.  The u_k are >= 0 in exact
-    arithmetic and are clipped there.  Grid points go in blocks that fill
-    buffers of _POINT_BUFFER doubles, so memory does not grow with the grid
-    and an entry's bits do not depend on the block it is in.
+    arithmetic and are clipped there.  Grid points go in blocks of at most
+    _POINT_BUFFER doubles (one point if that is larger), which bounds the
+    three pivot temporaries whatever the grid's length (the (S, trials)
+    result still grows with it), and an entry's bits do not depend on the
+    block it is in.
     """
     scale = np.asarray(scale, dtype=float)
     if len(x) == 0:

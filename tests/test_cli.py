@@ -207,6 +207,25 @@ def test_plot_script_on_the_output_csv_is_usage_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+def test_output_on_the_config_file_is_usage_error(tmp_path, monkeypatch,
+                                                  capsys, flag):
+    # either output used to overwrite the config it was read from, exit 0
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "own.cfg"
+    cfg.write_text("n_rx = 2\nsnr_db = 0,10\ntrials = 50\n")
+    before = cfg.read_bytes()
+    argv = ["--config", "own.cfg", flag, str(cfg)]
+    if flag == "--plot-script":
+        argv += ["--out", "x.csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert flag in err and "--config" in err
+    assert cfg.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # --- usage errors (exit 2) ----------------------------------------------
 
 
@@ -357,8 +376,25 @@ def test_config_bad_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_unknown_metric_lists_every_metric_in_order(capsys):
+    assert main(["--scenario", "figure2", "--metrics", "foo"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: metrics: unknown metric 'foo' (choose from cdd_mc, "
+        "cap_mc, rc_lb, rc_lb_jensen, rc_ub, cap_lb, cap_lb_jensen, gap, "
+        "region)\n")
+
+
 def test_config_missing_file(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_config_that_is_not_text_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe")                # a UTF-16 byte-order mark
+    assert main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config: cannot read {cfg}: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_scenario_in_config(tmp_path, capsys):

@@ -666,6 +666,64 @@ def test_tridiagonal_keeps_the_gram_spectrum(rows):
                                    atol=1e-13 * top ** 2)
 
 
+def two_pass_householder(gram):
+    """rates._householder with p = tau A v formed in two passes: the columns
+    of the lower triangle, then the rows above the diagonal."""
+    size, _, n = gram.shape
+    e2 = np.empty((size - 1, n))
+    p_buf, tmp = np.empty((2, size - 1, n), complex)
+    for k in range(size - 2):
+        col = gram[k + 1:, k]
+        m = len(col)
+        power = np.square(col.real) + np.square(col.imag)
+        norm2 = e2[k] = rates._entry_sum(power)
+        alpha, lead = np.sqrt(norm2), np.sqrt(power[0])
+        v = col.copy()
+        v[0] += alpha * np.divide(col[0], lead, out=np.ones(n, complex),
+                                  where=lead > 0)
+        tau = np.divide(1.0, norm2 + lead * alpha, out=np.zeros(n),
+                        where=norm2 > 0)
+        vh = np.conj(v)
+        sub = gram[k + 1:, k + 1:]
+        p = p_buf[:m]
+        np.multiply(sub[:, 0], v[0], out=p)
+        for j in range(1, m):
+            np.multiply(sub[j:, j], v[j], out=tmp[j:m])
+            p[j:] += tmp[j:m]
+        for i in range(1, m):
+            np.multiply(np.conj(sub[i, :i]), v[i], out=tmp[:i])
+            p[:i] += tmp[:i]
+        p *= tau
+        np.multiply(vh, p, out=tmp[:m])
+        vp = rates._entry_sum(tmp[:m].real)
+        w = p - (0.5 * tau * vp) * v
+        wh = np.conj(w)
+        for j in range(m):
+            part = tmp[j:m]
+            np.multiply(v[j:], wh[j], out=part)
+            sub[j:, j] -= part
+            np.multiply(w[j:], vh[j], out=part)
+            sub[j:, j] -= part
+    last = gram[-1, -2]
+    e2[-1] = np.square(last.real) + np.square(last.imag)
+    return np.diagonal(gram).real.T, e2
+
+
+@pytest.mark.parametrize("rows,cols,count", [(3, 6, 4096), (4, 16, 4096),
+                                             (8, 8, 4096), (21, 30, 50)])
+def test_householder_keeps_the_two_pass_bits(rows, cols, count):
+    # one pass over the columns of A gives every entry of tau A v the same
+    # terms in the same order as the column pass and row pass did
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((count, rows, cols)) \
+        + 1j * rng.standard_normal((count, rows, cols))
+    gram = np.ascontiguousarray(rates._gram(x).transpose(1, 2, 0))
+    d, e2 = rates._householder(gram.copy())
+    ref_d, ref_e2 = two_pass_householder(gram.copy())
+    assert d.tobytes() == ref_d.tobytes()
+    assert e2.tobytes() == ref_e2.tobytes()
+
+
 # SNR points of the accuracy test: -200 to 3000 dB
 ACCURACY_DB = np.array([-200.0, -60.0, 0.0, 20.0, 60.0, 300.0, 1000.0,
                         3000.0])
