@@ -599,7 +599,10 @@ def main(argv=None) -> int:
         for flag, path in (("--config", args.config), ("--out", spec.out),
                            ("--plot-script", args.plot_script)):
             if path:
-                first = files.setdefault(os.path.realpath(path), flag)
+                # an existing file is keyed by (device, inode): hard links too
+                st = os.stat(path) if os.path.exists(path) else None
+                key = (st.st_dev, st.st_ino) if st else os.path.realpath(path)
+                first = files.setdefault(key, flag)
                 if first != flag:
                     raise UsageError(f"{flag}: {path} is the same file as "
                                      f"{first}")

@@ -11,15 +11,18 @@ log det(I + sG) at every grid point from the LDL^T pivots of I + sT
 (_logdet_sums), and rate_cdd_reduced runs that kernel on its own stack.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
-trials are processed in fixed-size chunks (channel.CHUNK), configs that
-share a seed and trial count read prefixes of one draw, and the per-chunk
-(sum, sum-of-squares) pairs are reduced in chunk-index order.  With more
-than one worker the chunks run on threads of the calling process: numpy
-releases the interpreter lock inside the sampling, matmul and ufunc loops
-that do most of a chunk's work, so the threads overlap there.  Because the
-channel streams are keyed by (seed, chunk) and the reduction schedule never
-depends on the worker count, estimates are bit-identical for any --workers
-setting.
+trials are processed in fixed-size chunks (channel.CHUNK), and configs that
+share a seed and trial count read prefixes of one draw.  With more than one
+worker the chunks run on threads of the calling process: numpy releases
+the interpreter lock inside the sampling, matmul and ufunc loops that do
+most of a chunk's work, so the threads overlap there.  Two summation
+rules fix every bit of an estimate.  numpy's pairwise sum adds a chunk's
+trials (_chunk_sums).  Every other sum runs in index order: through
+_entry_sum over a stack of terms (a matrix's entries, the DFT bins, the
+chunks' sums), or as a running total where a loop makes its terms one at
+a time (_householder's A v, _logdet_sums' pivots).  With the channel
+streams keyed by (seed, chunk), estimates are therefore bit-identical for
+any --workers setting.
 """
 
 from __future__ import annotations
@@ -106,6 +109,15 @@ def sum_capacity(channels, snr):
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 
+def _entry_sum(terms) -> np.ndarray:
+    """Index-order sum of a stack's leading axis (an array or a sequence of
+    arrays), one whole-array add per term: see the module docstring."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 # Channel entries per sub-block of trials that values() sees at once, to cap
 # a chunk's peak memory (wide-sweep, 6 pairs: peak_rss_mb 84.0, 107.3 with
 # no sub-blocks, wall_s level); every figure and --verify chunk fits in one.
@@ -168,10 +180,7 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
             pool.shutdown(cancel_futures=True)
     else:
         parts = [chunk(a, b) for a, b in spans]
-    total = total_sq = 0.0
-    for part_sum, part_sq in parts:  # chunk order, never completion order
-        total = total + part_sum
-        total_sq = total_sq + part_sq
+    total, total_sq = map(_entry_sum, zip(*parts))  # chunk order
     means = total / n
     var = np.maximum(total_sq - n * means * means, 0.0) / (n - 1)
     return list(zip(means, np.sqrt(var / n)))
@@ -201,15 +210,6 @@ SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 _POINT_BUFFER = 1 << 16
 
 
-def _entry_sum(terms: np.ndarray) -> np.ndarray:
-    """Index-order sum over the leading axis of a batch-last stack, one
-    whole-array add per entry: the sweep's one rule for a matrix's entries."""
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
-
-
 def _householder(gram: np.ndarray):
     """(d, e2) of a real tridiagonal unitarily similar to each Hermitian
     matrix of a batch-last (L, L, N) stack, which is overwritten.
@@ -217,11 +217,9 @@ def _householder(gram: np.ndarray):
     L - 2 Householder reflections, each applied to all N matrices at once
     (Golub & Van Loan, Matrix Computations, 8.3.1), to the lower triangle
     only.  Only the squared off-diagonal e2 is kept: the pivots need no
-    phases.  |x|^2 and v^H p are summed by _entry_sum, and A v is formed
-    column by column, each row adding its terms in index order, so no sum
-    depends on the batch size; numpy may still round a complex product
-    with or without FMA depending on the batch's length and strides, so a
-    matrix's bits can differ between batches by an ulp or so.
+    phases.  numpy may round a complex product with or without FMA
+    depending on the batch's length and strides, so a matrix's bits can
+    differ between batches by an ulp.
     """
     size, _, n = gram.shape
     e2 = np.empty((size - 1, n))
@@ -274,8 +272,8 @@ def _tridiagonal(x: np.ndarray):
     flattened.
 
     One or two rows need no Gram product: d holds the row powers and e2 the
-    squared inner product of the two rows, both summed by _entry_sum over
-    a batch-last view.  Larger Grams are reduced by _householder.
+    squared inner product of the two rows.  Larger Grams are reduced by
+    _householder.
     """
     trials = x.shape[0]
     rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
@@ -326,7 +324,7 @@ def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
     d, e2 = _tridiagonal(x)
     size, per, trials = d.shape
     scale = scale.reshape(len(scale), 1, -1)                    # (S,1,1|B)
-    out = np.zeros((len(scale), trials))
+    out = np.empty((len(scale), trials))
     step = max(1, _POINT_BUFFER // d[0].size)
     u, term, acc = np.empty((3, min(step, len(scale)), per, trials))
     for lo in range(0, len(scale), step):
@@ -345,9 +343,7 @@ def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
             np.multiply(u[:n], s, out=term[:n])
             np.log1p(term[:n], out=term[:n])
             acc[:n] += term[:n]
-        rows = out[lo:lo + n]
-        for t in range(per):
-            rows += acc[:n, t]
+        out[lo:lo + n] = _entry_sum(np.moveaxis(acc[:n], 1, 0))
     out /= LN2
     return out
 

@@ -4,7 +4,7 @@ One test per release criterion, each printing a single pass/fail line; the
 full-scale Monte-Carlo settings make this file the slow part of the suite
 (a few minutes on one core).  Every tolerance is stated inline.  Criteria
 1-4 and 8 share their property kernels with ``cddmac --verify`` (cli.py),
-which runs them at reduced scale.  Criteria 1-3, 8 and 10 have negative
+which runs them at reduced scale.  Criteria 1-3, 5-8 and 10 have negative
 controls at the end of the file.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from cddmac import channel, rates
+from cddmac import channel, rates, region
 from cddmac.bounds import (cap_lower_bound, gap_high_snr, rc_lower_bound,
                            rc_upper_bound)
 from cddmac.channel import (SystemConfig, sample_channel_block,
@@ -204,7 +204,10 @@ def test_criterion_10_siso_quadrature_oracle():
 
 
 def _bins_unnormalized(monkeypatch):
-    # the reduced path's bins from an unnormalized DFT: n_tx times the gain
+    # the reduced path's bins from an unnormalized DFT: n_tx times the gain.
+    # The sweep's CDD rates gain about log2(n_tx) bits per stream at high
+    # SNR: figure 2's 30 dB gap goes below zero, figure 4's CDD above its
+    # capacity
     true_dft = channel.dft_matrix
     monkeypatch.setattr(channel, "dft_matrix",
                         lambda n: true_dft(n) * np.sqrt(n))
@@ -227,13 +230,30 @@ def _row_power_high(monkeypatch):
     monkeypatch.setattr(rates, "_tridiagonal", scaled)
 
 
+def _corner_off_the_sum_face(monkeypatch):
+    # corner A's second coordinate read from the sum rate, not from the sum
+    # minus user 1's rate: both corners leave the face r1 + r2 = i_sum, and
+    # the capacity's is no longer left of or below the CDD's
+    rows = tuple((label, "isum" if part == "isum-i1" else part)
+                 for label, part in region.REGION_ROWS)
+    monkeypatch.setattr(region, "REGION_ROWS", rows)
+
+
 # criterion -> (a patch that breaks the code the criterion calls, never the
-# criterion itself; the criterion).  Criterion 4's control would add its
-# 9-14 s run to the suite.
+# criterion itself; the criterion), with the run time of the controls for
+# 5-7 on a 2-vCPU machine.  Criterion 4 keeps no control: its run takes
+# 9-14 s.  Nor does criterion 9: it runs the CLI in subprocesses, which a
+# monkeypatch of this process cannot reach.
 NEGATIVE_CONTROLS = {
     1: (_bins_unnormalized, test_criterion_01_dual_path_equivalence),
     2: (_bin_grouping_reversed, test_criterion_02_bin_grouping_permutation),
     3: (_euler_gamma_mistyped, test_criterion_03_digamma_identity),
+    5: (_bins_unnormalized,                                     # 0.2 s
+        test_criterion_05_figure2_gap_and_slopes),
+    6: (_corner_off_the_sum_face,                               # 0.2 s
+        test_criterion_06_figure3_corner_placement),
+    7: (_bins_unnormalized,                                     # 1.2 s
+        test_criterion_07_figure4_gap_bound_and_ordering),
     8: (_psi_residual_rising, test_criterion_08_psi_limit_residuals),
     10: (_row_power_high, test_criterion_10_siso_quadrature_oracle),
 }

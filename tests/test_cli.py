@@ -226,6 +226,30 @@ def test_output_on_the_config_file_is_usage_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+def test_output_hard_linked_to_the_config_is_usage_error(tmp_path, monkeypatch,
+                                                         capsys, flag):
+    # another name of the config's file: its resolved path differs, and a
+    # run used to replace the config with its output, exit 0
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "own.cfg"
+    cfg.write_text("n_rx = 2\nsnr_db = 0,10\ntrials = 50\n")
+    before = cfg.read_bytes()
+    try:
+        os.link(cfg, tmp_path / "link.csv")
+    except OSError as exc:
+        pytest.skip(f"no hard links here: {exc}")
+    argv = ["--config", "own.cfg", flag, "link.csv"]
+    if flag == "--plot-script":
+        argv += ["--out", "x.csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert cfg.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                          "own.cfg"]
+
+
 # --- usage errors (exit 2) ----------------------------------------------
 
 

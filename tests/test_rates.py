@@ -835,20 +835,24 @@ def broadcast_sweep(block, snr, name):
     return out / n_tx if scheme == "cdd" and user is None else out
 
 
-@pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8)])
+@pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8), (2, 9, 2)])
 def test_sweep_values_equal_whole_grid_broadcast(users, n_tx, n_rx):
+    # the whole block and its first trial alone: on one trial the 9 DFT
+    # bins lie along a contiguous axis, where numpy's own sum(axis=...)
+    # would add them pairwise instead of in index order
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=300, seed=21)
-    block = sample_channel_block(cfg, 0, cfg.trials)
+    whole = sample_channel_block(cfg, 0, cfg.trials)
     snr = np.concatenate([[0.0], 10.0 ** (np.arange(-30.0, 41.0, 3.5) / 10),
                           [1e300]])
     names = [m for m in SWEEP_METRICS
              if users == 2 or m not in rates.REGION_METRICS]
-    expected = {m: broadcast_sweep(block, snr, m) for m in names}
-    for metrics in [tuple(names)] + [(m,) for m in names]:
-        got = rates._sweep_values(block, snr, metrics)
-        assert got.shape == (len(metrics), snr.size, cfg.trials)
-        for row, name in zip(got, metrics):
-            assert row.tobytes() == expected[name].tobytes(), name
+    for block in (whole, whole[:1]):
+        expected = {m: broadcast_sweep(block, snr, m) for m in names}
+        for metrics in [tuple(names)] + [(m,) for m in names]:
+            got = rates._sweep_values(block, snr, metrics)
+            assert got.shape == (len(metrics), snr.size, len(block))
+            for row, name in zip(got, metrics):
+                assert row.tobytes() == expected[name].tobytes(), name
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
