@@ -55,9 +55,9 @@ def _upper(n_rx, m, s):
     with np.errstate(divide="ignore"):  # log(0) -> -inf kills i>=1 terms at snr=0
         log_s = np.log(s)
     log_terms = [np.zeros_like(s)]  # i = 0 term is exactly 1
+    const = 0.0  # ln C(lo, i) * hi! / (hi - i)!, one exact factor per step
     for i in range(1, lo + 1):
-        const = math.lgamma(lo + 1) - math.lgamma(i + 1) - math.lgamma(lo - i + 1)
-        const += math.lgamma(hi + 1) - math.lgamma(hi - i + 1)
+        const += math.log((lo - i + 1) * (hi - i + 1) / i)
         log_terms.append(const + i * log_s)
     stack = np.stack(log_terms)
     peak = np.max(stack, axis=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _index, dft_matrix
+from .linalg import _index, _seed, dft_matrix
 
 # Fixed Monte-Carlo chunk size.  It fixes the summation order of every
 # estimate (rates.run_chunks) and keys the channel stream (one Philox key per
@@ -51,9 +51,14 @@ class SystemConfig:
         for name in ("users", "n_tx", "n_rx", "trials"):
             object.__setattr__(self, name,
                                _index(name, getattr(self, name), 1))
-        object.__setattr__(self, "seed", _index("seed", self.seed))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
+        # a chunk's channels, CHUNK trials of complex128 entries, must be an
+        # array numpy can index: 2**47 - 1 entries per trial on 64 bits
+        size = self.users * self.n_rx * self.n_tx
+        if size * 16 * CHUNK > np.iinfo(np.intp).max:
+            raise ValueError(f"users * n_rx * n_tx must be at most "
+                             f"{np.iinfo(np.intp).max // (16 * CHUNK)}, "
+                             f"got {size}")
 
 
 def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray:

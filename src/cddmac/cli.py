@@ -31,7 +31,7 @@ from . import bounds as bnd
 from .channel import (CHUNK, SystemConfig, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
-from .linalg import _SNR_MAX, dft_matrix
+from .linalg import _SNR_MAX, _index, _seed, dft_matrix
 from .rates import (REGION_METRICS, _sweep_values, _tridiagonal,
                     _usable_cpus, monte_carlo_sweep, rate_cdd,
                     rate_cdd_reduced, run_chunks, sum_capacity)
@@ -103,21 +103,16 @@ def parse_config_file(path: str) -> dict:
     return found
 
 
-def _parse_int(field: str, text: str, minimum: int) -> int:
+def _parse_int(field: str, text: str, rule, *args) -> int:
+    """text as an int, checked by rule (linalg's _index or _seed)."""
     try:
         val = int(text)
     except ValueError:
         raise UsageError(f"{field}: expected an integer, got {text!r}")
-    if val < minimum:
-        raise UsageError(f"{field}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _parse_seed(text: str) -> int:
-    seed = _parse_int("seed", text, 0)
-    if seed >= 2**64:  # one 64-bit Philox key word
-        raise UsageError(f"seed: must be < 2**64, got {seed}")
-    return seed
+    try:
+        return rule(field, val, *args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> tuple:
@@ -169,8 +164,8 @@ def build_spec(settings: dict) -> ExperimentSpec:
             raise UsageError(f"metrics: unknown metric {m!r} "
                              f"(choose from {', '.join(METRICS)})")
     _refuse_repeats("metrics", metrics)
-    users = _parse_int("users", settings["users"], 1)
-    n_rx = tuple(_parse_int("n_rx", p, 1)
+    users = _parse_int("users", settings["users"], _index, 1)
+    n_rx = tuple(_parse_int("n_rx", p, _index, 1)
                  for p in settings["n_rx"].split(",") if p)
     if not n_rx:
         raise UsageError("n_rx: at least one receive-antenna count required")
@@ -181,14 +176,17 @@ def build_spec(settings: dict) -> ExperimentSpec:
         raise UsageError(f"users: region metric needs users=2, got {users}")
     scenario = settings.get("scenario", "")
     out = settings["out"] or (f"{scenario or 'results'}.csv")
-    trials = _parse_int("trials", settings["trials"], 2)
-    seed = _parse_seed(settings["seed"])
-    n_tx = _parse_int("n_tx", settings["n_tx"], 1)
-    cfgs = tuple(SystemConfig(users=users, n_tx=n_tx, n_rx=r, trials=trials,
-                              seed=seed) for r in n_rx)
-    return ExperimentSpec(
-        scenario=scenario, cfgs=cfgs, snr_db=snr_db, metrics=metrics,
-        out=out, workers=_parse_int("workers", settings["workers"], 1))
+    trials = _parse_int("trials", settings["trials"], _index, 2)
+    seed = _parse_int("seed", settings["seed"], _seed)
+    n_tx = _parse_int("n_tx", settings["n_tx"], _index, 1)
+    workers = _parse_int("workers", settings["workers"], _index, 1)
+    try:
+        cfgs = tuple(SystemConfig(users=users, n_tx=n_tx, n_rx=r,
+                                  trials=trials, seed=seed) for r in n_rx)
+    except ValueError as exc:  # a chunk of channels numpy cannot index
+        raise UsageError(str(exc)) from None
+    return ExperimentSpec(scenario=scenario, cfgs=cfgs, snr_db=snr_db,
+                          metrics=metrics, out=out, workers=workers)
 
 
 def _fmt(value: float) -> str:
@@ -517,7 +515,10 @@ CHECKS = (
 def verify(seed: int = 0) -> int:
     """Run the invariant suite at reduced scale; 0 if every property holds.
 
-    The Monte-Carlo checks run their chunks on one thread per usable CPU,
+    seed re-draws only the circulant-diagonalization taps and the
+    dual-path and capacity-dominance configs; the statistical checks and
+    the determinism check keep their fixed seeds (README "Power").  The
+    Monte-Carlo checks run their chunks on one thread per usable CPU,
     and what they print is the same for any CPU count."""
     rng = np.random.default_rng(seed)
     failures = 0
@@ -546,7 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dB grid: 'start:stop:step' or 'a,b,c'; attach "
                              "a negative one: --snr-db=-10:40:2.5")
     parser.add_argument("--trials", help="Monte-Carlo trials")
-    parser.add_argument("--seed", help="master seed")
+    parser.add_argument("--seed", help="master seed; --verify re-draws only "
+                        "its circulant-diagonalization, dual-path and "
+                        "capacity-dominance inputs with it, and its "
+                        "statistical checks keep their fixed seeds")
     parser.add_argument("--metrics", help="comma list from: "
                                           + ",".join(METRICS))
     parser.add_argument("--out", metavar="FILE", help="output CSV path")
@@ -570,7 +574,8 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.verify:
-            seed = _parse_seed("0" if args.seed is None else args.seed)
+            seed = _parse_int("seed", "0" if args.seed is None else args.seed,
+                              _seed)
             # every option but --seed is read only by a run
             for dest, value in vars(args).items():
                 if dest not in ("verify", "seed") and value is not None:

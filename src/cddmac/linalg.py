@@ -27,6 +27,13 @@ def _index(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _seed(name: str, value) -> int:
+    """_index(name, value, 0) below 2**64: one 64-bit Philox key word."""
+    if (value := _index(name, value, 0)) >= 2**64:
+        raise ValueError(f"{name} must be < 2**64, got {value}")
+    return value
+
+
 def _snr(snr) -> np.ndarray:
     """A linear snr, scalar or array, as a float array, or a ValueError
     unless every value is finite, >= 0 and at most _SNR_MAX."""

@@ -166,9 +166,7 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
     cfgs = tuple(cfgs)
     if len({(cfg.seed, cfg.trials) for cfg in cfgs}) != 1:
         raise ValueError("a run's configs need one seed and one trial count")
-    n = cfgs[0].trials
-    if n < 2:
-        raise ValueError("need trials >= 2 for a standard error")
+    n = _index("trials", cfgs[0].trials, 2)  # 2 for a standard error
     spans = [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
     chunk = partial(_chunk_sums, values, cfgs)
     threads = min(workers, len(spans), _usable_cpus())

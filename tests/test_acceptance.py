@@ -4,10 +4,11 @@ One test per release criterion, each printing a single pass/fail line; the
 full-scale Monte-Carlo settings make this file the slow part of the suite
 (a few minutes on one core).  Every tolerance is stated inline.  Criteria
 1-4 and 8 share their property kernels with ``cddmac --verify`` (cli.py),
-which runs them at reduced scale.  Criteria 1-3, 5-8 and 10 have negative
-controls at the end of the file.
+which runs them at reduced scale.  Every criterion but 4 has a negative
+control at the end of the file.
 """
 
+import os
 import subprocess
 import sys
 
@@ -241,9 +242,9 @@ def _corner_off_the_sum_face(monkeypatch):
 
 # criterion -> (a patch that breaks the code the criterion calls, never the
 # criterion itself; the criterion), with the run time of the controls for
-# 5-7 on a 2-vCPU machine.  Criterion 4 keeps no control: its run takes
-# 9-14 s.  Nor does criterion 9: it runs the CLI in subprocesses, which a
-# monkeypatch of this process cannot reach.
+# 5-7 on a 2-vCPU machine.  Criterion 9's control follows the table: its
+# CLI subprocesses load their patch from a directory of the test's own.
+# Criterion 4 alone keeps no control: its run takes 9-14 s.
 NEGATIVE_CONTROLS = {
     1: (_bins_unnormalized, test_criterion_01_dual_path_equivalence),
     2: (_bin_grouping_reversed, test_criterion_02_bin_grouping_permutation),
@@ -266,3 +267,36 @@ def test_criterion_negative_control(monkeypatch, capsys, num):
     with pytest.raises(AssertionError):
         criterion()
     assert capsys.readouterr().out.startswith(f"criterion {num:2d}: FAIL - ")
+
+
+# Loaded at start-up by a Python that finds it first on its path: scales
+# every Monte-Carlo mean by 1 + 1e-9 when a run is given more than one
+# worker, which moves the CSV's 10th significant digit
+_THREADED_MEANS_HIGH = """\
+from cddmac import rates
+
+_run_chunks = rates.run_chunks
+
+
+def run_chunks(values, cfgs, workers=1):
+    got = _run_chunks(values, cfgs, workers)
+    if workers > 1:
+        got = [(means * (1 + 1e-9), errs) for means, errs in got]
+    return got
+
+
+rates.run_chunks = run_chunks
+"""
+
+
+def test_criterion_09_negative_control(monkeypatch, capsys, tmp_path):
+    # about 1 s on a 2-vCPU machine
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(_THREADED_MEANS_HIGH)
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH",
+                       os.pathsep.join([str(site)] + ([path] if path else [])))
+    with pytest.raises(AssertionError):
+        test_criterion_09_cli_determinism_across_workers(tmp_path)
+    assert capsys.readouterr().out.startswith("criterion  9: FAIL - ")

@@ -202,6 +202,18 @@ def test_rc_upper_brute_force_sum():
                 rel=1e-12)
 
 
+@pytest.mark.parametrize("l_small", [1, 2, 3])
+def test_rc_upper_exact_at_large_counts(l_small):
+    # at snr 1 the sum is the integer sum C(L,i) M!/(M-i)!.  Coefficients
+    # formed as lgamma differences cancelled: at M = 1e14, L = 1 the bound
+    # was 0.34 bits below log2(1 + M), and at 1e16 it read 1.0 bit
+    for m_big in (10**6, 10**9, 10**12, 10**16):
+        total = sum(math.comb(l_small, i) * math.perm(m_big, i)
+                    for i in range(l_small + 1))
+        assert rc_upper_bound(m_big, l_small, 1.0) == pytest.approx(
+            math.log2(total), rel=1e-15), m_big
+
+
 def test_rc_upper_accepts_grid():
     got = rc_upper_bound(2, 2, np.array([0.0, 1.0, 100.0]))
     assert got.shape == (3,)

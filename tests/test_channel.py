@@ -46,6 +46,17 @@ def test_config_rejects_invalid(kwargs):
         SystemConfig(**base)
 
 
+def test_config_refuses_a_chunk_numpy_cannot_index():
+    # a chunk of CHUNK trials of complex128 entries must be an array numpy
+    # can index: 2**47 - 1 entries per trial on 64-bit platforms
+    most = np.iinfo(np.intp).max // (16 * CHUNK)
+    SystemConfig(users=most, n_tx=1, n_rx=1, trials=10, seed=0)
+    for users, n_tx, n_rx in ((most + 1, 1, 1), (1, most + 1, 1),
+                              (most // 2 + 1, 1, 2), (10**19, 1, 1)):
+        with pytest.raises(ValueError, match=r"^users \* n_rx \* n_tx"):
+            SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=10, seed=0)
+
+
 def test_config_stores_integer_types_as_int():
     # numpy integer fields would multiply in their own width: a uint8
     # users * n_rx * n_tx of 16 * 16 * 2 wraps to 0

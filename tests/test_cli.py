@@ -474,6 +474,79 @@ def test_out_of_memory_is_one_runtime_error_line(config_file, tmp_path,
     assert not out.exists()
 
 
+# (field, value, accepted) at each integer rule's boundary
+INTEGER_BOUNDARIES = [
+    ("users", 0, False), ("users", 1, True),
+    ("n_tx", 0, False), ("n_tx", 1, True),
+    ("n_rx", 0, False), ("n_rx", 1, True),
+    ("trials", 1, False), ("trials", 2, True),
+    ("workers", 0, False), ("workers", 1, True),
+    ("seed", -1, False), ("seed", 0, True),
+    ("seed", 2**64 - 1, True), ("seed", 2**64, False),
+]
+
+
+@pytest.mark.parametrize("verify,field,value,accepted", [
+    *((False, *case) for case in INTEGER_BOUNDARIES),
+    *((True, *case) for case in INTEGER_BOUNDARIES if case[0] == "seed"),
+])
+def test_integer_boundaries(tmp_path, capsys, verify, field, value,
+                            accepted):
+    # which values a run and --verify accept: a refusal is exit 2 naming
+    # the field and writes nothing
+    out = tmp_path / "edge.csv"
+    if verify:
+        code = main(["--verify", f"--seed={value}"])
+    else:
+        settings = dict(users=1, n_tx=1, n_rx=1, snr_db=0, metrics="cdd_mc",
+                        trials=2, seed=0, workers=1)
+        settings[field] = value
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("".join(f"{key} = {val}\n"
+                               for key, val in settings.items()))
+        code = main(["--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if accepted:
+        assert code == 0, err
+    else:
+        assert code == 2 and field in err
+        assert not out.exists()
+
+
+# the most channel entries per trial for which a chunk of channels is an
+# array numpy can index (2**47 - 1 on 64-bit platforms)
+MOST_ENTRIES = np.iinfo(np.intp).max // (16 * channel.CHUNK)
+
+
+@pytest.mark.parametrize("users,metric", [
+    (10**18, "cdd_mc"), (10**19, "rc_lb"), (10**19, "cap_lb"),
+    (10**19, "gap"), (MOST_ENTRIES + 1, "cdd_mc"), (MOST_ENTRIES + 1, "gap"),
+])
+def test_count_numpy_cannot_index_is_usage_error(tmp_path, capsys, users,
+                                                 metric):
+    # these were a ValueError traceback from the sampler's np.empty or
+    # harmonic's np.arange, and for gap "wrote 0 rows" with exit 0
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"users = {users}\nmetrics = {metric}\nsnr_db = 0,20\n")
+    out = tmp_path / "big.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "users" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(MOST_ENTRIES < 2**40, reason="64-bit address space")
+def test_largest_indexable_count_is_one_runtime_error_line(tmp_path, capsys):
+    # at the limit a chunk is an array numpy can index, but its 8 EiB
+    # cannot be allocated
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"users = {MOST_ENTRIES}\nmetrics = cdd_mc\n")
+    out = tmp_path / "big.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: out of memory")
+    assert not out.exists()
+
+
 # --- verify mode --------------------------------------------------------
 
 

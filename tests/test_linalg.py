@@ -7,7 +7,7 @@ no code path with the Cholesky-based implementation.
 import numpy as np
 import pytest
 
-from cddmac.linalg import dft_matrix, logdet_hermitian_psd
+from cddmac.linalg import _seed, dft_matrix, logdet_hermitian_psd
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -24,6 +24,20 @@ def cofactor_det(a: np.ndarray) -> complex:
 def random_psd(rng, n: int) -> np.ndarray:
     half = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return np.eye(n) + half @ half.conj().T
+
+
+# --- _seed --------------------------------------------------------------
+
+
+def test_seed_is_one_64_bit_word():
+    for value in (0, np.uint64(2**64 - 1), 2**64 - 1):
+        assert _seed("seed", value) == int(value)
+        assert type(_seed("seed", value)) is int
+    for value, message in ((-1, "seed must be >= 0"),
+                           (2**64, r"seed must be < 2\*\*64"),
+                           (1.0, "seed must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            _seed("seed", value)
 
 
 # --- dft_matrix ---------------------------------------------------------
