@@ -24,9 +24,14 @@ EULER_GAMMA = 0.577215664901532861
 
 
 def harmonic(n: int) -> float:
-    """n-th harmonic number sum_{k=1}^{n} 1/k, with harmonic(0) = 0."""
+    """n-th harmonic number sum_{k=1}^{n} 1/k, with harmonic(0) = 0; above
+    2**16 its Euler-Maclaurin series (next term 1/(240 n^8) < 1e-40)."""
     n = _index("n", n, 0)
-    return float(np.sum(1.0 / np.arange(1, n + 1))) if n else 0.0
+    if n <= 2**16:
+        return float(np.sum(1.0 / np.arange(1, n + 1))) if n else 0.0
+    r = 1.0 / (n * n)
+    return (math.log(n) + EULER_GAMMA + 0.5 / n
+            - r * (1 / 12 - r * (1 / 120 - r / 252)))
 
 
 def _check_args(users, n_tx, n_rx, snr=0.0):
@@ -54,18 +59,13 @@ def _upper(n_rx, m, s):
     lo, hi = min(n_rx, m), max(n_rx, m)
     with np.errstate(divide="ignore"):  # log(0) -> -inf kills i>=1 terms at snr=0
         log_s = np.log(s)
-    log_terms = [np.zeros_like(s)]  # i = 0 term is exactly 1
+    # ln of the i = 0 term (1); logaddexp's log1p keeps low-SNR accuracy
+    total = np.zeros_like(s)
     const = 0.0  # ln C(lo, i) * hi! / (hi - i)!, one exact factor per step
     for i in range(1, lo + 1):
         const += math.log((lo - i + 1) * (hi - i + 1) / i)
-        log_terms.append(const + i * log_s)
-    stack = np.stack(log_terms)
-    peak = np.max(stack, axis=0)
-    scaled = np.exp(stack - peak)
-    # no term above 1 (peak 0): take the i = 0 term exactly, as log1p of the
-    # others; otherwise the log-sum-exp
-    return np.where(peak > 0, peak + np.log(np.sum(scaled, axis=0)),
-                    np.log1p(np.sum(scaled[1:], axis=0))) / LN2
+        total = np.logaddexp(total, const + i * log_s)
+    return total / LN2
 
 
 def rc_lower_bound(users: int, n_tx: int, n_rx: int, snr) -> float:
@@ -152,11 +152,9 @@ def psi_limit_check(n_tx: int, k_max: int) -> np.ndarray:
     """
     n_tx, k_max = _index("n_tx", n_tx, 1), _index("k_max", k_max, 2)
     top = n_tx * k_max
-    # prefix[i] = H_i for i = 0..top; both where() branches are evaluated
-    # eagerly, so the table must cover prefix[ks] even when n_tx = 1
+    # prefix[i] = H_i for i = 0..top; an empty sum reads H_{K-1} - H_K < 0
     prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1))))
     ks = np.arange(1, k_max + 1)
-    upper = n_tx * ks - 1
-    partial = np.where(upper >= ks + 1, prefix[upper] - prefix[ks], 0.0)
+    partial = np.maximum(prefix[n_tx * ks - 1] - prefix[ks], 0.0)
     return np.abs(partial - math.log(n_tx))
 

@@ -176,6 +176,8 @@ def build_spec(settings: dict) -> ExperimentSpec:
         raise UsageError(f"users: region metric needs users=2, got {users}")
     scenario = settings.get("scenario", "")
     out = settings["out"] or (f"{scenario or 'results'}.csv")
+    if "\0" in out:  # only a config value can carry one; os.path raises
+        raise UsageError("out: path contains a NUL byte")
     trials = _parse_int("trials", settings["trials"], _index, 2)
     seed = _parse_int("seed", settings["seed"], _seed)
     n_tx = _parse_int("n_tx", settings["n_tx"], _index, 1)

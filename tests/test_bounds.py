@@ -8,8 +8,10 @@ implementation existed.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import digamma
@@ -44,6 +46,31 @@ def test_harmonic_three():
 def test_harmonic_rejects_negative():
     with pytest.raises(ValueError):
         harmonic(-1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 65536])
+def test_harmonic_is_numpy_sum_up_to_two_to_sixteen(n):
+    # every recorded output uses an n in this range: its bits must not move
+    assert harmonic(n) == float(np.sum(1.0 / np.arange(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [65537, 10**7, 10**9, 10**15, 2**62])
+def test_harmonic_series_above_two_to_sixteen(n):
+    with mpmath.workdps(40):
+        exact = mpmath.harmonic(n)
+    assert harmonic(n) == pytest.approx(float(exact), rel=4.5e-16, abs=0)
+
+
+def test_harmonic_memory_does_not_grow_with_n():
+    # a sum over np.arange(1, n + 1) peaked at 160 MB for this call, and
+    # users = 1e9 with rc_lb would have asked for 16 GB
+    tracemalloc.start()
+    try:
+        rc_lower_bound(10**7, 1, 1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 25])
@@ -214,6 +241,32 @@ def test_rc_upper_exact_at_large_counts(l_small):
             math.log2(total), rel=1e-15), m_big
 
 
+@pytest.mark.parametrize("count", [10**3, 10**4])
+def test_rc_upper_matches_exact_sum_at_large_l(count):
+    # L = M = count: thousands of terms, summed at 40 digits term by term
+    with mpmath.workdps(40):
+        for snr in (1e-6, 1.0, 1e4):
+            term = total = mpmath.mpf(1)
+            for i in range(1, count + 1):
+                term *= mpmath.mpf((count - i + 1) ** 2) / i * snr
+                total += term
+            exact = float(mpmath.log(total, 2))
+            assert rc_upper_bound(count, count, snr) == pytest.approx(
+                exact, rel=1e-14, abs=0), snr
+
+
+def test_rc_upper_memory_does_not_grow_with_l():
+    # an (L + 1, S) stack of terms peaked at 143 MB for this call
+    snr = 10 ** (np.arange(41) / 10)
+    tracemalloc.start()
+    try:
+        rc_upper_bound(10**5, 10**5, snr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_rc_upper_accepts_grid():
     got = rc_upper_bound(2, 2, np.array([0.0, 1.0, 100.0]))
     assert got.shape == (3,)
@@ -293,6 +346,11 @@ def test_lower_bound_tightens_with_snr():
 
 def test_psi_limit_trivial_n_tx_one():
     np.testing.assert_array_equal(psi_limit_check(1, 50), np.zeros(50))
+
+
+def test_psi_limit_empty_sum_at_one_user():
+    # n_tx = 2, K = 1: the sum from 2 to 1 is empty, so the residual is ln 2
+    assert psi_limit_check(2, 5)[0] == math.log(2)
 
 
 def test_psi_limit_rejects_small_k_max():

@@ -250,6 +250,18 @@ def test_output_hard_linked_to_the_config_is_usage_error(tmp_path, monkeypatch,
                                                           "own.cfg"]
 
 
+def test_nul_byte_in_config_out_is_usage_error(tmp_path, monkeypatch,
+                                               capsys):
+    # os.path.realpath raised "embedded null byte", a traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"out = a\0b.csv\nmetrics = rc_lb\nsnr_db = 0,10\n")
+    assert main(["--config", "nul.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: out: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # --- usage errors (exit 2) ----------------------------------------------
 
 
