@@ -12,7 +12,9 @@ where the platform has os.sched_setaffinity.  The script exits 1 if a
 CSV differs between the two worker counts or the --verify stdout between
 the two CPU counts.  The calls run one at a time, with one BLAS thread,
 against the package source in this checkout's src/, and write into a
-temporary directory that is removed afterwards.
+temporary directory that is removed afterwards.  They run with
+PYTHONWARNINGS=error::RuntimeWarning, so a numpy overflow, invalid value
+or division by zero in any of them fails the script.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def cddmac(args, env, preexec_fn=None) -> bytes:
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONWARNINGS="error::RuntimeWarning")
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         wide = Path(tmp, "wide-sweep.cfg")

@@ -42,17 +42,24 @@ def _check_args(users, n_tx, n_rx, snr=0.0):
     return (*sizes, _snr(snr))
 
 
+def _log1p_exp(s, c):
+    """ln(1 + s e^c): log1p where s e^c is finite (1 + x would round a small
+    x away), and ln s + c where it overflows, within 1e-300 relative."""
+    with np.errstate(over="ignore", divide="ignore"):
+        x = s * math.exp(c)
+        return np.where(np.isinf(x), np.log(s) + c, np.log1p(x))
+
+
 def _lower(n_rx, m, s):
-    # log1p(x) / LN2, not log2(1 + x): at low SNR 1 + x rounds x away
     lo, hi = min(n_rx, m), max(n_rx, m)
-    return sum(np.log1p(s * math.exp(harmonic(hi - l) - EULER_GAMMA))
+    return sum(_log1p_exp(s, harmonic(hi - l) - EULER_GAMMA)
                for l in range(1, lo + 1)) / LN2
 
 
 def _lower_jensen(n_rx, m, s):
     lo, hi = min(n_rx, m), max(n_rx, m)
     mean_h = sum(harmonic(hi - l) for l in range(1, lo + 1)) / lo
-    return lo * np.log1p(s * math.exp(mean_h - EULER_GAMMA)) / LN2
+    return lo * _log1p_exp(s, mean_h - EULER_GAMMA) / LN2
 
 
 def _upper(n_rx, m, s):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -191,7 +191,8 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
 # tightly coupled.
 #
 # The two-user region metrics "<scheme>_<part>" (scheme cap or cdd) are the
-# pentagon's constraints: each user's single-user rate (other user silent),
+# pentagon's constraints: each user's single-user rate (other user silent;
+# for CDD the mean over all n_tx DFT bins, as rate_cdd of that user alone),
 # the sum rate, and the sum rate minus either single-user rate (the corners'
 # second coordinates).
 
@@ -347,37 +348,34 @@ def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
 
 
 def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
-    """Per-trial metric values, shape (len(metrics), len(snr), trials)."""
+    """Per-trial metric values, shape (len(metrics), len(snr), trials).
+
+    Every series is one scheme's rate over a set of users, the same rule as
+    rate_cdd and sum_capacity: all users for "cdd", "cap" and "isum", user k
+    alone for "<scheme>_i<k>".  "isum-i<k>" and "diff" are per-trial
+    differences of those series, each series evaluated once.
+    """
     n_tx = block.shape[-1]
-    schemes = {m.split("_")[0] for m in metrics}
-    if "diff" in schemes:
-        schemes |= {"cdd", "cap"}
-    region = any(m in REGION_METRICS for m in metrics)
-    picks = {}
-    if "cdd" in schemes:
-        par = reduce_to_parallel(block)                         # (B,T,n_rx,K)
-        picks["cdd"] = _logdet_sums(snr, par)                   # (S,B)
-        picks["cdd"] /= n_tx
-        if region:
-            # single-user rate from the first DFT bin, other user absent
-            # (rank 1); every bin is identically distributed, which a test
-            # checks
-            for k in (1, 2):
-                picks[f"cdd_i{k}"] = _logdet_sums(snr, par[:, 0, :, k - 1:k])
-    if "cap" in schemes:
-        scale = snr / n_tx
-        picks["cap"] = _logdet_sums(scale, _stack_users(block))
-        if region:
-            for k in (1, 2):
-                picks[f"cap_i{k}"] = _logdet_sums(scale, block[:, k - 1])
-    if region:
-        for scheme in schemes - {"diff"}:
-            tot = picks[f"{scheme}_isum"] = picks[scheme]
-            for k in (1, 2):
-                picks[f"{scheme}_isum-i{k}"] = tot - picks[f"{scheme}_i{k}"]
-    if "diff" in metrics:
-        picks["diff"] = picks["cap"] - picks["cdd"]
-    return np.stack([picks[m] for m in metrics])
+    bins = cache(partial(reduce_to_parallel, block))            # (B,T,n_rx,K)
+
+    @cache
+    def rate(scheme: str, user: int) -> np.ndarray:             # (S,B)
+        users = slice(user - 1, user) if user else slice(None)  # 0: all
+        if scheme == "cap":
+            return _logdet_sums(snr / n_tx, _stack_users(block[:, users]))
+        out = _logdet_sums(snr, bins()[..., users])
+        out /= n_tx                                             # bins' mean
+        return out
+
+    def value(name: str) -> np.ndarray:
+        if name == "diff":
+            return rate("cap", 0) - rate("cdd", 0)
+        scheme, _, part = name.partition("_")
+        if part.startswith("isum-"):
+            return rate(scheme, 0) - rate(scheme, int(part[-1]))
+        return rate(scheme, int(part[1]) if part in ("i1", "i2") else 0)
+
+    return np.stack([value(m) for m in metrics])
 
 
 def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),

@@ -267,6 +267,21 @@ def test_rc_upper_memory_does_not_grow_with_l():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("users", [10**9, 10**12])
+def test_lower_bounds_stay_finite_where_the_product_overflows(users):
+    # at 1e300 the product snr * e^(H_{M-1} - gamma) passes the double
+    # range; ln(1 + x) is then ln snr + H_{M-1} - gamma to 1e-300 relative
+    snr = np.array([0.0, 1e-20, 1.0, 1e300])
+    top = (math.log(1e300) + harmonic(users - 1) - EULER_GAMMA) / LN2
+    upper = rc_upper_bound(users, 1, snr)
+    for lower in (rc_lower_bound(users, 1, 1, snr),
+                  cap_lower_bound(users, 1, 1, snr),
+                  *jensen_collapsed_bounds(users, 1, 1, snr)):
+        assert np.all(np.isfinite(lower))
+        assert np.all(lower <= upper)
+        assert lower[-1] == pytest.approx(top, rel=1e-15, abs=0)
+
+
 def test_rc_upper_accepts_grid():
     got = rc_upper_bound(2, 2, np.array([0.0, 1.0, 100.0]))
     assert got.shape == (3,)

@@ -2,6 +2,7 @@
 verify mode, and schedule-independent output."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -557,6 +558,19 @@ def test_largest_indexable_count_is_one_runtime_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: out of memory")
     assert not out.exists()
+
+
+def test_lower_bounds_at_a_billion_users_and_3000_db_are_finite(tmp_path):
+    # snr * e^(H - gamma) passed the double range here: the lower bounds
+    # were inf, with exit 0
+    cfg = tmp_path / "billion.cfg"
+    cfg.write_text("users = 1000000000\nn_rx = 1\nsnr_db = 0,3000\n"
+                   "metrics = rc_lb,rc_lb_jensen,rc_ub,cap_lb,cap_lb_jensen\n")
+    out = tmp_path / "billion.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 10
+    assert all(math.isfinite(float(row[2])) for row in rows)
 
 
 # --- verify mode --------------------------------------------------------

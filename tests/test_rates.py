@@ -524,8 +524,8 @@ LARGE_ROWS = 21
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [
-    (1, 4, 1), (1, 4, 2), (2, 2, 2), (2, 3, 2), (6, 3, 3), (8, 4, 8),
-    (LARGE_ROWS, 2, LARGE_ROWS)])
+    (1, 4, 1), (1, 4, 2), (2, 2, 2), (2, 3, 2), (2, 4, 1), (2, 2, 3),
+    (6, 3, 3), (8, 4, 8), (LARGE_ROWS, 2, LARGE_ROWS)])
 def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
     # every branch of the tridiagonal kernel (one row either way round, two
     # rows, Householder) against the scalar Cholesky path, trial by trial
@@ -533,14 +533,16 @@ def test_sweep_agrees_with_scalar_rates_trial_by_trial(users, n_tx, n_rx):
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = 10.0 ** (np.array([-10.0, 0.0, 20.0, 40.0, 50.0, 100.0, 300.0])
                    / 10)
-    metrics = ("cdd", "cap") + (("cap_i1", "cap_i2") if users == 2 else ())
+    # at two users also each user alone: its CDD rate averages every DFT bin
+    metrics = ("cdd", "cap") + (("cdd_i1", "cdd_i2", "cap_i1", "cap_i2")
+                                if users == 2 else ())
     got = _sweep_values(block, snr, metrics)
     for point, s in enumerate(snr):
         expected = [[rate_cdd(ch, s) for ch in block],
                     [sum_capacity(ch, s) for ch in block]]
         if users == 2:
-            expected += [[sum_capacity(ch[k:k + 1], s) for ch in block]
-                         for k in (0, 1)]
+            expected += [[rate(ch[k:k + 1], s) for ch in block]
+                         for rate in (rate_cdd, sum_capacity) for k in (0, 1)]
         np.testing.assert_allclose(got[:, point], expected, rtol=0,
                                    atol=1e-10)
 
@@ -814,7 +816,7 @@ def broadcast_sweep(block, snr, name):
     user = int(part[1]) - 1 if part in ("i1", "i2") else None
     if scheme == "cdd":
         par = reduce_to_parallel(block)
-        x = par if user is None else par[:, 0, :, user:user + 1]
+        x = par if user is None else par[..., user:user + 1]
         scale = snr
     else:
         x = rates._stack_users(block) if user is None else block[:, user]
@@ -832,7 +834,7 @@ def broadcast_sweep(block, snr, name):
     for t in range(terms.shape[1]):
         out += terms[:, t]
     out /= rates.LN2
-    return out / n_tx if scheme == "cdd" and user is None else out
+    return out / n_tx if scheme == "cdd" else out
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8), (2, 9, 2)])

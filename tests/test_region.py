@@ -133,8 +133,9 @@ def test_workers_bit_identical():
 
 
 def test_single_user_cdd_bins_equidistributed():
-    # the single-user CDD rate uses DFT bin 0; any other bin must have the
-    # same distribution (checked on means, not assumed)
+    # a user's single-user CDD rate is the mean over its n_tx DFT bins; the
+    # bins share one distribution (checked on means, not assumed), so the
+    # mean keeps any one bin's expectation and only its spread shrinks
     cfg = make_cfg(trials=8000)
     block = sample_channel_block(cfg, 0, cfg.trials)
     bins = (block @ dft_matrix(cfg.n_tx)).transpose(0, 3, 2, 1)  # B,T,nR,K
