@@ -25,9 +25,9 @@ EULER_GAMMA = 0.577215664901532861
 
 def harmonic(n: int) -> float:
     """n-th harmonic number sum_{k=1}^{n} 1/k, with harmonic(0) = 0; above
-    2**16 its Euler-Maclaurin series (next term 1/(240 n^8) < 1e-40)."""
+    2**8 its Euler-Maclaurin series (next term 1/(240 n^8) < 3e-22)."""
     n = _index("n", n, 0)
-    if n <= 2**16:
+    if n <= 2**8:
         return float(np.sum(1.0 / np.arange(1, n + 1))) if n else 0.0
     r = 1.0 / (n * n)
     return (math.log(n) + EULER_GAMMA + 0.5 / n

@@ -87,10 +87,13 @@ def rate_cdd_reduced(blocks, snr):
     power split is already absorbed by the reduction, so snr appears
     undivided.  Evaluated by the sweep's own kernel (_logdet_sums), so the
     dual-path check against rate_cdd tests the code behind every Monte-Carlo
-    estimate.
+    estimate.  Non-finite blocks are refused, as the direct rates refuse
+    non-finite channels.
     """
     snr = _snr(snr)
     blk = _as_stack(blocks, "blocks", "n_tx, n_rx, users")
+    if not np.all(np.isfinite(blk)):
+        raise ValueError("blocks has non-finite entries")
     lead = np.broadcast_shapes(snr.shape, blk.shape[:-3])
     blk = np.broadcast_to(blk, lead + blk.shape[-3:])
     scale = np.broadcast_to(snr, lead).reshape(1, -1)      # one per stack
@@ -271,8 +274,8 @@ def _tridiagonal(x: np.ndarray):
     flattened.
 
     One or two rows need no Gram product: d holds the row powers and e2 the
-    squared inner product of the two rows.  Larger Grams are reduced by
-    _householder.
+    squared inner products of adjacent rows (none for one row).  Larger
+    Grams are reduced by _householder.
     """
     trials = x.shape[0]
     rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
@@ -282,10 +285,8 @@ def _tridiagonal(x: np.ndarray):
     if size <= 2:
         entries = rows.transpose(3, 2, 1, 0)            # (cols, L, T, trials)
         d = _entry_sum(np.square(entries.real) + np.square(entries.imag))
-        if size == 1:
-            return d, np.empty((0, per, trials))
-        b = _entry_sum(entries[:, 0] * np.conj(entries[:, 1]))
-        return d, (np.square(b.real) + np.square(b.imag))[None]
+        b = _entry_sum(entries[:, :-1] * np.conj(entries[:, 1:]))
+        return d, np.square(b.real) + np.square(b.imag)
     # a block's Gram products and their batch-last copy (two complex arrays)
     # fill one _POINT_BUFFER, so that the transposition runs in cache
     gram = np.empty((size, size, per, trials), complex)
@@ -356,14 +357,14 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     differences of those series, each series evaluated once.
     """
     n_tx = block.shape[-1]
-    bins = cache(partial(reduce_to_parallel, block))            # (B,T,n_rx,K)
+    bins = reduce_to_parallel(block)                            # (B,T,n_rx,K)
 
     @cache
     def rate(scheme: str, user: int) -> np.ndarray:             # (S,B)
         users = slice(user - 1, user) if user else slice(None)  # 0: all
         if scheme == "cap":
             return _logdet_sums(snr / n_tx, _stack_users(block[:, users]))
-        out = _logdet_sums(snr, bins()[..., users])
+        out = _logdet_sums(snr, bins[..., users])
         out /= n_tx                                             # bins' mean
         return out
 

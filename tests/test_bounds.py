@@ -48,17 +48,35 @@ def test_harmonic_rejects_negative():
         harmonic(-1)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 65536])
-def test_harmonic_is_numpy_sum_up_to_two_to_sixteen(n):
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 255, 256])
+def test_harmonic_is_numpy_sum_up_to_two_to_eight(n):
     # every recorded output uses an n in this range: its bits must not move
     assert harmonic(n) == float(np.sum(1.0 / np.arange(1, n + 1)))
 
 
-@pytest.mark.parametrize("n", [65537, 10**7, 10**9, 10**15, 2**62])
+# harmonic uses its series for every n above 2**8
+@pytest.mark.parametrize("n", [257, 4096, 65536, 65537, 10**7, 10**9, 10**15,
+                               2**62])
 def test_harmonic_series_above_two_to_sixteen(n):
     with mpmath.workdps(40):
         exact = mpmath.harmonic(n)
     assert harmonic(n) == pytest.approx(float(exact), rel=4.5e-16, abs=0)
+
+
+def test_lower_bound_sums_no_harmonic_term_by_term_above_two_to_eight(
+        monkeypatch):
+    # each row's harmonic number was an np.arange sum of up to 9,999 terms
+    lengths = []
+    arange = np.arange
+
+    def recording(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "arange", recording)
+    rc_lower_bound(10**4, 1, 10**4, 1.0)
+    assert lengths and max(lengths) <= 2**8
 
 
 def test_harmonic_memory_does_not_grow_with_n():

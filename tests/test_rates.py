@@ -203,6 +203,26 @@ def test_direct_rates_refuse_negative_or_nonfinite_snr(rate, snr):
         rate(x, snr)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rate_cdd_reduced_refuses_nonfinite_blocks(bad):
+    # it returned nan, where the direct rates raise on the same channels
+    rng = np.random.default_rng(15)
+    blocks = reduce_to_parallel(random_channels(rng, 2, 2, 2))
+    blocks[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="blocks has non-finite entries"):
+        rate_cdd_reduced(blocks, 1.0)
+
+
+@pytest.mark.parametrize("rate", [rate_cdd, sum_capacity, rate_cdd_reduced])
+def test_direct_rates_refuse_a_nan_channel(rate):
+    rng = np.random.default_rng(16)
+    ch = random_channels(rng, 2, 2, 2)
+    ch[0, 1, 0] = np.nan
+    x = reduce_to_parallel(ch) if rate is rate_cdd_reduced else ch
+    with pytest.raises(ValueError, match="non-finite entries"):
+        rate(x, 1.0)
+
+
 @pytest.mark.parametrize("entry", [rate_cdd, sum_capacity, rate_cdd_reduced,
                                    effective_channel, reduce_to_parallel])
 @pytest.mark.parametrize("shape", [(2, 2), (4,), (), (0, 2, 2), (2, 0, 2)])
@@ -645,8 +665,9 @@ def test_tridiagonal_closed_form_sums_in_index_order(cols):
         d, e2 = rates._tridiagonal(rows)
         assert d.tobytes() == power.transpose(2, 1, 0).tobytes()
         assert e2.tobytes() == expected_e2.tobytes()
-    d, _ = rates._tridiagonal(x[..., :1, :])                # one row alone
+    d, e2 = rates._tridiagonal(x[..., :1, :])               # one row alone
     assert d.tobytes() == power[..., :1].transpose(2, 1, 0).tobytes()
+    assert e2.shape == (0, 3, 4096)
 
 
 @pytest.mark.parametrize("rows", [3, 4, 5, 8, 13, 20, LARGE_ROWS])
