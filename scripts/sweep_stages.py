@@ -1,0 +1,103 @@
+"""Print the median time of each stage of the sweep kernel, in ms.
+
+    python3 scripts/sweep_stages.py
+
+Two shapes: one 1024-trial sub-block of the wide-sweep benchmark
+configuration (8 users, 4 transmit and 8 receive antennas, 41 points from 0
+to 40 dB) and one 4096-trial chunk of --scenario figure4 (6 users, 3 and 3
+antennas, 9 points from 0 to 40 dB).  The stages are the channel draw, the
+DFT bins, the batch-last Grams (the bins' and their sum, the capacity's),
+the Householder reduction of those Grams, the determinant coefficients of
+the CDD bins and of the capacity, and their evaluation on the grid.  The
+last line per shape times rates._sweep_values(("cdd", "cap")) as a whole.
+Each stage runs REPEATS times on the same input, with one BLAS thread,
+against the package source in this checkout's src/.  The stages are the
+package's private functions, called from outside; nothing in the package
+records a time.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from cddmac import rates  # noqa: E402
+from cddmac.channel import (SystemConfig, reduce_to_parallel,  # noqa: E402
+                            sample_channel_block)
+
+REPEATS = 9
+# (name, (users, n_tx, n_rx), trials, SNR grid in dB); each has
+# 3 <= n_rx <= users, so its Grams come batch-last for the Householder and
+# the capacity's Gram is the sum of the bins'.
+SHAPES = (("wide-sweep", (8, 4, 8), 1024, np.arange(0.0, 41.0, 1.0)),
+          ("figure4", (6, 3, 3), 4096, np.arange(0.0, 41.0, 5.0)))
+
+
+def median_ms(stage) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        stage()
+        times.append(time.perf_counter() - start)
+    return 1e3 * float(np.median(times))
+
+
+def evaluate(coef, scale) -> None:
+    """The grid evaluation of rates._tridiagonal_sums, point block by point
+    block, without its coefficient and fallback steps."""
+    scale = scale[:, None]
+    step = max(1, rates._POINT_BUFFER // coef.shape[1])
+    for lo in range(0, len(scale), step):
+        rates._horner_logs(coef, scale[lo:lo + step])
+
+
+def stages(shape, trials, snr):
+    """(stage, callable) pairs over one sub-block of the shape, each on the
+    previous stage's output."""
+    users, n_tx, n_rx = shape
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=trials,
+                       seed=0)
+    block = sample_channel_block(cfg, 0, trials)
+    bins = reduce_to_parallel(block)
+    gram = rates._grams(bins, total=True)
+    size = gram.shape[0]
+    flat = gram.reshape(size, size, -1)
+    d, e2 = rates._tridiagonal(bins, total=True)
+    cdd = (d[:, :n_tx], e2[:, :n_tx])
+    cap = (d[:, n_tx:], e2[:, n_tx:])
+    coef_cdd, coef_cap = rates._coefficients(*cdd), rates._coefficients(*cap)
+    return (
+        ("sampling", lambda: sample_channel_block(cfg, 0, trials)),
+        ("bins", lambda: reduce_to_parallel(block)),
+        ("Gram", lambda: rates._grams(bins, total=True)),
+        ("Householder", lambda: rates._householder(flat.copy())),
+        ("  of which the copy", lambda: flat.copy()),
+        ("coefficients, CDD", lambda: rates._coefficients(*cdd)),
+        ("coefficients, capacity", lambda: rates._coefficients(*cap)),
+        ("evaluation, CDD", lambda: evaluate(coef_cdd, snr)),
+        ("evaluation, capacity", lambda: evaluate(coef_cap, snr / n_tx)),
+        ("_sweep_values(cdd, cap)",
+         lambda: rates._sweep_values(block, snr, ("cdd", "cap"))),
+    )
+
+
+def main() -> int:
+    for name, shape, trials, snr_db in SHAPES:
+        snr = 10.0 ** (snr_db / 10)
+        print(f"{name} {shape}, {trials} trials, {len(snr)} points "
+              f"(median of {REPEATS}, ms)")
+        for stage, run in stages(shape, trials, snr):
+            print(f"  {stage:<26}{median_ms(run):8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,6 +34,45 @@ def harmonic(n: int) -> float:
             - r * (1 / 12 - r * (1 / 120 - r / 252)))
 
 
+# B_2k / (2k), k = 1 ... 7: the coefficients of the asymptotic series
+# psi(x) ~ ln x - 1/(2x) - sum_k B_2k / (2k x^2k); at x >= 16 the first
+# omitted term is below 2e-20 of 1/(2x)
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
+               1 / 12)
+
+
+def _psi_excess_series(u: float, n: float) -> float:
+    """psi(n u) - psi(u) - ln n for u >= 16 and n >= 1, the asymptotic
+    series' difference taken term by term: (n - 1) / (2 n u) + sum_k
+    B_2k / (2k) (1 - n^-2k) u^-2k, so no two large numbers cancel."""
+    t = 1.0 / (u * u)
+    total = 0.0
+    for k in range(len(_PSI_SERIES), 0, -1):
+        total = total * t - _PSI_SERIES[k - 1] * math.expm1(
+            -2 * k * math.log(n))
+    return (n - 1) / (2 * n * u) + total * t
+
+
+def _psi_excess(users: int, n_tx: int) -> float:
+    """psi(n_tx users) - psi(users) - ln n_tx from terms that do not cancel
+    (a difference of two harmonic numbers and ln n_tx lost up to 7.7e-9
+    relative at 10^6 users).  From 16 users on it is the series'
+    difference.  Below, the steps from x to x + 1 up to 16 are added
+    exactly (math.fsum) to the series at 16; a step is sum_{r=1}^{n-1}
+    r / (n x (n x + r)) > 0, or, for n_tx above 2^8, where those terms are
+    too many, one of ln x - psi(x): 1/x - log1p(1/x) > 0, with psi(n_tx
+    users) from the series.
+    """
+    if users >= 16:
+        return _psi_excess_series(users, n_tx)
+    if n_tx <= 2**8:
+        head = [r / (n_tx * x * (n_tx * x + r)) for x in range(users, 16)
+                for r in range(1, n_tx)]
+        return math.fsum(head + [_psi_excess_series(16, n_tx)])
+    head = [1 / x - math.log1p(1 / x) for x in range(users, 16)]
+    return math.fsum(head + [_psi_excess_series(16, n_tx * users / 16)])
+
+
 def _check_args(users, n_tx, n_rx, snr=0.0):
     """(users, n_tx, n_rx, snr) as ints >= 1 and a float array: a numpy
     integer size would multiply in its own width."""
@@ -135,9 +174,7 @@ def gap_high_snr(users: int, n_tx: int, n_rx: int):
     """
     users, n_tx, n_rx, _ = _check_args(users, n_tx, n_rx)
     if n_rx == 1:
-        gap = (harmonic(n_tx * users - 1) - harmonic(users - 1)
-               - math.log(n_tx)) / LN2
-        return gap, 1.0 / (users * LN2)
+        return _psi_excess(users, n_tx) / LN2, 1.0 / (users * LN2)
     if n_rx > users:
         raise ValueError(
             "gap formula is only stated for n_rx <= users; "

@@ -6,9 +6,12 @@ converted to bits once at the end.  There are two independent paths: the
 direct rates (rate_cdd on the block-circulant effective channel,
 sum_capacity) take one stacked Cholesky log-det per call, over any leading
 trial axes, with the bits of one call per realization; the sweep engine
-(monte_carlo_sweep) reduces each Gram to a real tridiagonal once and reads
-log det(I + sG) at every grid point from the LDL^T pivots of I + sT
-(_logdet_sums), and rate_cdd_reduced runs that kernel on its own stack.
+(monte_carlo_sweep) reduces each Gram to a real tridiagonal T once, takes
+the SNR-free coefficients of det(I + sT) from it, multiplied over a trial's
+DFT bins, and reads every grid point from one Horner sum and one logarithm
+(_logdet_sums); rate_cdd_reduced runs that kernel on its own stack.  Where
+n_rx <= users the capacity's Gram is the sum of the bins' Grams (the DFT is
+unitary), reduced in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
@@ -18,11 +21,12 @@ the interpreter lock inside the sampling, matmul and ufunc loops that do
 most of a chunk's work, so the threads overlap there.  Two summation
 rules fix every bit of an estimate.  numpy's pairwise sum adds a chunk's
 trials (_chunk_sums).  Every other sum runs in index order: through
-_entry_sum over a stack of terms (a matrix's entries, the DFT bins, the
-chunks' sums), or as a running total where a loop makes its terms one at
-a time (_householder's A v, _logdet_sums' pivots).  With the channel
-streams keyed by (seed, chunk), estimates are therefore bit-identical for
-any --workers setting.
+_entry_sum over a stack of terms (a matrix's entries, the DFT bins' Grams,
+the chunks' sums), or as a running total where a loop makes its terms one
+at a time (_householder's A v, the coefficient recurrence, the bins'
+polynomial product, the Horner sums, the fallback's pivots).  With the
+channel streams keyed by (seed, chunk), estimates are therefore
+bit-identical for any --workers setting.
 """
 
 from __future__ import annotations
@@ -205,10 +209,11 @@ REGION_METRICS = tuple(f"{scheme}_{part}" for scheme in ("cap", "cdd")
 SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
 # Doubles per buffer of the sweep kernel, sized for cache: a block of
-# _tridiagonal's Gram products with its batch-last copy, or of _logdet_sums'
-# grid points.  wide-sweep's 4 MB sub-block Gram, copied batch-last in one
-# piece, misses the cache on every entry: wall_s median 0.591 s, against
-# 0.522 s in blocks (10 alternating pairs, shared 2-vCPU x86-64 machine).
+# _grams' Gram products with its batch-last copy, or of _logdet_sums' grid
+# points (the Horner sums, or the fallback's pivots).  wide-sweep's 4 MB
+# sub-block Gram, copied batch-last in one piece, misses the cache on every
+# entry: wall_s median 0.591 s, against 0.522 s in blocks (10 alternating
+# pairs, shared 2-vCPU x86-64 machine).
 _POINT_BUFFER = 1 << 16
 
 
@@ -218,7 +223,7 @@ def _householder(gram: np.ndarray):
 
     L - 2 Householder reflections, each applied to all N matrices at once
     (Golub & Van Loan, Matrix Computations, 8.3.1), to the lower triangle
-    only.  Only the squared off-diagonal e2 is kept: the pivots need no
+    only.  Only the squared off-diagonal e2 is kept: the coefficients need no
     phases.  numpy may round a complex product with or without FMA
     depending on the batch's length and strides, so a matrix's bits can
     differ between batches by an ulp.
@@ -267,15 +272,16 @@ def _householder(gram: np.ndarray):
     return np.diagonal(gram).real.T, e2
 
 
-def _tridiagonal(x: np.ndarray):
-    """Real tridiagonal of the smaller-side Gram of each matrix of a
-    (trials, ..., rows, cols) stack: its diagonal d, (L, T, trials), and
-    squared off-diagonal e2, (L - 1, T, trials), T the middle axes
-    flattened.
+def _grams(x: np.ndarray, total: bool = False):
+    """Smaller-side Grams of each matrix of a (trials, ..., rows, cols)
+    stack, T the middle axes flattened.
 
-    One or two rows need no Gram product: d holds the row powers and e2 the
-    squared inner products of adjacent rows (none for one row).  Larger
-    Grams are reduced by _householder.
+    One or two rows need no Gram product: they come as the row powers d,
+    (L, T, trials), and the inner products b of adjacent rows, (L - 1, T,
+    trials), none for one row.  Larger Grams come as one batch-last (L, L,
+    T, trials) array.  With total, for matrices no taller than wide, one
+    more column after the T holds the sum of the T Grams (of their d and b
+    for one or two rows), added in index order.
     """
     trials = x.shape[0]
     rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
@@ -286,42 +292,128 @@ def _tridiagonal(x: np.ndarray):
         entries = rows.transpose(3, 2, 1, 0)            # (cols, L, T, trials)
         d = _entry_sum(np.square(entries.real) + np.square(entries.imag))
         b = _entry_sum(entries[:, :-1] * np.conj(entries[:, 1:]))
-        return d, np.square(b.real) + np.square(b.imag)
+        if total:
+            d, b = (np.concatenate(
+                [a, _entry_sum(np.moveaxis(a, 1, 0))[:, None]], axis=1)
+                for a in (d, b))
+        return d, b
     # a block's Gram products and their batch-last copy (two complex arrays)
-    # fill one _POINT_BUFFER, so that the transposition runs in cache
-    gram = np.empty((size, size, per, trials), complex)
+    # fill one _POINT_BUFFER, so that the transposition and the sum run in
+    # cache
+    gram = np.empty((size, size, per + total, trials), complex)
     step = max(1, _POINT_BUFFER // (4 * per * size * size))
     for lo in range(0, trials, step):
-        part = _gram(np.ascontiguousarray(rows[lo:lo + step]))
-        gram[..., lo:lo + step] = part.transpose(2, 3, 1, 0)
-    d, e2 = _householder(gram.reshape(size, size, -1))
+        part = gram[..., lo:lo + step]
+        part[:, :, :per] = _gram(np.ascontiguousarray(rows[lo:lo + step])
+                                 ).transpose(2, 3, 1, 0)
+        if total:
+            part[:, :, per] = _entry_sum(np.moveaxis(part[:, :, :per], 2, 0))
+    return gram
+
+
+def _tridiagonal(x: np.ndarray, total: bool = False):
+    """Real tridiagonal of each Gram of _grams(x, total): its diagonal d,
+    (L, T', trials), and squared off-diagonal e2, (L - 1, T', trials), with
+    T' = T + total.  For one or two rows it is the Gram itself; larger
+    Grams, the summed column among them, go through one _householder call.
+    """
+    grams = _grams(x, total)
+    if isinstance(grams, tuple):                        # one or two rows
+        d, b = grams
+        return d, np.square(b.real) + np.square(b.imag)
+    size, _, per, trials = grams.shape
+    d, e2 = _householder(grams.reshape(size, size, -1))
     return (np.ascontiguousarray(d).reshape(size, per, trials),
             e2.reshape(size - 1, per, trials))
 
 
-def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
-    """(S, trials) array: entry [i, b] sums log2 det(I + scale[i] G) over
-    the smaller-side Grams G of the matrices of x[b].
+def _coefficients(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Coefficients c_0 = 1, ..., c_{T L} of prod_t det(I + s T_t), (T L +
+    1, trials), for the (L, T, trials) tridiagonals (d, e2) of _tridiagonal.
 
-    x is a (trials, ..., rows, cols) stack; scale is (S,), or (S, trials)
-    for one value per trial.  With d, e2 from _tridiagonal, det(I + sT) is
-    the product of the LDL^T pivots 1 + s u_k (Golub & Van Loan, 4.3.6):
-
-        u_0 = d_0,   u_k = d_k - e2_{k-1} / (1/s + u_{k-1}).
-
-    Each pivot adds log1p(s u_k), converted to bits once per sum, so a rate
-    far below 1 bit keeps its relative accuracy, s^2 never appears (3000 dB
-    stays finite), and s = 0 gives exactly 0.  The u_k are >= 0 in exact
-    arithmetic and are clipped there.  Grid points go in blocks of at most
-    _POINT_BUFFER doubles (one point if that is larger), which bounds the
-    three pivot temporaries whatever the grid's length (the (S, trials)
-    result still grows with it), and an entry's bits do not depend on the
-    block it is in.
+    Each T_t's leading minors follow the three-term recurrence (Golub & Van
+    Loan, 8.4.1) q_k = (1 + s d_k) q_{k-1} - s^2 e2_{k-1} q_{k-2}, each
+    coefficient clipped at 0, where exact arithmetic keeps it.  The T
+    polynomials are then multiplied in index order, each coefficient of a
+    product a running total of its terms.  A large T L can overflow to inf
+    or nan; numpy's warnings are the caller's to handle.
     """
-    scale = np.asarray(scale, dtype=float)
-    if len(x) == 0:
-        return np.zeros((len(scale), 0))
-    d, e2 = _tridiagonal(x)
+    size, per, trials = d.shape
+    older = np.zeros((size + 1, per, trials))                   # q_0 = 1
+    older[0] = 1.0
+    q = older.copy()                                            # q_1
+    q[1] = d[0]
+    for k in range(1, size):
+        new = q.copy()
+        new[1:k + 2] += d[k] * q[:k + 1]
+        new[2:k + 2] -= e2[k - 1] * older[:k]
+        np.maximum(new, 0.0, out=new)
+        older, q = q, new
+    coef = q[:, 0]
+    for t in range(1, per):
+        product = np.zeros((len(coef) + size, trials))
+        for i in range(size + 1):
+            product[i:i + len(coef)] += q[i, t] * coef
+        coef = product
+    return coef
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^(n - k), n = len(coef), as a running total from
+    coef[0] on; coef (n, trials), x broadcasting against it."""
+    h = coef[0] * x
+    for c in coef[1:]:
+        h += c
+        h *= x
+    return h
+
+
+def _log_above(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln p(s) = K ln s + ln(sum_k c_k s^(k - K)) for s >= 1: a Horner sum
+    in 1/s, which cannot overflow."""
+    h = _horner(coef[:-1], 1.0 / s)
+    h += coef[-1]
+    np.log(h, out=h)
+    h += (len(coef) - 1) * np.log(s)
+    return h
+
+
+def _log_below(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln p(s) = log1p(sum_{k >= 1} c_k s^k) for s <= 1, so a value far
+    below 1 keeps its relative accuracy and s = 0 gives exactly 0."""
+    return np.log1p(_horner(coef[:0:-1], s))
+
+
+def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln p(s) for p = sum_k c_k s^k with coefficients coef (K + 1, trials),
+    at s (n, 1) or (n, trials): _log_below where s <= 1, _log_above where
+    s > 1.  A shared grid point takes one form for all trials; a row of
+    one value per trial takes both, each with s clipped to its side."""
+    high = s > 1
+    if high.all():
+        return _log_above(coef, s)
+    if not high.any():
+        return _log_below(coef, s)
+    if s.shape[1] > 1:
+        return np.where(high, _log_above(coef, np.maximum(s, 1.0)),
+                        _log_below(coef, np.minimum(s, 1.0)))
+    rows = high[:, 0]
+    out = np.empty((len(s), coef.shape[1]))
+    out[rows] = _log_above(coef, s[rows])
+    out[~rows] = _log_below(coef, s[~rows])
+    return out
+
+
+def _pivot_logs(scale: np.ndarray, d: np.ndarray, e2: np.ndarray):
+    """(S, trials) sums over the T columns of ln det(I + s T_t) from the
+    LDL^T pivots of I + s T_t (Golub & Van Loan, 4.3.6), scale (S, 1) or
+    (S, trials):
+
+        u_0 = d_0,   u_k = d_k - e2_{k-1} / (1/s + u_{k-1}),
+
+    each adding log1p(s u_k), the u_k clipped at 0.  Grid points go in
+    blocks of at most _POINT_BUFFER doubles, one point if that is larger.
+    """
     size, per, trials = d.shape
     scale = scale.reshape(len(scale), 1, -1)                    # (S,1,1|B)
     out = np.empty((len(scale), trials))
@@ -344,6 +436,60 @@ def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
             np.log1p(term[:n], out=term[:n])
             acc[:n] += term[:n]
         out[lo:lo + n] = _entry_sum(np.moveaxis(acc[:n], 1, 0))
+    return out
+
+
+def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
+    """(S, trials) array: entry [i, b] sums log2 det(I + scale[i] G) over
+    the smaller-side Grams G of the matrices of x[b].
+
+    x is a (trials, ..., rows, cols) stack; scale is (S,), or (S, trials)
+    for one value per trial.  det(I + sG) = det(I + sT) needs no
+    eigenvalues: once per trial, _coefficients takes the SNR-free
+    coefficients c_k of prod_t det(I + s T_t) from the tridiagonals T_t of
+    _tridiagonal, the bins' polynomials multiplied in index order, and each
+    grid point then costs one Horner sum, a running total in index order,
+    and one logarithm (_horner_logs): log1p(sum_{k >= 1} c_k s^k) for
+    s <= 1, so a rate far below 1 bit keeps its relative accuracy and
+    s = 0 gives exactly 0, and deg ln s + ln of a Horner sum in 1/s for
+    s > 1, so 3000 dB stays finite.  Only elementwise ufuncs touch the
+    coefficients, so an entry's bits depend neither on its grid point's
+    block nor on the other trials.  A trial whose leading coefficient is
+    not positive (a zero or rank-deficient Gram: c_deg = prod det T_t
+    rounds to 0 or below and is clipped there) or whose coefficients do
+    not sum to a finite number (overflow: the (8, 64, 8) CDD product, of
+    degree 512) takes the LDL^T pivots of _pivot_logs instead; no Gaussian
+    draw of the figure or benchmark shapes does.  Grid points go in blocks
+    of at most _POINT_BUFFER doubles, which bounds the temporaries whatever
+    the grid's length (the (S, trials) result still grows with it).
+    """
+    scale = np.asarray(scale, dtype=float)
+    if len(x) == 0:
+        return np.zeros((len(scale), 0))
+    return _tridiagonal_sums(scale, *_tridiagonal(x))
+
+
+def _tridiagonal_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """_logdet_sums from the (L, T, trials) tridiagonals (d, e2) of
+    _tridiagonal: the sweep's entry, where both schemes read one
+    _tridiagonal call."""
+    scale = np.asarray(scale, dtype=float)
+    scale = scale.reshape(len(scale), -1)                       # (S, 1|B)
+    trials = d.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # they fall back
+        coef = _coefficients(d, e2)
+        fallback = ~((coef[-1] > 0) & np.isfinite(_entry_sum(coef)))
+    some = fallback.any()
+    if some:
+        coef[:, fallback] = 1.0
+    out = np.empty((len(scale), trials))
+    step = max(1, _POINT_BUFFER // trials)
+    for lo in range(0, len(scale), step):
+        out[lo:lo + step] = _horner_logs(coef, scale[lo:lo + step])
+    if some:
+        own = scale[:, fallback] if scale.shape[1] > 1 else scale
+        out[:, fallback] = _pivot_logs(own, d[..., fallback],
+                                       e2[..., fallback])
     out /= LN2
     return out
 
@@ -359,12 +505,26 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     n_tx = block.shape[-1]
     bins = reduce_to_parallel(block)                            # (B,T,n_rx,K)
 
+    def users(user: int) -> slice:
+        return slice(user - 1, user) if user else slice(None)   # 0: all
+
+    @cache
+    def tridiagonal(user: int):
+        # the bins' tridiagonals, and where n_rx <= users that of their
+        # Grams' sum after them: sum_t Pt Pt^H = sum_k Hk Hk^H (unitary DFT)
+        x = bins[..., users(user)]
+        return _tridiagonal(x, total=x.shape[-2] <= x.shape[-1])
+
     @cache
     def rate(scheme: str, user: int) -> np.ndarray:             # (S,B)
-        users = slice(user - 1, user) if user else slice(None)  # 0: all
+        x = bins[..., users(user)]
+        if scheme == "cap" and x.shape[-2] > x.shape[-1]:       # n_rx > users
+            return _logdet_sums(snr / n_tx,
+                                _stack_users(block[:, users(user)]))
+        d, e2 = tridiagonal(user)
         if scheme == "cap":
-            return _logdet_sums(snr / n_tx, _stack_users(block[:, users]))
-        out = _logdet_sums(snr, bins[..., users])
+            return _tridiagonal_sums(snr / n_tx, d[:, n_tx:], e2[:, n_tx:])
+        out = _tridiagonal_sums(snr, d[:, :n_tx], e2[:, :n_tx])
         out /= n_tx                                             # bins' mean
         return out
 

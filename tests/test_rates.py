@@ -7,19 +7,24 @@ Independent oracles used here:
     integral (scipy is a test-only dependency).
 """
 
+import importlib.util
+import math
 import multiprocessing
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import exp1
 
 from cddmac import rates
+from cddmac.bounds import rc_upper_bound
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block)
 from cddmac.linalg import logdet_hermitian_psd
@@ -771,9 +776,9 @@ def relative_errors(got, exact):
 def test_logdet_sums_accuracy_against_mpmath():
     # random draws, near-singular draws (one singular value times 1e-6),
     # rank-one rows and the zero matrix, L = 1 ... 8 and LARGE_ROWS, from
-    # -200 to 3000 dB.  At seed 2718 the worst relative errors are 5.8e-16
-    # (random) and 3.5e-5 against eigvalsh's 3.5e-5 (near-singular); seeds
-    # 0 ... 9 give ratios 0.15 ... 2.1
+    # -200 to 3000 dB.  At seed 2718 the worst relative errors are 6.6e-16
+    # (random) and 4.2e-5 against eigvalsh's 3.5e-5 (near-singular); seeds
+    # 0 ... 9 give ratios 0.19 ... 2.1
     rng = np.random.default_rng(2718)
     scale = 10.0 ** (ACCURACY_DB / 10)
     with_zero = np.concatenate([[0.0], scale])
@@ -822,10 +827,63 @@ def test_logdet_sums_per_trial_scale_is_one_scale_per_trial():
     assert got.tobytes() == np.array(alone).tobytes()
 
 
+def coefficient_reference(d, e2):
+    """rates._coefficients one coefficient at a time: the three-term
+    recurrence per DFT bin, then the bins' product in index order, each
+    coefficient a running total from 0.0; a list of (trials,) arrays."""
+    size, per, _ = d.shape
+    bins = []
+    for t in range(per):
+        older, q = [1.0], [1.0, d[0, t]]
+        for k in range(1, size):
+            new = [1.0]
+            for j in range(1, k + 2):
+                value = (q[j] if j <= k else 0.0) + d[k, t] * q[j - 1]
+                if j >= 2:
+                    value = value - e2[k - 1, t] * older[j - 2]
+                new.append(np.maximum(value, 0.0))
+            older, q = q, new
+        bins.append([np.broadcast_to(c, d.shape[-1:]) for c in q])
+    coef = bins[0]
+    for q in bins[1:]:
+        product = []
+        for j in range(len(coef) + size):
+            total = 0.0
+            for i in range(size + 1):
+                if 0 <= j - i < len(coef):
+                    total = total + q[i] * coef[j - i]
+            product.append(total)
+        coef = product
+    return coef
+
+
+def horner_reference(coef, x):
+    h = 0.0
+    for c in coef:
+        h = h * x + c
+    return h
+
+
+def coefficient_form(d, e2, scale):
+    """(S, B) log2 det sums of rates._tridiagonal_sums, every grid point at
+    once: log1p of the Horner sum in s for s <= 1, deg ln s plus ln of the
+    Horner sum in 1/s above, both everywhere with s clipped to 1."""
+    coef = coefficient_reference(d, e2)
+    assert np.all(coef[-1] > 0) and np.all(np.isfinite(sum(coef)))
+    s = scale[:, None]
+    top = np.maximum(s, 1.0)
+    up = np.log(horner_reference(coef, 1.0 / top)) + (len(coef) - 1) * np.log(
+        top)
+    down = np.log1p(horner_reference(coef[:0:-1] + [0.0],
+                                     np.minimum(s, 1.0)))
+    return np.where(s > 1, up, down) / rates.LN2
+
+
 def broadcast_sweep(block, snr, name):
-    """Reference for rates._sweep_values: metric name's per-trial values from
-    the tridiagonals of rates._tridiagonal, every grid point at once in one
-    whole-grid (S, T, B) broadcast of the pivot recurrence, shape (S, B)."""
+    """Reference for rates._sweep_values: metric name's per-trial values,
+    shape (S, B), from the tridiagonals of rates._tridiagonal (the bins'
+    and, where n_rx <= users, their Grams' sum for the capacity) and the
+    whole-grid coefficient form."""
     n_tx = block.shape[-1]
     scheme, _, part = name.partition("_")
     if scheme == "diff":
@@ -835,27 +893,16 @@ def broadcast_sweep(block, snr, name):
         return (broadcast_sweep(block, snr, scheme)
                 - broadcast_sweep(block, snr, f"{scheme}_{part[5:]}"))
     user = int(part[1]) - 1 if part in ("i1", "i2") else None
+    par = reduce_to_parallel(block)
+    x = par if user is None else par[..., user:user + 1]
+    wide = x.shape[-2] <= x.shape[-1]
+    d, e2 = rates._tridiagonal(x, total=wide)
     if scheme == "cdd":
-        par = reduce_to_parallel(block)
-        x = par if user is None else par[..., user:user + 1]
-        scale = snr
-    else:
-        x = rates._stack_users(block) if user is None else block[:, user]
-        scale = snr / n_tx
-    d, e2 = rates._tridiagonal(x)
-    s = scale[:, None, None]
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / s
-    u = np.broadcast_to(d[0], (len(s),) + d.shape[1:])
-    terms = np.log1p(s * u)
-    for k in range(1, len(d)):
-        u = np.maximum(d[k] - e2[k - 1] / (inv + u), 0.0)
-        terms += np.log1p(s * u)
-    out = np.zeros((len(s), block.shape[0]))
-    for t in range(terms.shape[1]):
-        out += terms[:, t]
-    out /= rates.LN2
-    return out / n_tx if scheme == "cdd" else out
+        return coefficient_form(d[:, :n_tx], e2[:, :n_tx], snr) / n_tx
+    if not wide:
+        d, e2 = rates._tridiagonal(rates._stack_users(block) if user is None
+                                   else block[:, user])
+    return coefficient_form(d[:, -1:], e2[:, -1:], snr / n_tx)
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (8, 4, 8), (2, 9, 2)])
@@ -876,6 +923,202 @@ def test_sweep_values_equal_whole_grid_broadcast(users, n_tx, n_rx):
             assert got.shape == (len(metrics), snr.size, len(block))
             for row, name in zip(got, metrics):
                 assert row.tobytes() == expected[name].tobytes(), name
+
+
+def pivot_reference(d, e2, scale):
+    """(S, B) log2 det sums over the T columns of (d, e2) from the LDL^T
+    pivots, every grid point at once in one (S, T, B) broadcast: the bits
+    of rates._pivot_logs."""
+    s = scale[:, None, None]
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / s
+    u = np.broadcast_to(d[0], (len(s),) + d.shape[1:])
+    terms = np.log1p(s * u)
+    for k in range(1, len(d)):
+        u = np.maximum(d[k] - e2[k - 1] / (inv + u), 0.0)
+        terms += np.log1p(s * u)
+    out = np.zeros((len(s), d.shape[-1]))
+    for t in range(terms.shape[1]):
+        out += terms[:, t]
+    return out / rates.LN2
+
+
+@pytest.fixture
+def fallen(monkeypatch):
+    """The trial count of every call to rates._pivot_logs, the fallback."""
+    counts = []
+    true_pivots = rates._pivot_logs
+
+    def counted(scale, d, e2):
+        counts.append(d.shape[-1])
+        return true_pivots(scale, d, e2)
+
+    monkeypatch.setattr(rates, "_pivot_logs", counted)
+    return counts
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+FALLBACK_SNR = np.array([0.0, 1e-20, 0.5, 1.0, 1e3, 1e16, 1e300])
+
+
+def test_degenerate_trials_take_the_pivot_recurrence(fallen):
+    # zero blocks, rank-one blocks and the CDD bins of 4 users sharing one
+    # 3 x 2 channel (every bin Gram of rank one) have no positive leading
+    # coefficient, so every trial takes the LDL^T pivots, with their bits.
+    # (That channel's capacity Gram has rank 2 of 3, and its leading
+    # coefficient may round to a positive value: item 15's domain)
+    rng = np.random.default_rng(12)
+    rank_one = (complex_normal(rng, (30, 4, 5, 1))
+                * complex_normal(rng, (30, 4, 1, 6)))
+    point = np.arange(30) % len(FALLBACK_SNR)           # one per trial
+    for x in (np.zeros((30, 4, 5, 6), complex), rank_one):
+        fallen.clear()
+        got = rates._logdet_sums(FALLBACK_SNR, x)
+        assert fallen == [30]
+        d, e2 = rates._tridiagonal(x)
+        expected = pivot_reference(d, e2, FALLBACK_SNR)
+        assert got.tobytes() == expected.tobytes()
+        # each trial the bits of its own grid point
+        got = rates._logdet_sums(FALLBACK_SNR[point][None], x)[0]
+        assert got.tobytes() == expected[point, np.arange(30)].tobytes()
+    block = np.repeat(complex_normal(rng, (30, 1, 3, 2)), 4, axis=1)
+    fallen.clear()
+    [cdd] = rates._sweep_values(block, FALLBACK_SNR, ("cdd",))
+    assert fallen == [30]
+    d, e2 = rates._tridiagonal(reduce_to_parallel(block), total=True)
+    expected = pivot_reference(d[:, :2], e2[:, :2], FALLBACK_SNR) / 2
+    assert cdd.tobytes() == expected.tobytes()
+
+
+def test_coefficient_overflow_falls_back_without_warnings(fallen):
+    # the (8, 64, 8) CDD product has degree 512 and its coefficients
+    # overflow: those trials take the pivots, finite up to 3000 dB, with no
+    # numpy warning; the capacity's degree-8 polynomial stays finite
+    cfg = SystemConfig(users=8, n_tx=64, n_rx=8, trials=3, seed=64)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rates._sweep_values(block, FALLBACK_SNR, ("cdd", "cap"))
+    assert fallen == [3]
+    assert np.all(np.isfinite(got)) and not got[:, 0].any()
+    d, e2 = rates._tridiagonal(reduce_to_parallel(block), total=True)
+    expected = pivot_reference(d[:, :64], e2[:, :64], FALLBACK_SNR) / 64
+    assert got[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [
+    (1, 4, 1), (1, 4, 2), (2, 2, 2), (6, 3, 3), (8, 4, 8)])
+def test_gaussian_draws_never_take_the_fallback(fallen, users, n_tx, n_rx):
+    # the figure 2-4 and wide-sweep shapes: every trial of a chunk, every
+    # series, has a positive leading coefficient and a finite sum
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=CHUNK,
+                       seed=14)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    metrics = SWEEP_METRICS if users == 2 else ("cdd", "cap")
+    rates._sweep_values(block, np.array([1.0, 1e4]), metrics)
+    assert fallen == []
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [
+    (1, 4, 1), (2, 2, 1), (2, 2, 2), (3, 2, 3), (6, 3, 3), (8, 4, 8),
+    (1, 4, 2), (2, 2, 3), (3, 2, 5)])
+def test_capacity_gram_is_the_sum_of_the_bin_grams(users, n_tx, n_rx):
+    # n_rx <= users: the DFT is unitary, so sum_t Pt Pt^H = sum_k Hk Hk^H,
+    # and the sweep's capacity is read off the bins' Gram sum.  It agrees
+    # with the stacked rows' to 16 ulp, relative (8.8 ulp at most over 2000
+    # trials of 9 shapes: the bins' DFT rounds every entry).  n_rx > users:
+    # the bin Grams are users x users, and the stacked rows' own Gram serves
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=500, seed=10)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    snr = np.concatenate([[1e-20], 10.0 ** (np.arange(-30.0, 61.0, 7.5) / 10),
+                          [1e300]])
+    got = rates._sweep_values(block, snr, ("cap",))[0]
+    stacked = rates._logdet_sums(snr / n_tx, rates._stack_users(block))
+    if n_rx > users:
+        assert got.tobytes() == stacked.tobytes()
+        return
+    d, e2 = rates._tridiagonal(reduce_to_parallel(block), total=True)
+    shared = rates._tridiagonal_sums(snr / n_tx, d[:, n_tx:], e2[:, n_tx:])
+    assert got.tobytes() == shared.tobytes()
+    assert np.all(np.abs(got - stacked) <= 16 * np.finfo(float).eps * stacked)
+
+
+def coefficient_means(block):
+    """Per trial, the coefficients c_1 ... c_L of det(I + sG), (2, L,
+    trials): averaged over the CDD bins, and of the capacity's Gram."""
+    n_tx = block.shape[-1]
+    d, e2 = rates._tridiagonal(reduce_to_parallel(block), total=True)
+    cdd = rates._entry_sum([rates._coefficients(d[:, t:t + 1], e2[:, t:t + 1])
+                            for t in range(n_tx)]) / n_tx
+    cap = rates._coefficients(d[:, n_tx:], e2[:, n_tx:])
+    return np.stack([cdd[1:], cap[1:]])
+
+
+def moment_terms(n_rx, m):
+    """C(L, k) M! / (M - k)!, k = 1 ... L, L = min(n_rx, m), M = max(n_rx,
+    m): the terms of rc_upper_bound's moment E det(I + snr W)."""
+    lo, hi = min(n_rx, m), max(n_rx, m)
+    return np.array([math.comb(lo, k) * math.perm(hi, k)
+                     for k in range(1, lo + 1)], dtype=float)
+
+
+def worst_coefficient_deviation():
+    """Largest |mean - E c_k| in standard errors over the coefficients of
+    the CDD bins and the capacity, 20000 draws of (6,3,3) and of (8,4,8)."""
+    worst = 0.0
+    for users, n_tx, n_rx in ((6, 3, 3), (8, 4, 8)):
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=20000,
+                           seed=1414)
+        [(means, errs)] = run_chunks(coefficient_means, [cfg])
+        cdd, cap = moment_terms(n_rx, users), moment_terms(n_rx, n_tx * users)
+        # the paper's upper bound is log2 of the CDD terms' polynomial
+        assert math.log2(1 + cdd.sum()) == pytest.approx(
+            rc_upper_bound(users, n_rx, 1.0), rel=1e-14)
+        expected = np.stack([cdd, cap])
+        worst = max(worst, float(np.max(np.abs(means - expected) / errs)))
+    return worst
+
+
+def test_coefficient_means_are_the_moment_bound_terms():
+    # E c_k = C(L,k) M!/(M-k)!, k = 1 ... L, for each CDD bin (M, L from
+    # n_rx and users) and for the capacity (n_tx * users for users): 22
+    # two-sided tests at 5 standard errors, family-wise false-failure rate
+    # 1.3e-5 under the normal approximation (README "Power")
+    assert worst_coefficient_deviation() <= 5
+
+
+def test_coefficient_means_control(monkeypatch):
+    # the trace c_1 1 % high: 10 standard errors or more at every config
+    true_coefficients = rates._coefficients
+
+    def high(d, e2):
+        coef = true_coefficients(d, e2)
+        coef[1] *= 1.01
+        return coef
+
+    monkeypatch.setattr(rates, "_coefficients", high)
+    assert worst_coefficient_deviation() > 5
+
+
+def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
+    # scripts/sweep_stages.py calls the kernel's private stages by name; one
+    # repeat on a small shape keeps it in step with them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_stages.py"
+    spec = importlib.util.spec_from_file_location("sweep_stages", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "REPEATS", 1)
+    monkeypatch.setattr(script, "SHAPES", (("small", (3, 2, 3), 16,
+                                            np.array([0.0, 10.0])),))
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and lines[-1].split()[0] == "_sweep_values(cdd,"
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
@@ -906,7 +1149,8 @@ def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
     # any sub-block and any _POINT_BUFFER: at 2**6 every Gram product block
     # is one trial and every point block one point.  The 8-user 4x8 config
     # takes 1024-trial sub-blocks, and its default Gram blocks are 64 trials
-    # of 4 CDD bins and 256 capacity trials; the others take whole chunks
+    # of 4 CDD bins, whose sum is the capacity's Gram; the others take whole
+    # chunks
     values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
                      metrics=("cdd", "cap"))
     true_gram = rates._gram
@@ -939,7 +1183,7 @@ def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
             if budget == 1 << 6:
                 assert {trials for trials, _ in grams} <= {1}
             if budget == default and users == 8:  # the last sub-block: 476
-                assert set(grams) == {(64, 4), (28, 4), (256, 1), (220, 1)}
+                assert set(grams) == {(64, 4), (28, 4)}
             for a, b in zip(got, whole):
                 assert a.tobytes() == b.tobytes(), (users, budget)
 
