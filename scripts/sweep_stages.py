@@ -1,4 +1,5 @@
-"""Print the median time of each stage of the sweep kernel, in ms.
+"""Print the median time of each stage of the sweep kernel, in ms, and
+its minor page faults per run.
 
     python3 scripts/sweep_stages.py
 
@@ -10,15 +11,21 @@ DFT bins, the batch-last Grams (the bins' and their sum, the capacity's),
 the Householder reduction of those Grams, the determinant coefficients of
 the CDD bins and of the capacity, and their evaluation on the grid.  The
 last line per shape times rates._sweep_values(("cdd", "cap")) as a whole.
-Each stage runs REPEATS times on the same input, with one BLAS thread,
-against the package source in this checkout's src/.  The stages are the
-package's private functions, called from outside; nothing in the package
-records a time.
+The channel draw is timed per sub-block: one chunk drawn at once, as
+rates.run_chunks draws it, its time and faults divided by the chunk's
+sub-block count.  Each stage runs
+REPEATS times on the same input, with one BLAS thread, in one chunk
+workspace (linalg._buffer) as in rates.run_chunks, against the package
+source in this checkout's src/.  The faults are the process's ru_minflt
+over the REPEATS runs, divided by REPEATS, so a stage that reuses its
+workspace buffers shows about 0.  The stages are the package's private
+functions, called from outside; nothing in the package records a time.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -30,8 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from cddmac import rates  # noqa: E402
-from cddmac.channel import (SystemConfig, reduce_to_parallel,  # noqa: E402
-                            sample_channel_block)
+from cddmac.channel import (CHUNK, SystemConfig,  # noqa: E402
+                            reduce_to_parallel, sample_channel_block)
+from cddmac.linalg import _workspace  # noqa: E402
 
 REPEATS = 9
 # (name, (users, n_tx, n_rx), trials, SNR grid in dB); each has
@@ -41,13 +49,21 @@ SHAPES = (("wide-sweep", (8, 4, 8), 1024, np.arange(0.0, 41.0, 1.0)),
           ("figure4", (6, 3, 3), 4096, np.arange(0.0, 41.0, 5.0)))
 
 
-def median_ms(stage) -> float:
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure(stage, per: int = 1):
+    """(median ms, minor page faults) of one run of stage, each divided by
+    per."""
     times = []
+    faults = minor_faults()
     for _ in range(REPEATS):
         start = time.perf_counter()
         stage()
         times.append(time.perf_counter() - start)
-    return 1e3 * float(np.median(times))
+    faults = minor_faults() - faults
+    return 1e3 * float(np.median(times)) / per, faults / REPEATS / per
 
 
 def evaluate(coef, scale) -> None:
@@ -60,11 +76,12 @@ def evaluate(coef, scale) -> None:
 
 
 def stages(shape, trials, snr):
-    """(stage, callable) pairs over one sub-block of the shape, each on the
-    previous stage's output."""
+    """(stage, callable, runs per call) triples over one sub-block of the
+    shape, each on the previous stage's output."""
     users, n_tx, n_rx = shape
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=trials,
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=CHUNK,
                        seed=0)
+    rows = max(1, rates._SUB_BLOCK_ENTRIES // (users * n_tx * n_rx))
     block = sample_channel_block(cfg, 0, trials)
     bins = reduce_to_parallel(block)
     gram = rates._grams(bins, total=True)
@@ -74,18 +91,20 @@ def stages(shape, trials, snr):
     cdd = (d[:, :n_tx], e2[:, :n_tx])
     cap = (d[:, n_tx:], e2[:, n_tx:])
     coef_cdd, coef_cap = rates._coefficients(*cdd), rates._coefficients(*cap)
+
     return (
-        ("sampling", lambda: sample_channel_block(cfg, 0, trials)),
-        ("bins", lambda: reduce_to_parallel(block)),
-        ("Gram", lambda: rates._grams(bins, total=True)),
-        ("Householder", lambda: rates._householder(flat.copy())),
-        ("  of which the copy", lambda: flat.copy()),
-        ("coefficients, CDD", lambda: rates._coefficients(*cdd)),
-        ("coefficients, capacity", lambda: rates._coefficients(*cap)),
-        ("evaluation, CDD", lambda: evaluate(coef_cdd, snr)),
-        ("evaluation, capacity", lambda: evaluate(coef_cap, snr / n_tx)),
+        (f"sampling, per sub-block of {min(rows, CHUNK)}",
+         lambda: sample_channel_block(cfg, 0, CHUNK), -(-CHUNK // rows)),
+        ("bins", lambda: reduce_to_parallel(block), 1),
+        ("Gram", lambda: rates._grams(bins, total=True), 1),
+        ("Householder", lambda: rates._householder(flat.copy()), 1),
+        ("  of which the copy", lambda: flat.copy(), 1),
+        ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1),
+        ("coefficients, capacity", lambda: rates._coefficients(*cap), 1),
+        ("evaluation, CDD", lambda: evaluate(coef_cdd, snr), 1),
+        ("evaluation, capacity", lambda: evaluate(coef_cap, snr / n_tx), 1),
         ("_sweep_values(cdd, cap)",
-         lambda: rates._sweep_values(block, snr, ("cdd", "cap"))),
+         lambda: rates._sweep_values(block, snr, ("cdd", "cap")), 1),
     )
 
 
@@ -93,9 +112,12 @@ def main() -> int:
     for name, shape, trials, snr_db in SHAPES:
         snr = 10.0 ** (snr_db / 10)
         print(f"{name} {shape}, {trials} trials, {len(snr)} points "
-              f"(median of {REPEATS}, ms)")
-        for stage, run in stages(shape, trials, snr):
-            print(f"  {stage:<26}{median_ms(run):8.2f}")
+              f"(median ms of {REPEATS} runs; minor page faults per run)")
+        runs = stages(shape, trials, snr)     # inputs outside the workspace
+        with _workspace({}):
+            for stage, run, per in runs:
+                ms, faults = measure(run, per)
+                print(f"  {stage:<32}{ms:8.2f} ms {faults:8.0f} faults")
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _index, _seed, dft_matrix
+from .linalg import _buffer, _index, _seed, dft_matrix
 
 # Fixed Monte-Carlo chunk size.  It fixes the summation order of every
 # estimate (rates.run_chunks) and keys the channel stream (one Philox key per
@@ -80,14 +80,21 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     * trial t's channel depends neither on cfg.trials nor on how a span is
       split: each stream is read from its chunk's first trial up to stop
       and the rows before start are dropped.
+
+    Inside a chunk of rates.run_chunks the block is a view of the chunk
+    thread's workspace (linalg._buffer), valid until the thread's next
+    draw.
     """
     start, stop = _index("start", start), _index("stop", stop)
     if not 0 <= start <= stop <= cfg.trials:
         raise ValueError(f"trials [{start}, {stop}) outside [0, {cfg.trials})")
     size = cfg.users * cfg.n_rx * cfg.n_tx
-    z = np.empty((stop - start, size, 2))
+    # the draw buffers before any generator: a block too large to allocate
+    # fails before it sets up one generator per group
+    z = _buffer("z", (stop - start, size, 2))
     # one stream's rows: at most a chunk, fewer when the span ends early
-    normals = np.empty((min(stop - start // CHUNK * CHUNK, CHUNK), GROUP, 2))
+    normals = _buffer("normals",
+                      (min(stop - start // CHUNK * CHUNK, CHUNK), GROUP, 2))
     chunks = range(start // CHUNK, -(-stop // CHUNK)) if stop > start else ()
     for chunk in chunks:
         first = chunk * CHUNK
@@ -207,11 +214,14 @@ def reduce_to_parallel(channels) -> np.ndarray:
             = blockdiag(n_tx * Hp_t Hp_t^H),
 
     with P from shuffle_permutation, which is what makes the reduced rate
-    path exact.
+    path exact.  Inside a chunk of rates.run_chunks the bins are a view of
+    the chunk thread's workspace (linalg._buffer), valid until its next
+    call.
     """
     ch = _as_stack(channels)
     n_tx = ch.shape[-1]
     # one GEMM over all rows instead of one per (n_rx, n_tx) matrix: the
     # same bits (tested); D is symmetric, so rows go through D
-    bins = (ch.reshape(-1, n_tx) @ dft_matrix(n_tx)).reshape(ch.shape)
-    return np.swapaxes(bins, -1, -3)
+    bins = np.matmul(ch.reshape(-1, n_tx), dft_matrix(n_tx),
+                     out=_buffer("bins", (ch.size // n_tx, n_tx), complex))
+    return np.swapaxes(bins.reshape(ch.shape), -1, -3)

@@ -1,8 +1,12 @@
-"""Linear-algebra helpers and the argument checks shared by every module."""
+"""Linear-algebra helpers, the argument checks and the chunk workspace
+shared by every module."""
 
 from __future__ import annotations
 
+import math
 import operator
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,6 +36,47 @@ def _seed(name: str, value) -> int:
     if (value := _index(name, value, 0)) >= 2**64:
         raise ValueError(f"{name} must be < 2**64, got {value}")
     return value
+
+
+class _Workspace(dict):
+    """A chunk thread's buffers (_buffer), by name."""
+
+
+# The workspace of the chunk that rates.run_chunks runs on this thread.
+_chunk = threading.local()
+
+
+@contextmanager
+def _workspace(workspaces: dict):
+    """For the with block, this thread's workspace is its entry of
+    workspaces, made on first use."""
+    ident = threading.get_ident()
+    _chunk.workspace = workspaces.setdefault(ident, _Workspace())
+    try:
+        yield
+    finally:
+        _chunk.workspace = None
+
+
+def _current_workspace() -> _Workspace | None:
+    """This thread's workspace; None outside a chunk of rates.run_chunks."""
+    return getattr(_chunk, "workspace", None)
+
+
+def _buffer(name: str, shape, dtype=float) -> np.ndarray:
+    """An uninitialised array of that shape and dtype.  Inside a chunk it is
+    a view of the workspace's buffer of that name, which the next call with
+    that name hands out again, so the caller must be done with it by then;
+    elsewhere it is a new array."""
+    workspace = _current_workspace()
+    if workspace is None:
+        return np.empty(shape, dtype)
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = workspace.get(name)
+    if buf is None or buf.size < nbytes:
+        buf = workspace[name] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _snr(snr) -> np.ndarray:

@@ -40,14 +40,17 @@ import numpy as np
 from .channel import (CHUNK, SystemConfig, _as_stack, block_prefix,
                       effective_channel, reduce_to_parallel,
                       sample_channel_block)
-from .linalg import LN2, _index, _scalar, _snr, logdet_hermitian_psd
+from .linalg import (LN2, _buffer, _index, _scalar, _snr, _workspace,
+                     logdet_hermitian_psd)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
     """x @ x^H or x^H @ x, whichever is smaller (the same nonzero spectrum),
     batched over leading axes."""
     xh = np.conj(np.swapaxes(x, -1, -2))
-    return x @ xh if x.shape[-2] <= x.shape[-1] else xh @ x
+    a, b = (x, xh) if x.shape[-2] <= x.shape[-1] else (xh, x)
+    shape = a.shape[:-1] + b.shape[-1:]
+    return np.matmul(a, b, out=_buffer("gram product", shape, complex))
 
 
 def _stack_users(channels: np.ndarray) -> np.ndarray:
@@ -66,6 +69,16 @@ def _gram_logdet(mat: np.ndarray, scale: np.ndarray):
                                 + scale[..., None, None] * gram)
 
 
+def _finite_stack(x, name: str = "channels",
+                  axes: str = "users, n_rx, n_tx") -> np.ndarray:
+    """_as_stack(x, name, axes), refused with a ValueError naming it if an
+    entry is not finite: before any product, which would warn on an inf."""
+    arr = _as_stack(x, name, axes)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
 def rate_cdd(channels, snr):
     """Instantaneous CDD sum rate (1/T) log2 det(I + (snr/T) Heff Heff^H).
 
@@ -76,7 +89,7 @@ def rate_cdd(channels, snr):
     block-diagonal reduction.
     """
     snr = _snr(snr)
-    ch = _as_stack(channels)
+    ch = _finite_stack(channels)
     n_tx = ch.shape[-1]
     eff = effective_channel(ch)
     return _gram_logdet(eff, snr / n_tx) / LN2 / n_tx
@@ -92,12 +105,10 @@ def rate_cdd_reduced(blocks, snr):
     undivided.  Evaluated by the sweep's own kernel (_logdet_sums), so the
     dual-path check against rate_cdd tests the code behind every Monte-Carlo
     estimate.  Non-finite blocks are refused, as the direct rates refuse
-    non-finite channels.
+    non-finite channels (_finite_stack).
     """
     snr = _snr(snr)
-    blk = _as_stack(blocks, "blocks", "n_tx, n_rx, users")
-    if not np.all(np.isfinite(blk)):
-        raise ValueError("blocks has non-finite entries")
+    blk = _finite_stack(blocks, "blocks", "n_tx, n_rx, users")
     lead = np.broadcast_shapes(snr.shape, blk.shape[:-3])
     blk = np.broadcast_to(blk, lead + blk.shape[-3:])
     scale = np.broadcast_to(snr, lead).reshape(1, -1)      # one per stack
@@ -112,7 +123,7 @@ def sum_capacity(channels, snr):
     stack, snr broadcast over its leading axes; one realization gives a
     float."""
     snr = _snr(snr)
-    ch = _as_stack(channels)
+    ch = _finite_stack(channels)
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 
@@ -131,17 +142,19 @@ def _entry_sum(terms) -> np.ndarray:
 _SUB_BLOCK_ENTRIES = 1 << 18
 
 
-def _chunk_sums(values, cfgs, start: int, stop: int):
+def _chunk_sums(values, cfgs, workspaces: dict, start: int, stop: int):
     widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
-    block = sample_channel_block(widest, start, stop)
-    rows = max(1, _SUB_BLOCK_ENTRIES // block[0].size)
-    vals = None
-    for lo in range(0, len(block), rows):
-        for i, cfg in enumerate(cfgs):
-            part = values(block_prefix(block[lo:lo + rows], cfg))
-            if vals is None:
-                vals = np.empty((len(cfgs),) + part.shape[:-1] + (len(block),))
-            vals[i, ..., lo:lo + rows] = part
+    with _workspace(workspaces):
+        block = sample_channel_block(widest, start, stop)
+        rows = max(1, _SUB_BLOCK_ENTRIES // block[0].size)
+        vals = None
+        for lo in range(0, len(block), rows):
+            for i, cfg in enumerate(cfgs):
+                part = values(block_prefix(block[lo:lo + rows], cfg))
+                if vals is None:
+                    vals = _buffer("vals", (len(cfgs),) + part.shape[:-1]
+                                   + (len(block),))
+                vals[i, ..., lo:lo + rows] = part
     # one pass over the whole chunk, so the sums never see the sub-blocks
     total = vals.sum(axis=-1)                  # before vals is squared
     return total, np.square(vals, out=vals).sum(axis=-1)
@@ -168,6 +181,11 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
     process, or in the calling thread when that is one; values may be any
     callable that is safe to call from two threads at once.  If a chunk
     raises, or on Ctrl-C, the chunks still queued are cancelled, not run.
+    Each chunk thread draws and evaluates in a workspace of its own
+    (linalg._buffer), made on its first chunk and dropped when run_chunks
+    returns, so a chunk's large temporaries are allocated once per thread,
+    not once per sub-block: values must not keep its block or any other
+    workspace buffer past its return.
     """
     workers = _index("workers", workers, 1)
     cfgs = tuple(cfgs)
@@ -175,7 +193,8 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
         raise ValueError("a run's configs need one seed and one trial count")
     n = _index("trials", cfgs[0].trials, 2)  # 2 for a standard error
     spans = [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
-    chunk = partial(_chunk_sums, values, cfgs)
+    # the chunk threads' workspaces, by thread: no buffer outlives the call
+    chunk = partial(_chunk_sums, values, cfgs, {})
     threads = min(workers, len(spans), _usable_cpus())
     if threads > 1:
         pool = ThreadPoolExecutor(max_workers=threads)
@@ -226,25 +245,32 @@ def _householder(gram: np.ndarray):
     only.  Only the squared off-diagonal e2 is kept: the coefficients need no
     phases.  numpy may round a complex product with or without FMA
     depending on the batch's length and strides, so a matrix's bits can
-    differ between batches by an ulp.
+    differ between batches by an ulp.  The (L - 1, N) temporaries are
+    workspace buffers (linalg._buffer), written with out=.
     """
     size, _, n = gram.shape
     e2 = np.empty((size - 1, n))
-    p_buf, tmp = np.empty((2, size - 1, n), complex)
+    p_buf, tmp, v_buf, vh_buf, w_buf, wh_buf = (
+        _buffer(name, (size - 1, n), complex)
+        for name in ("p", "tmp", "v", "vh", "w", "wh"))
+    power_buf = _buffer("power", (2, size - 1, n))
     for k in range(size - 2):
         col = gram[k + 1:, k]                                   # x, (m, N)
         m = len(col)
-        power = np.square(col.real) + np.square(col.imag)
+        power, imag2 = power_buf[:, :m]
+        np.square(col.real, out=power)
+        power += np.square(col.imag, out=imag2)
         norm2 = e2[k] = _entry_sum(power)
         alpha, lead = np.sqrt(norm2), np.sqrt(power[0])
         # v = x + (x0 / |x0|) |x| e1 is mapped to a multiple of e1 without
         # cancellation; tau = 2 / |v|^2
-        v = col.copy()
+        v = v_buf[:m]
+        np.copyto(v, col)
         v[0] += alpha * np.divide(col[0], lead, out=np.ones(n, complex),
                                   where=lead > 0)
         tau = np.divide(1.0, norm2 + lead * alpha, out=np.zeros(n),
                         where=norm2 > 0)
-        vh = np.conj(v)
+        vh = np.conj(v, out=vh_buf[:m])
         sub = gram[k + 1:, k + 1:]
         # p = tau A v, A Hermitian and kept below the diagonal, one column
         # at a time: column j gives rows j.. as A_rj v_j and rows ..j - 1
@@ -259,8 +285,9 @@ def _householder(gram: np.ndarray):
         # A <- H A H = A - v w^H - w v^H, w = p - tau/2 (v^H p) v
         np.multiply(vh, p, out=tmp[:m])
         vp = _entry_sum(tmp[:m].real)
-        w = p - (0.5 * tau * vp) * v
-        wh = np.conj(w)
+        w = np.multiply(0.5 * tau * vp, v, out=w_buf[:m])
+        np.subtract(p, w, out=w)
+        wh = np.conj(w, out=wh_buf[:m])
         for j in range(m):
             part = tmp[j:m]
             np.multiply(v[j:], wh[j], out=part)
@@ -300,12 +327,13 @@ def _grams(x: np.ndarray, total: bool = False):
     # a block's Gram products and their batch-last copy (two complex arrays)
     # fill one _POINT_BUFFER, so that the transposition and the sum run in
     # cache
-    gram = np.empty((size, size, per + total, trials), complex)
+    gram = _buffer("gram", (size, size, per + total, trials), complex)
     step = max(1, _POINT_BUFFER // (4 * per * size * size))
     for lo in range(0, trials, step):
         part = gram[..., lo:lo + step]
-        part[:, :, :per] = _gram(np.ascontiguousarray(rows[lo:lo + step])
-                                 ).transpose(2, 3, 1, 0)
+        block = _buffer("gram rows", part.shape[-1:] + rows.shape[1:], complex)
+        np.copyto(block, rows[lo:lo + step])
+        part[:, :, :per] = _gram(block).transpose(2, 3, 1, 0)
         if total:
             part[:, :, per] = _entry_sum(np.moveaxis(part[:, :, :per], 2, 0))
     return gram

@@ -7,6 +7,7 @@ Independent oracles used here:
     integral (scipy is a test-only dependency).
 """
 
+import gc
 import importlib.util
 import math
 import multiprocessing
@@ -16,6 +17,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from cddmac import rates
+from cddmac import linalg, rates
 from cddmac.bounds import rc_upper_bound
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block)
@@ -216,6 +218,22 @@ def test_rate_cdd_reduced_refuses_nonfinite_blocks(bad):
     blocks[1, 0, 1] = bad
     with pytest.raises(ValueError, match="blocks has non-finite entries"):
         rate_cdd_reduced(blocks, 1.0)
+
+
+@pytest.mark.parametrize("rate", [rate_cdd, sum_capacity])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(1.0, np.inf)])
+def test_direct_rates_refuse_an_inf_channel_before_any_product(rate, bad):
+    # an inf entry made the Gram product warn "invalid value encountered in
+    # matmul" before the Cholesky refused the matrix; with warnings as
+    # errors that warning was the failure
+    rng = np.random.default_rng(17)
+    ch = np.stack([random_channels(rng, 2, 2, 2) for _ in range(2)])
+    ch[1, 0, 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="channels has non-finite entries"):
+            rate(ch, 1.0)
 
 
 @pytest.mark.parametrize("rate", [rate_cdd, sum_capacity, rate_cdd_reduced])
@@ -411,6 +429,73 @@ def test_run_chunks_error_cancels_queued_chunks(monkeypatch):
     with pytest.raises(RuntimeError, match="chunk 0 failed"):
         run_chunks(values, [cfg], workers=2)
     assert 1 <= len(ran) < 16
+
+
+def test_consecutive_sweeps_in_one_thread_give_the_same_bytes():
+    # each run_chunks call draws in a workspace of its own: a sweep of
+    # another shape in between leaves no trace
+    cfg = SystemConfig(users=8, n_tx=4, n_rx=8, trials=CHUNK + 1100, seed=46)
+    other = SystemConfig(users=2, n_tx=2, n_rx=3, trials=300, seed=46)
+    grid = np.array([1.0, 100.0])
+    first = monte_carlo_sweep(cfg, grid)
+    monte_carlo_sweep(other, grid, metrics=("cdd", "cap", "diff"))
+    assert same_bits(monte_carlo_sweep(cfg, grid), first)
+    assert same_bits(monte_carlo_sweep(cfg, grid), first)
+
+
+def test_sweep_after_one_that_raised_mid_chunk_gives_fresh_bytes(monkeypatch):
+    # the failed run dies in its second sub-block, between the draw and the
+    # coefficients, and leaves no buffer behind; the
+    # capacity takes the stacked Householder path (n_rx > users)
+    monkeypatch.setattr(rates, "_SUB_BLOCK_ENTRIES", 24 * 512)
+    cfg = SystemConfig(users=3, n_tx=2, n_rx=4, trials=CHUNK + 300, seed=47)
+    grid = np.array([0.5, 50.0])
+    fresh = monte_carlo_sweep(cfg, grid)
+    true_coefficients = rates._coefficients
+    calls = []
+
+    def failing(d, e2):
+        calls.append(d.shape)
+        if len(calls) == 3:
+            raise RuntimeError("mid-chunk")
+        return true_coefficients(d, e2)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(rates, "_coefficients", failing)
+        with pytest.raises(RuntimeError, match="mid-chunk"):
+            monte_carlo_sweep(cfg, grid)
+    assert same_bits(monte_carlo_sweep(cfg, grid), fresh)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_workspace_outlives_run_chunks(monkeypatch, workers):
+    # one workspace per chunk thread, kept across its chunks and dropped
+    # when run_chunks returns or raises
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=3, trials=4 * CHUNK, seed=48)
+    sweep = partial(_sweep_values, snr=np.array([10.0]), metrics=("cdd",))
+    seen = {}
+
+    def values(block):
+        workspace = linalg._current_workspace()
+        seen.setdefault(threading.get_ident(), set()).add(id(workspace))
+        refs.append(weakref.ref(workspace))
+        if len(refs) == 4 and fail:
+            raise RuntimeError("last chunk")
+        return sweep(block)
+
+    for fail in (False, True):
+        refs = []
+        seen.clear()
+        try:
+            run_chunks(values, [cfg], workers)
+        except RuntimeError:
+            assert fail
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert 1 <= len(seen) <= workers
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert linalg._current_workspace() is None
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -1119,6 +1204,13 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
     assert script.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11 and lines[-1].split()[0] == "_sweep_values(cdd,"
+    # 18 entries per trial: a chunk is one sub-block
+    assert lines[1].split()[:5] == ["sampling,", "per", "sub-block", "of",
+                                    str(CHUNK)]
+    for line in lines[1:]:                      # "... <ms> ms <faults> faults"
+        *_, ms, ms_unit, faults, faults_unit = line.split()
+        assert (ms_unit, faults_unit) == ("ms", "faults")
+        assert float(ms) >= 0 and float(faults) >= 0
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])

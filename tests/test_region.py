@@ -201,3 +201,19 @@ def test_import_loads_no_process_pool_machinery():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert not hasattr(region, "no_such_name")
+
+
+def test_import_loads_no_random_module():
+    # numpy imports numpy.random lazily, on the first draw: a fresh import
+    # of the package leaves it out, so its 17-20 ms stay in the first
+    # draw's time and not in the import's
+    script = ("import sys\n"
+              "import cddmac\n"
+              "assert 'numpy.random' not in sys.modules\n"
+              "cddmac.sample_channels(cddmac.SystemConfig(1, 1, 1, 1, 0), 0)\n"
+              "assert 'numpy.random' in sys.modules\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
