@@ -27,10 +27,11 @@ import numpy as np
 from .linalg import _buffer, _index, _seed, dft_matrix
 
 # Fixed Monte-Carlo chunk size.  It fixes the summation order of every
-# estimate (rates.run_chunks) and keys the channel stream (one Philox key per
-# chunk), so it is part of the contract: changing it changes every estimate.
+# estimate (rates.run_chunks) and keys the channel streams (the chunk index
+# is part of every stream's key), so it is part of the contract: changing it
+# changes every estimate.
 CHUNK = 4096
-# Channel entries per Philox stream within a chunk (see sample_channel_block).
+# Channel entries per stream within a chunk (see sample_channel_block).
 GROUP = 8
 
 
@@ -69,8 +70,10 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     Entry e of a trial is its C-order index over (users, n_rx, n_tx).  Trial
     t of chunk c = t // CHUNK holds, as entries 8g ... 8g+7, row t - c*CHUNK
     of stream (c, g), the standard normals of
-    Generator(Philox(key=[seed, c], counter=[0, 0, g, 0])) read as shape
-    (trials, 8, 2); each entry is (re + 1j*im) / sqrt(2).  So
+    Generator(SFC64(SeedSequence(seed, spawn_key=(c, g)))) read as shape
+    (trials, 8, 2); each entry is (re + 1j*im) / sqrt(2).  Stream (c, g) is
+    thus child g of child c of SeedSequence(seed), as spawn() makes them.
+    So
 
     * the key depends only on the fixed chunk schedule, and any worker
       reproduces any chunk: results never depend on scheduling;
@@ -99,12 +102,12 @@ def sample_channel_block(cfg: SystemConfig, start: int, stop: int) -> np.ndarray
     for chunk in chunks:
         first = chunk * CHUNK
         lo, hi = max(start, first), min(stop, first + CHUNK)
-        # uint64 arrays: a plain-int key of 2**63 or more is cast wrongly
-        key = np.array([cfg.seed, chunk], np.uint64)
         for group, entry in enumerate(range(0, size, GROUP)):
-            counter = np.array([0, 0, group, 0], np.uint64)
-            gen = np.random.Generator(np.random.Philox(key=key,
-                                                      counter=counter))
+            # spawn_key, not the seed words [seed, chunk, group]:
+            # SeedSequence pads a short entropy with zero words, so [0, 1, 2]
+            # and [2**32, 2, 0] would give one stream for two seeds
+            gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                cfg.seed, spawn_key=(chunk, group))))
             gen.standard_normal(out=normals[:hi - first])
             # numpy divides a complex by a real c as a multiply by 1.0 / c,
             # so this gives the bits of (re + 1j*im) / sqrt(2) (tested);

@@ -32,7 +32,8 @@ def _index(name: str, value, minimum: int | None = None) -> int:
 
 
 def _seed(name: str, value) -> int:
-    """_index(name, value, 0) below 2**64: one 64-bit Philox key word."""
+    """_index(name, value, 0) below 2**64: the 64-bit entropy of the
+    channel streams' SeedSequence (channel.sample_channel_block)."""
     if (value := _index(name, value, 0)) >= 2**64:
         raise ValueError(f"{name} must be < 2**64, got {value}")
     return value

@@ -109,7 +109,7 @@ def test_sample_trial_out_of_range():
 def documented_stream(users, n_tx, n_rx, seed, start, stop):
     """The documented stream, rebuilt trial by trial from public
     constructors: entries 8g ... 8g+7 of trial t are row t - c*CHUNK of
-    Generator(Philox(key=[seed, c], counter=[0, 0, g, 0])).standard_normal
+    Generator(SFC64(child g of child c of SeedSequence(seed))).standard_normal
     read as (trials, 8, 2), c = t // CHUNK, real part first, over sqrt(2)."""
     size = users * n_rx * n_tx
     trials = []
@@ -117,9 +117,9 @@ def documented_stream(users, n_tx, n_rx, seed, start, stop):
         chunk, row = divmod(t, CHUNK)
         entries = []
         for group in range(-(-size // 8)):
-            bits = np.random.Philox(
-                key=np.array([seed, chunk], dtype=np.uint64),
-                counter=np.array([0, 0, group, 0], dtype=np.uint64))
+            seq = (np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+                   .spawn(group + 1)[group])
+            bits = np.random.SFC64(seq)
             z = np.random.Generator(bits).standard_normal((row + 1, 8, 2))
             entries.append((z[row, :, 0] + 1j * z[row, :, 1]) / np.sqrt(2.0))
         trials.append(np.concatenate(entries)[:size].reshape(users, n_rx,
@@ -175,6 +175,21 @@ def test_streams_of_chunks_and_groups_differ():
     for i, a in enumerate(groups):
         for b in groups[i + 1:]:
             assert not np.any(a == b)
+
+
+def test_streams_of_seeds_whose_seed_words_would_collide_differ():
+    # keyed by the seed words [seed, c, g], stream (1, 2) of seed 0 and
+    # stream (2, 0) of seed 2**32 would be one stream: SeedSequence pads a
+    # short entropy with zero words.  spawn_key keeps them apart
+    words = [np.random.SeedSequence(w).generate_state(4)
+             for w in ([0, 1, 2], [2**32, 2, 0])]
+    assert words[0].tobytes() == words[1].tobytes()
+    # 24 entries: three groups; trial c * CHUNK is row 0 of chunk c
+    cfg = dict(users=1, n_tx=8, n_rx=3, trials=2 * CHUNK + 1)
+    a = sample_channel_block(SystemConfig(**cfg, seed=0), CHUNK, CHUNK + 1)
+    b = sample_channel_block(SystemConfig(**cfg, seed=2**32), 2 * CHUNK,
+                             2 * CHUNK + 1)
+    assert not np.any(a.reshape(3, GROUP)[2] == b.reshape(3, GROUP)[0])
 
 
 @pytest.mark.parametrize("narrow,wide,seed,start,stop", [

@@ -702,9 +702,14 @@ def test_verify_same_bytes_at_any_thread_count(monkeypatch, capsys):
 
 
 def test_verify_determinism_negative_control_on_threads(monkeypatch, capsys):
-    # a pool whose first chunk's sums move by one ulp: only the determinism
-    # check, which compares the serial bits with the threaded ones, fails.
-    # A reversed reduction would not serve: at its two chunks a + b == b + a
+    # a pool that moves the first chunk's sums up by the fewest ulps that
+    # reach a mean: only the determinism check, which compares the serial
+    # bits with the threaded ones, fails.  One ulp can be rounded away when
+    # the second chunk's sums are added and the total divided by the trial
+    # count.  A reversed reduction would not serve: at its two chunks
+    # a + b == b + a
+    steps = 0
+
     class DriftingPool:
         def __init__(self, max_workers):
             pass
@@ -712,15 +717,34 @@ def test_verify_determinism_negative_control_on_threads(monkeypatch, capsys):
         def map(self, fn, *iterables):
             parts = list(map(fn, *iterables))
             sums, squares = parts[0]
-            parts[0] = (np.nextafter(sums, np.inf), squares)
+            for _ in range(steps):
+                sums = np.nextafter(sums, np.inf)
+            parts[0] = (sums, squares)
             return parts
 
         def shutdown(self, cancel_futures):
             pass
 
+    true_sweep = cli.monte_carlo_sweep
+    sweeps = []
+
+    def recording_sweep(*args, **kwargs):
+        sweeps.append(true_sweep(*args, **kwargs))
+        return sweeps[-1]
+
     monkeypatch.setattr(rates, "ThreadPoolExecutor", DriftingPool)
     monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "monte_carlo_sweep", recording_sweep)
+    for steps in range(1, 5):
+        if not cli._check_determinism(None)[0]:
+            break
+    else:
+        pytest.fail("four ulps on the first chunk's sums reach no mean")
+    serial, threaded = sweeps[-2:]
+    ulps = [np.abs(threaded[m][0] - serial[m][0]) / np.spacing(serial[m][0])
+            for m in ("cdd", "cap")]
+    assert 0 < np.max(ulps) <= 4
     assert cli.verify(seed=0) == 1
     out = capsys.readouterr().out
     assert [line.split(":")[0] for line in out.splitlines()
