@@ -9,17 +9,20 @@ to 40 dB) and one 4096-trial chunk of --scenario figure4 (6 users, 3 and 3
 antennas, 9 points from 0 to 40 dB).  The stages are the channel draw, the
 DFT bins, the batch-last Grams (the bins' and their sum, the capacity's),
 the Householder reduction of those Grams, the determinant coefficients of
-the CDD bins and of the capacity, and their evaluation on the grid.  The
-last line per shape times rates._sweep_values(("cdd", "cap")) as a whole.
+the CDD bins and of the capacity, and their evaluation on the whole grid
+(rates._horner_logs; either grid is one point block of rates._logdet_sums).
+Next come rates._sweep_values(("cdd", "cap")) as a whole and the sum of
+the stages it runs, bins to evaluation without the copy's sub-line: a gap
+between the two is time that the stages, timed one by one, miss or add.
 The channel draw is timed per sub-block: one chunk drawn at once, as
 rates.run_chunks draws it, its time and faults divided by the chunk's
-sub-block count.  Each stage runs
-REPEATS times on the same input, with one BLAS thread, in one chunk
-workspace (linalg._buffer) as in rates.run_chunks, against the package
-source in this checkout's src/.  The faults are the process's ru_minflt
-over the REPEATS runs, divided by REPEATS, so a stage that reuses its
-workspace buffers shows about 0.  The stages are the package's private
-functions, called from outside; nothing in the package records a time.
+sub-block count.  Each stage runs REPEATS times on the same input, with
+one BLAS thread, in one chunk workspace (linalg._buffer) as in
+rates.run_chunks, against the package source in this checkout's src/.  The
+faults are the process's ru_minflt over the REPEATS runs, divided by
+REPEATS, so a stage that reuses its workspace buffers shows about 0.  The
+stages are the package's private functions, called from outside; nothing
+in the package records a time.
 """
 
 from __future__ import annotations
@@ -66,18 +69,9 @@ def measure(stage, per: int = 1):
     return 1e3 * float(np.median(times)) / per, faults / REPEATS / per
 
 
-def evaluate(coef, scale) -> None:
-    """The grid evaluation of rates._tridiagonal_sums, point block by point
-    block, without its coefficient and fallback steps."""
-    scale = scale[:, None]
-    step = max(1, rates._POINT_BUFFER // coef.shape[1])
-    for lo in range(0, len(scale), step):
-        rates._horner_logs(coef, scale[lo:lo + step])
-
-
 def stages(shape, trials, snr):
-    """(stage, callable, runs per call) triples over one sub-block of the
-    shape, each on the previous stage's output."""
+    """(stage, callable, runs per call, run by rates._sweep_values) over
+    one sub-block of the shape, each on the previous stage's output."""
     users, n_tx, n_rx = shape
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=CHUNK,
                        seed=0)
@@ -85,26 +79,28 @@ def stages(shape, trials, snr):
     block = sample_channel_block(cfg, 0, trials)
     bins = reduce_to_parallel(block)
     gram = rates._grams(bins, total=True)
-    size = gram.shape[0]
-    flat = gram.reshape(size, size, -1)
+    flat = gram.reshape(*gram.shape[:2], -1)
     d, e2 = rates._tridiagonal(bins, total=True)
     cdd = (d[:, :n_tx], e2[:, :n_tx])
     cap = (d[:, n_tx:], e2[:, n_tx:])
     coef_cdd, coef_cap = rates._coefficients(*cdd), rates._coefficients(*cap)
+    grid, draws = snr[:, None], -(-CHUNK // rows)
 
     return (
         (f"sampling, per sub-block of {min(rows, CHUNK)}",
-         lambda: sample_channel_block(cfg, 0, CHUNK), -(-CHUNK // rows)),
-        ("bins", lambda: reduce_to_parallel(block), 1),
-        ("Gram", lambda: rates._grams(bins, total=True), 1),
-        ("Householder", lambda: rates._householder(flat.copy()), 1),
-        ("  of which the copy", lambda: flat.copy(), 1),
-        ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1),
-        ("coefficients, capacity", lambda: rates._coefficients(*cap), 1),
-        ("evaluation, CDD", lambda: evaluate(coef_cdd, snr), 1),
-        ("evaluation, capacity", lambda: evaluate(coef_cap, snr / n_tx), 1),
+         lambda: sample_channel_block(cfg, 0, CHUNK), draws, False),
+        ("bins", lambda: reduce_to_parallel(block), 1, True),
+        ("Gram", lambda: rates._grams(bins, total=True), 1, True),
+        ("Householder", lambda: rates._householder(flat.copy()), 1, True),
+        ("  of which the copy", lambda: flat.copy(), 1, False),
+        ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1, True),
+        ("coefficients, capacity", lambda: rates._coefficients(*cap), 1, True),
+        ("evaluation, CDD", lambda: rates._horner_logs(coef_cdd, grid), 1,
+         True),
+        ("evaluation, capacity",
+         lambda: rates._horner_logs(coef_cap, grid / n_tx), 1, True),
         ("_sweep_values(cdd, cap)",
-         lambda: rates._sweep_values(block, snr, ("cdd", "cap")), 1),
+         lambda: rates._sweep_values(block, snr, ("cdd", "cap")), 1, False),
     )
 
 
@@ -114,10 +110,16 @@ def main() -> int:
         print(f"{name} {shape}, {trials} trials, {len(snr)} points "
               f"(median ms of {REPEATS} runs; minor page faults per run)")
         runs = stages(shape, trials, snr)     # inputs outside the workspace
+        parts = []
         with _workspace({}):
-            for stage, run, per in runs:
+            for stage, run, per, summed in runs:
                 ms, faults = measure(run, per)
                 print(f"  {stage:<32}{ms:8.2f} ms {faults:8.0f} faults")
+                if summed:
+                    parts.append((ms, faults))
+        ms, faults = np.sum(parts, axis=0)
+        print(f"  {'_sweep_values stages, summed':<32}{ms:8.2f} ms "
+              f"{faults:8.0f} faults")
     return 0
 
 

@@ -6,12 +6,12 @@ converted to bits once at the end.  There are two independent paths: the
 direct rates (rate_cdd on the block-circulant effective channel,
 sum_capacity) take one stacked Cholesky log-det per call, over any leading
 trial axes, with the bits of one call per realization; the sweep engine
-(monte_carlo_sweep) reduces each Gram to a real tridiagonal T once, takes
-the SNR-free coefficients of det(I + sT) from it, multiplied over a trial's
-DFT bins, and reads every grid point from one Horner sum and one logarithm
-(_logdet_sums); rate_cdd_reduced runs that kernel on its own stack.  Where
-n_rx <= users the capacity's Gram is the sum of the bins' Grams (the DFT is
-unitary), reduced in the same call as theirs.
+(monte_carlo_sweep) reduces each Gram to a real tridiagonal T once
+(_tridiagonal), takes the SNR-free coefficients of det(I + sT) from it,
+multiplied over a trial's DFT bins, and reads every grid point from one
+Horner sum and one logarithm (_logdet_sums); rate_cdd_reduced runs both on
+its own stack.  Where n_rx <= users the capacity's Gram is the sum of the
+bins' Grams (the DFT is unitary), reduced in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
@@ -31,6 +31,7 @@ bit-identical for any --workers setting.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
@@ -69,13 +70,33 @@ def _gram_logdet(mat: np.ndarray, scale: np.ndarray):
                                 + scale[..., None, None] * gram)
 
 
-def _finite_stack(x, name: str = "channels",
-                  axes: str = "users, n_rx, n_tx") -> np.ndarray:
+# The largest value a rate's kernels may form: a Gram entry squared, or
+# times the snr, with room for the few sums taken after it.
+_GRAM_MAX = float(np.finfo(float).max) / 16
+
+
+def _checked_stack(x, snr: np.ndarray, name: str = "channels",
+                   axes: str = "users, n_rx, n_tx") -> np.ndarray:
     """_as_stack(x, name, axes), refused with a ValueError naming it if an
-    entry is not finite: before any product, which would warn on an inf."""
+    entry is not finite, before any product, which would warn on an inf,
+    or if an entry is so large that a Gram could overflow.
+
+    With n the entries of one realization and m their largest |Re| or |Im|,
+    g = 2 n m^2 bounds every Gram entry the public rates form, and the
+    Frobenius norm of each DFT bin's Gram in rate_cdd_reduced; both g^2
+    (_householder squares it) and max(snr) g must stay below _GRAM_MAX.
+    The sweep, whose draws are unit-variance, does not check.
+    """
     arr = _as_stack(x, name, axes)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
+    m = max(float(np.max(np.abs(part), initial=0.0))
+            for part in (arr.real, arr.imag))
+    g = 2.0 * math.prod(arr.shape[-3:]) * m * m   # Python floats: no warning
+    if g * g > _GRAM_MAX or float(np.max(snr, initial=0.0)) * g > _GRAM_MAX:
+        raise ValueError(f"{name} has entries too large for this snr: a "
+                         f"Gram entry, squared or times the snr, would "
+                         f"overflow")
     return arr
 
 
@@ -89,7 +110,7 @@ def rate_cdd(channels, snr):
     block-diagonal reduction.
     """
     snr = _snr(snr)
-    ch = _finite_stack(channels)
+    ch = _checked_stack(channels, snr)
     n_tx = ch.shape[-1]
     eff = effective_channel(ch)
     return _gram_logdet(eff, snr / n_tx) / LN2 / n_tx
@@ -102,17 +123,19 @@ def rate_cdd_reduced(blocks, snr):
     stack of a (..., n_tx, n_rx, users) array, snr broadcast against the
     leading axes; one stack and a scalar snr give a float.  The 1/n_tx
     power split is already absorbed by the reduction, so snr appears
-    undivided.  Evaluated by the sweep's own kernel (_logdet_sums), so the
-    dual-path check against rate_cdd tests the code behind every Monte-Carlo
-    estimate.  Non-finite blocks are refused, as the direct rates refuse
-    non-finite channels (_finite_stack).
+    undivided.  Evaluated by the sweep's own kernel, _tridiagonal and then
+    _logdet_sums, so the dual-path check against rate_cdd tests the code
+    behind every Monte-Carlo estimate.  Blocks are refused as the direct
+    rates refuse channels (_checked_stack).
     """
     snr = _snr(snr)
-    blk = _finite_stack(blocks, "blocks", "n_tx, n_rx, users")
+    blk = _checked_stack(blocks, snr, "blocks", "n_tx, n_rx, users")
     lead = np.broadcast_shapes(snr.shape, blk.shape[:-3])
     blk = np.broadcast_to(blk, lead + blk.shape[-3:])
     scale = np.broadcast_to(snr, lead).reshape(1, -1)      # one per stack
-    sums = _logdet_sums(scale, blk.reshape(-1, *blk.shape[-3:]))[0]
+    stacks = blk.reshape(-1, *blk.shape[-3:])
+    sums = (_logdet_sums(scale, *_tridiagonal(stacks))[0] if len(stacks)
+            else np.zeros(0))
     rate = sums.reshape(lead) / blk.shape[-3]
     return _scalar(rate)
 
@@ -123,7 +146,7 @@ def sum_capacity(channels, snr):
     stack, snr broadcast over its leading axes; one realization gives a
     float."""
     snr = _snr(snr)
-    ch = _finite_stack(channels)
+    ch = _checked_stack(channels, snr)
     return _gram_logdet(_stack_users(ch), snr / ch.shape[-1]) / LN2
 
 
@@ -228,8 +251,8 @@ REGION_METRICS = tuple(f"{scheme}_{part}" for scheme in ("cap", "cdd")
 SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
 
 # Doubles per buffer of the sweep kernel, sized for cache: a block of
-# _grams' Gram products with its batch-last copy, or of _logdet_sums' grid
-# points (the Horner sums, or the fallback's pivots).  wide-sweep's 4 MB
+# _grams' Gram products with its batch-last copy, or the largest temporary
+# of a block of _logdet_sums' grid points.  wide-sweep's 4 MB
 # sub-block Gram, copied batch-last in one piece, misses the cache on every
 # entry: wall_s median 0.591 s, against 0.522 s in blocks (10 alternating
 # pairs, shared 2-vCPU x86-64 machine).
@@ -417,15 +440,10 @@ def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     at s (n, 1) or (n, trials): _log_below where s <= 1, _log_above where
     s > 1.  A shared grid point takes one form for all trials; a row of
     one value per trial takes both, each with s clipped to its side."""
-    high = s > 1
-    if high.all():
-        return _log_above(coef, s)
-    if not high.any():
-        return _log_below(coef, s)
     if s.shape[1] > 1:
-        return np.where(high, _log_above(coef, np.maximum(s, 1.0)),
+        return np.where(s > 1, _log_above(coef, np.maximum(s, 1.0)),
                         _log_below(coef, np.minimum(s, 1.0)))
-    rows = high[:, 0]
+    rows = s[:, 0] > 1
     out = np.empty((len(s), coef.shape[1]))
     out[rows] = _log_above(coef, s[rows])
     out[~rows] = _log_below(coef, s[~rows])
@@ -439,85 +457,60 @@ def _pivot_logs(scale: np.ndarray, d: np.ndarray, e2: np.ndarray):
 
         u_0 = d_0,   u_k = d_k - e2_{k-1} / (1/s + u_{k-1}),
 
-    each adding log1p(s u_k), the u_k clipped at 0.  Grid points go in
-    blocks of at most _POINT_BUFFER doubles, one point if that is larger.
+    each adding log1p(s u_k), the u_k clipped at 0.  The S points are one
+    block of _logdet_sums, evaluated at once.
     """
-    size, per, trials = d.shape
-    scale = scale.reshape(len(scale), 1, -1)                    # (S,1,1|B)
-    out = np.empty((len(scale), trials))
-    step = max(1, _POINT_BUFFER // d[0].size)
-    u, term, acc = np.empty((3, min(step, len(scale)), per, trials))
-    for lo in range(0, len(scale), step):
-        s = scale[lo:lo + step]
-        n = len(s)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / s                     # inf at s = 0: e2 / inf = 0
-        np.copyto(u[:n], d[0])
-        np.multiply(u[:n], s, out=acc[:n])
-        np.log1p(acc[:n], out=acc[:n])
-        for k in range(1, size):
-            np.add(u[:n], inv, out=term[:n])
-            np.divide(e2[k - 1], term[:n], out=term[:n])
-            np.subtract(d[k], term[:n], out=u[:n])
-            np.maximum(u[:n], 0.0, out=u[:n])
-            np.multiply(u[:n], s, out=term[:n])
-            np.log1p(term[:n], out=term[:n])
-            acc[:n] += term[:n]
-        out[lo:lo + n] = _entry_sum(np.moveaxis(acc[:n], 1, 0))
-    return out
+    s = scale[:, None]                                          # (S,1,1|B)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / s                     # inf at s = 0: e2 / inf = 0
+    u = np.broadcast_to(d[0], (len(s),) + d.shape[1:])
+    terms = np.log1p(s * u)
+    for k in range(1, len(d)):
+        u = np.maximum(d[k] - e2[k - 1] / (inv + u), 0.0)
+        terms += np.log1p(s * u)
+    return _entry_sum(np.moveaxis(terms, 1, 0))
 
 
-def _logdet_sums(scale, x: np.ndarray) -> np.ndarray:
-    """(S, trials) array: entry [i, b] sums log2 det(I + scale[i] G) over
-    the smaller-side Grams G of the matrices of x[b].
+def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """(S, trials) array: entry [i, b] sums log2 det(I + scale[i] T_t) over
+    the T tridiagonals (d, e2) of trial b, (L, T, trials), from _tridiagonal;
+    scale is (S,), or (S, trials) for one value per trial.
 
-    x is a (trials, ..., rows, cols) stack; scale is (S,), or (S, trials)
-    for one value per trial.  det(I + sG) = det(I + sT) needs no
-    eigenvalues: once per trial, _coefficients takes the SNR-free
-    coefficients c_k of prod_t det(I + s T_t) from the tridiagonals T_t of
-    _tridiagonal, the bins' polynomials multiplied in index order, and each
-    grid point then costs one Horner sum, a running total in index order,
-    and one logarithm (_horner_logs): log1p(sum_{k >= 1} c_k s^k) for
-    s <= 1, so a rate far below 1 bit keeps its relative accuracy and
-    s = 0 gives exactly 0, and deg ln s + ln of a Horner sum in 1/s for
-    s > 1, so 3000 dB stays finite.  Only elementwise ufuncs touch the
-    coefficients, so an entry's bits depend neither on its grid point's
+    det(I + sG) = det(I + sT) needs no eigenvalues: once per trial,
+    _coefficients takes the SNR-free coefficients c_k of prod_t det(I +
+    s T_t), and each grid point then costs one Horner sum, a running total
+    in index order, and one logarithm (_horner_logs): log1p(sum_{k >= 1}
+    c_k s^k) for s <= 1, so a rate far below 1 bit keeps its relative
+    accuracy and s = 0 gives exactly 0, and deg ln s + ln of a Horner sum in
+    1/s for s > 1, so 3000 dB stays finite.  Only elementwise ufuncs touch
+    the coefficients, so an entry's bits depend neither on its grid point's
     block nor on the other trials.  A trial whose leading coefficient is
     not positive (a zero or rank-deficient Gram: c_deg = prod det T_t
-    rounds to 0 or below and is clipped there) or whose coefficients do
-    not sum to a finite number (overflow: the (8, 64, 8) CDD product, of
-    degree 512) takes the LDL^T pivots of _pivot_logs instead; no Gaussian
-    draw of the figure or benchmark shapes does.  Grid points go in blocks
-    of at most _POINT_BUFFER doubles, which bounds the temporaries whatever
-    the grid's length (the (S, trials) result still grows with it).
+    rounds to 0 or below and is clipped there) or whose coefficients do not
+    sum to a finite number (overflow: the (8, 64, 8) CDD product, of degree
+    512) takes the LDL^T pivots of _pivot_logs instead; no Gaussian draw of
+    the figure or benchmark shapes does.  One loop serves both: grid points
+    go in blocks whose largest temporary, the Horner sums' (points, trials)
+    or the pivots' (points, T, fallback trials), holds at most
+    _POINT_BUFFER doubles (one point if that is larger).
     """
-    scale = np.asarray(scale, dtype=float)
-    if len(x) == 0:
-        return np.zeros((len(scale), 0))
-    return _tridiagonal_sums(scale, *_tridiagonal(x))
-
-
-def _tridiagonal_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """_logdet_sums from the (L, T, trials) tridiagonals (d, e2) of
-    _tridiagonal: the sweep's entry, where both schemes read one
-    _tridiagonal call."""
-    scale = np.asarray(scale, dtype=float)
-    scale = scale.reshape(len(scale), -1)                       # (S, 1|B)
-    trials = d.shape[-1]
+    scale = np.reshape(np.asarray(scale, dtype=float), (len(scale), -1))
+    _, per, trials = d.shape
     with np.errstate(over="ignore", invalid="ignore"):  # they fall back
         coef = _coefficients(d, e2)
         fallback = ~((coef[-1] > 0) & np.isfinite(_entry_sum(coef)))
-    some = fallback.any()
-    if some:
+    fallen = np.count_nonzero(fallback)
+    if fallen:
         coef[:, fallback] = 1.0
-    out = np.empty((len(scale), trials))
-    step = max(1, _POINT_BUFFER // trials)
-    for lo in range(0, len(scale), step):
-        out[lo:lo + step] = _horner_logs(coef, scale[lo:lo + step])
-    if some:
         own = scale[:, fallback] if scale.shape[1] > 1 else scale
-        out[:, fallback] = _pivot_logs(own, d[..., fallback],
-                                       e2[..., fallback])
+        d, e2 = d[..., fallback], e2[..., fallback]
+    out = np.empty((len(scale), trials))
+    step = max(1, _POINT_BUFFER // max(trials, per * fallen))
+    for lo in range(0, len(scale), step):
+        block = slice(lo, lo + step)
+        out[block] = _horner_logs(coef, scale[block])
+        if fallen:
+            out[block, fallback] = _pivot_logs(own[block], d, e2)
     out /= LN2
     return out
 
@@ -547,12 +540,12 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
     def rate(scheme: str, user: int) -> np.ndarray:             # (S,B)
         x = bins[..., users(user)]
         if scheme == "cap" and x.shape[-2] > x.shape[-1]:       # n_rx > users
-            return _logdet_sums(snr / n_tx,
-                                _stack_users(block[:, users(user)]))
-        d, e2 = tridiagonal(user)
-        if scheme == "cap":
-            return _tridiagonal_sums(snr / n_tx, d[:, n_tx:], e2[:, n_tx:])
-        out = _tridiagonal_sums(snr, d[:, :n_tx], e2[:, :n_tx])
+            d, e2 = _tridiagonal(_stack_users(block[:, users(user)]))
+        else:
+            d, e2 = tridiagonal(user)
+        if scheme == "cap":     # the stacked rows, or the bins' sum after them
+            return _logdet_sums(snr / n_tx, d[:, -1:], e2[:, -1:])
+        out = _logdet_sums(snr, d[:, :n_tx], e2[:, :n_tx])
         out /= n_tx                                             # bins' mean
         return out
 

@@ -237,6 +237,25 @@ def test_direct_rates_refuse_an_inf_channel_before_any_product(rate, bad):
 
 
 @pytest.mark.parametrize("rate", [rate_cdd, sum_capacity, rate_cdd_reduced])
+def test_direct_rates_refuse_finite_entries_whose_gram_overflows(rate):
+    # x 1e100 at 3000 dB overflowed snr times the Gram, and x 1e154 the Gram
+    # itself: rate_cdd and sum_capacity raised only after a numpy overflow
+    # warning, and rate_cdd_reduced returned inf or nan.  The same draw at
+    # x 1 and 3000 dB, or x 1e60 and 0 dB, stays in range
+    ch = random_channels(np.random.default_rng(0), 2, 2, 2)
+    x = reduce_to_parallel(ch) if rate is rate_cdd_reduced else ch
+    name = "blocks" if rate is rate_cdd_reduced else "channels"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale, snr in ((1e100, 1e300), (1e154, 1.0)):
+            with pytest.raises(ValueError, match=f"{name} has entries too "
+                                                 f"large for this snr"):
+                rate(x * scale, snr)
+        for scale, snr in ((1.0, 1e300), (1e60, 1.0)):
+            assert np.isfinite(rate(x * scale, snr))
+
+
+@pytest.mark.parametrize("rate", [rate_cdd, sum_capacity, rate_cdd_reduced])
 def test_direct_rates_refuse_a_nan_channel(rate):
     rng = np.random.default_rng(16)
     ch = random_channels(rng, 2, 2, 2)
@@ -879,7 +898,7 @@ def test_logdet_sums_accuracy_against_mpmath():
         zero = np.zeros_like(x)
         for kind, stack in (("random", x), ("near", near),
                             ("rank_one", rank_one), ("zero", zero)):
-            got = rates._logdet_sums(with_zero, stack)
+            got = rates._logdet_sums(with_zero, *rates._tridiagonal(stack))
             assert np.all(np.isfinite(got)), (rows, kind)
             assert not got[0].any(), (rows, kind)           # s = 0 exactly
             if kind == "zero":
@@ -906,8 +925,9 @@ def test_logdet_sums_per_trial_scale_is_one_scale_per_trial():
     x = rng.standard_normal((6, 3, 4, 5)) + 1j * rng.standard_normal(
         (6, 3, 4, 5))
     per_trial = np.array([0.0, 1e-20, 0.3, 10.0, 1e8, 1e300])
-    got = rates._logdet_sums(per_trial[None], x)[0]
-    alone = [rates._logdet_sums(np.array([s]), x)[0, b]
+    d, e2 = rates._tridiagonal(x)
+    got = rates._logdet_sums(per_trial[None], d, e2)[0]
+    alone = [rates._logdet_sums(np.array([s]), d, e2)[0, b]
              for b, s in enumerate(per_trial)]
     assert got.tobytes() == np.array(alone).tobytes()
 
@@ -950,7 +970,7 @@ def horner_reference(coef, x):
 
 
 def coefficient_form(d, e2, scale):
-    """(S, B) log2 det sums of rates._tridiagonal_sums, every grid point at
+    """(S, B) log2 det sums of rates._logdet_sums, every grid point at
     once: log1p of the Horner sum in s for s <= 1, deg ln s plus ln of the
     Horner sum in 1/s above, both everywhere with s clipped to 1."""
     coef = coefficient_reference(d, e2)
@@ -1061,13 +1081,13 @@ def test_degenerate_trials_take_the_pivot_recurrence(fallen):
     point = np.arange(30) % len(FALLBACK_SNR)           # one per trial
     for x in (np.zeros((30, 4, 5, 6), complex), rank_one):
         fallen.clear()
-        got = rates._logdet_sums(FALLBACK_SNR, x)
-        assert fallen == [30]
         d, e2 = rates._tridiagonal(x)
+        got = rates._logdet_sums(FALLBACK_SNR, d, e2)
+        assert fallen == [30]
         expected = pivot_reference(d, e2, FALLBACK_SNR)
         assert got.tobytes() == expected.tobytes()
         # each trial the bits of its own grid point
-        got = rates._logdet_sums(FALLBACK_SNR[point][None], x)[0]
+        got = rates._logdet_sums(FALLBACK_SNR[point][None], d, e2)[0]
         assert got.tobytes() == expected[point, np.arange(30)].tobytes()
     block = np.repeat(complex_normal(rng, (30, 1, 3, 2)), 4, axis=1)
     fallen.clear()
@@ -1076,6 +1096,42 @@ def test_degenerate_trials_take_the_pivot_recurrence(fallen):
     d, e2 = rates._tridiagonal(reduce_to_parallel(block), total=True)
     expected = pivot_reference(d[:, :2], e2[:, :2], FALLBACK_SNR) / 2
     assert cdd.tobytes() == expected.tobytes()
+
+
+def test_point_blocks_serve_the_horner_sums_and_the_fallback(
+        fallen, monkeypatch):
+    # one point loop for both forms: at a 64-double budget 8 fallback
+    # trials of 3 bins allow 2 points per block, so the 40 points take 20
+    # blocks, some wholly below s = 1, some wholly above and one across it.
+    # Every block gives the bits of the default budget's single block, and
+    # each trial those of its own form over the whole grid
+    rng = np.random.default_rng(31)
+    kinds = np.arange(12) % 3                   # Gaussian, zero, rank one
+    x = complex_normal(rng, (12, 3, 5, 6))
+    x[kinds == 1] = 0.0
+    x[kinds == 2] = (complex_normal(rng, (4, 3, 5, 1))
+                     * complex_normal(rng, (4, 3, 1, 6)))
+    snr_db = np.concatenate([np.linspace(-200.0, -10.0, 12), [0.0],
+                             np.linspace(10.0, 3000.0, 27)])
+    grid = 10.0 ** (snr_db / 10)
+    step = 64 // max(12, 3 * 8)                 # trials, T * fallback trials
+    sides = [set(grid[lo:lo + step] > 1) for lo in range(0, 40, step)]
+    assert (step, sides.count({False}), sides.count({True})) == (2, 6, 13)
+    per_trial = grid[(np.arange(40)[:, None] + 7 * np.arange(12)) % 40]
+    d, e2 = rates._tridiagonal(x)
+    for scale in (grid, per_trial):
+        one_block = rates._logdet_sums(scale, d, e2)
+        with monkeypatch.context() as small:
+            small.setattr(rates, "_POINT_BUFFER", 64)
+            fallen.clear()
+            got = rates._logdet_sums(scale, d, e2)
+        assert fallen == [8] * len(sides)
+        assert got.tobytes() == one_block.tobytes()
+        for b, kind in enumerate(kinds):
+            s = scale if scale.ndim == 1 else scale[:, b]
+            form = pivot_reference if kind else coefficient_form
+            expected = form(d[..., b:b + 1], e2[..., b:b + 1], s)[:, 0]
+            assert got[:, b].tobytes() == expected.tobytes(), b
 
 
 def test_coefficient_overflow_falls_back_without_warnings(fallen):
@@ -1121,12 +1177,13 @@ def test_capacity_gram_is_the_sum_of_the_bin_grams(users, n_tx, n_rx):
     snr = np.concatenate([[1e-20], 10.0 ** (np.arange(-30.0, 61.0, 7.5) / 10),
                           [1e300]])
     got = rates._sweep_values(block, snr, ("cap",))[0]
-    stacked = rates._logdet_sums(snr / n_tx, rates._stack_users(block))
+    stacked = rates._logdet_sums(snr / n_tx, *rates._tridiagonal(
+        rates._stack_users(block)))
     if n_rx > users:
         assert got.tobytes() == stacked.tobytes()
         return
     d, e2 = rates._tridiagonal(reduce_to_parallel(block), total=True)
-    shared = rates._tridiagonal_sums(snr / n_tx, d[:, n_tx:], e2[:, n_tx:])
+    shared = rates._logdet_sums(snr / n_tx, d[:, n_tx:], e2[:, n_tx:])
     assert got.tobytes() == shared.tobytes()
     assert np.all(np.abs(got - stacked) <= 16 * np.finfo(float).eps * stacked)
 
@@ -1203,14 +1260,21 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
                                             np.array([0.0, 10.0])),))
     assert script.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and lines[-1].split()[0] == "_sweep_values(cdd,"
+    assert len(lines) == 12 and lines[-2].split()[0] == "_sweep_values(cdd,"
+    assert lines[-1].split()[:3] == ["_sweep_values", "stages,", "summed"]
     # 18 entries per trial: a chunk is one sub-block
     assert lines[1].split()[:5] == ["sampling,", "per", "sub-block", "of",
                                     str(CHUNK)]
+    read = []
     for line in lines[1:]:                      # "... <ms> ms <faults> faults"
         *_, ms, ms_unit, faults, faults_unit = line.split()
         assert (ms_unit, faults_unit) == ("ms", "faults")
         assert float(ms) >= 0 and float(faults) >= 0
+        read.append((float(ms), float(faults)))
+    # the sum line adds bins to evaluation, not the draw, the copy's
+    # sub-line or _sweep_values itself; each printed to 0.01 ms and 1 fault
+    parts = np.array([read[i] for i in (1, 2, 3, 5, 6, 7, 8)])
+    assert np.all(np.abs(parts.sum(axis=0) - read[-1]) <= [0.04, 4])
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
