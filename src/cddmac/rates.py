@@ -9,9 +9,11 @@ trial axes, with the bits of one call per realization; the sweep engine
 (monte_carlo_sweep) reduces each Gram to a real tridiagonal T once
 (_tridiagonal), takes the SNR-free coefficients of det(I + sT) from it,
 multiplied over a trial's DFT bins, and reads every grid point from one
-Horner sum and one logarithm (_logdet_sums); rate_cdd_reduced runs both on
-its own stack.  Where n_rx <= users the capacity's Gram is the sum of the
-bins' Grams (the DFT is unitary), reduced in the same call as theirs.
+Horner sum and one logarithm (_logdet_sums): one Horner loop over the
+coefficients serves the points on both sides of s = 1 (_horner_logs).
+rate_cdd_reduced runs both on its own stack.  Where n_rx <= users the
+capacity's Gram is the sum of the bins' Grams (the DFT is unitary), reduced
+in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
@@ -24,8 +26,8 @@ trials (_chunk_sums).  Every other sum runs in index order: through
 _entry_sum over a stack of terms (a matrix's entries, the DFT bins' Grams,
 the chunks' sums), or as a running total where a loop makes its terms one
 at a time (_householder's A v, the coefficient recurrence, the bins'
-polynomial product, the Horner sums, the fallback's pivots).  With the
-channel streams keyed by (seed, chunk), estimates are therefore
+polynomial product, the Horner loop's two totals, the fallback's pivots).
+With the channel streams keyed by (seed, chunk), estimates are therefore
 bit-identical for any --workers setting.
 """
 
@@ -409,44 +411,36 @@ def _coefficients(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] x^(n - k), n = len(coef), as a running total from
-    coef[0] on; coef (n, trials), x broadcasting against it."""
-    h = coef[0] * x
-    for c in coef[1:]:
-        h += c
-        h *= x
-    return h
-
-
-def _log_above(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """ln p(s) = K ln s + ln(sum_k c_k s^(k - K)) for s >= 1: a Horner sum
-    in 1/s, which cannot overflow."""
-    h = _horner(coef[:-1], 1.0 / s)
-    h += coef[-1]
-    np.log(h, out=h)
-    h += (len(coef) - 1) * np.log(s)
-    return h
-
-
-def _log_below(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """ln p(s) = log1p(sum_{k >= 1} c_k s^k) for s <= 1, so a value far
-    below 1 keeps its relative accuracy and s = 0 gives exactly 0."""
-    return np.log1p(_horner(coef[:0:-1], s))
-
-
 def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     """ln p(s) for p = sum_k c_k s^k with coefficients coef (K + 1, trials),
-    at s (n, 1) or (n, trials): _log_below where s <= 1, _log_above where
-    s > 1.  A shared grid point takes one form for all trials; a row of
-    one value per trial takes both, each with s clipped to its side."""
-    if s.shape[1] > 1:
-        return np.where(s > 1, _log_above(coef, np.maximum(s, 1.0)),
-                        _log_below(coef, np.minimum(s, 1.0)))
-    rows = s[:, 0] > 1
+    at s (n, 1) or (n, trials).  One Horner loop over the coefficients
+    advances two running totals, low = sum_{k >= 1} c_k s^k from c_K on
+    for s <= 1, read as log1p(low), and high = sum_{k < K} c_k s^(k - K)
+    from c_0 on for s > 1, read as K ln s + ln(high + c_K), which cannot
+    overflow.  On a shared grid each total runs on its own points; a row
+    of one value per trial runs both, each with s clipped to its side."""
+    shared = s.shape[1] == 1
+    if shared:
+        rows = s[:, 0] > 1
+        above, below = s[rows], s[~rows]
+    else:
+        above, below = np.maximum(s, 1.0), np.minimum(s, 1.0)
+    deg = len(coef) - 1
+    inv = 1.0 / above
+    high, low = coef[0] * inv, coef[deg] * below
+    for k in range(1, deg):
+        high += coef[k]
+        high *= inv
+        low += coef[deg - k]
+        low *= below
+    high += coef[deg]
+    np.log(high, out=high)
+    high += deg * np.log(above)
+    np.log1p(low, out=low)
+    if not shared:
+        return np.where(s > 1, high, low)
     out = np.empty((len(s), coef.shape[1]))
-    out[rows] = _log_above(coef, s[rows])
-    out[~rows] = _log_below(coef, s[~rows])
+    out[rows], out[~rows] = high, low
     return out
 
 
@@ -478,12 +472,12 @@ def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
     det(I + sG) = det(I + sT) needs no eigenvalues: once per trial,
     _coefficients takes the SNR-free coefficients c_k of prod_t det(I +
-    s T_t), and each grid point then costs one Horner sum, a running total
-    in index order, and one logarithm (_horner_logs): log1p(sum_{k >= 1}
-    c_k s^k) for s <= 1, so a rate far below 1 bit keeps its relative
-    accuracy and s = 0 gives exactly 0, and deg ln s + ln of a Horner sum in
-    1/s for s > 1, so 3000 dB stays finite.  Only elementwise ufuncs touch
-    the coefficients, so an entry's bits depend neither on its grid point's
+    s T_t), and each grid point then costs one Horner sum and one logarithm:
+    one loop over the coefficients (_horner_logs) advances a running total
+    in s for the points with s <= 1, whose log1p keeps a rate far below 1
+    bit accurate and gives exactly 0 at s = 0, and one in 1/s for those
+    above, so 3000 dB stays finite.  Only elementwise ufuncs touch the
+    coefficients, so an entry's bits depend neither on its grid point's
     block nor on the other trials.  A trial whose leading coefficient is
     not positive (a zero or rank-deficient Gram: c_deg = prod det T_t
     rounds to 0 or below and is clipped there) or whose coefficients do not
