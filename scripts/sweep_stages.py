@@ -3,26 +3,33 @@ its minor page faults per run.
 
     python3 scripts/sweep_stages.py
 
-Two shapes: one 1024-trial sub-block of the wide-sweep benchmark
-configuration (8 users, 4 transmit and 8 receive antennas, 41 points from 0
-to 40 dB) and one 4096-trial chunk of --scenario figure4 (6 users, 3 and 3
-antennas, 9 points from 0 to 40 dB).  The stages are the channel draw, the
-DFT bins, the batch-last Grams (the bins' and their sum, the capacity's),
-the Householder reduction of those Grams, the determinant coefficients of
-the CDD bins and of the capacity, and their evaluation on the whole grid
-(rates._horner_logs; either grid is one point block of rates._logdet_sums).
-Next come rates._sweep_values(("cdd", "cap")) as a whole and the sum of
-the stages it runs, bins to evaluation without the copy's sub-line: a gap
-between the two is time that the stages, timed one by one, miss or add.
-The channel draw is timed per sub-block: one chunk drawn at once, as
-rates.run_chunks draws it, its time and faults divided by the chunk's
-sub-block count.  Each stage runs REPEATS times on the same input, with
-one BLAS thread, in one chunk workspace (linalg._buffer) as in
-rates.run_chunks, against the package source in this checkout's src/.  The
-faults are the process's ru_minflt over the REPEATS runs, divided by
-REPEATS, so a stage that reuses its workspace buffers shows about 0.  The
-stages are the package's private functions, called from outside; nothing
-in the package records a time.
+Three shapes, each with its --scenario or benchmark grid: one 1024-trial
+sub-block of the wide-sweep benchmark configuration (8 users, 4 transmit
+and 8 receive antennas, 41 points from 0 to 40 dB), one 4096-trial chunk
+of --scenario figure4 (6 users, 3 and 3 antennas, 9 points) and one of
+--scenario figure3 (2 users, 2 and 2 antennas, 3 points).  The stages are
+the channel draw, the DFT bins, the Grams (the bins' and their sum, the
+capacity's), the Householder reduction of those Grams, the determinant
+coefficients of the CDD bins and of the capacity, their evaluation on the
+whole grid (rates._horner_logs; each grid is one point block of
+rates._logdet_sums) and the chunk's reduction to sums (rates._trial_sums
+over a chunk's values).  figure3's Grams have two rows: rates._tridiagonal
+takes them, with their squared off-diagonal, from rates._grams' closed
+form, with no Householder reduction, and is timed as one stage (its
+single-user series, one-row Grams, are not timed here).  Next come
+rates._sweep_values(("cdd", "cap")) as a whole and the sum of the stages
+it runs, bins to evaluation: a gap between the two is time that the
+stages, timed one by one, miss or add.  The channel draw and the
+reduction run once per chunk, and are timed per sub-block: the chunk's
+time and faults divided by its sub-block count.  The Householder
+reduction and the reduction to sums overwrite their input, which an
+untimed copy restores before each run.  Each stage runs REPEATS times on
+the same input, with one BLAS thread, in one chunk workspace
+(linalg._buffer) as in rates.run_chunks, against the package source in
+this checkout's src/.  The faults are the process's ru_minflt over the
+REPEATS runs, divided by REPEATS, so a stage that reuses its workspace
+buffers shows about 0.  The stages are the package's private functions,
+called from outside; nothing in the package records a time.
 """
 
 from __future__ import annotations
@@ -45,23 +52,25 @@ from cddmac.channel import (CHUNK, SystemConfig,  # noqa: E402
 from cddmac.linalg import _workspace  # noqa: E402
 
 REPEATS = 9
-# (name, (users, n_tx, n_rx), trials, SNR grid in dB); each has
-# 3 <= n_rx <= users, so its Grams come batch-last for the Householder and
-# the capacity's Gram is the sum of the bins'.
+# (name, (users, n_tx, n_rx), trials, SNR grid in dB); each has n_rx <=
+# users, so the capacity's Gram is the sum of the bins'.
 SHAPES = (("wide-sweep", (8, 4, 8), 1024, np.arange(0.0, 41.0, 1.0)),
-          ("figure4", (6, 3, 3), 4096, np.arange(0.0, 41.0, 5.0)))
+          ("figure4", (6, 3, 3), 4096, np.arange(0.0, 41.0, 5.0)),
+          ("figure3", (2, 2, 2), 4096, np.array([0.0, 20.0, 40.0])))
 
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(stage, per: int = 1):
+def measure(stage, per: int = 1, restore=None):
     """(median ms, minor page faults) of one run of stage, each divided by
-    per."""
+    per; restore, if given, runs untimed before each run."""
     times = []
     faults = minor_faults()
     for _ in range(REPEATS):
+        if restore:
+            restore()
         start = time.perf_counter()
         stage()
         times.append(time.perf_counter() - start)
@@ -70,37 +79,55 @@ def measure(stage, per: int = 1):
 
 
 def stages(shape, trials, snr):
-    """(stage, callable, runs per call, run by rates._sweep_values) over
-    one sub-block of the shape, each on the previous stage's output."""
+    """(stage, callable, runs per call, run by rates._sweep_values, untimed
+    restore or None) over one sub-block of the shape, each on the previous
+    stage's output."""
     users, n_tx, n_rx = shape
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=CHUNK,
                        seed=0)
     rows = max(1, rates._SUB_BLOCK_ENTRIES // (users * n_tx * n_rx))
-    block = sample_channel_block(cfg, 0, trials)
+    chunk = sample_channel_block(cfg, 0, CHUNK)
+    block = chunk[:trials]
     bins = reduce_to_parallel(block)
     gram = rates._grams(bins, total=True)
-    flat = gram.reshape(*gram.shape[:2], -1)
     d, e2 = rates._tridiagonal(bins, total=True)
     cdd = (d[:, :n_tx], e2[:, :n_tx])
     cap = (d[:, n_tx:], e2[:, n_tx:])
     coef_cdd, coef_cap = rates._coefficients(*cdd), rates._coefficients(*cap)
     grid, draws = snr[:, None], -(-CHUNK // rows)
+    # one config's values over the whole chunk, as _chunk_sums holds them
+    vals = rates._sweep_values(chunk, snr, ("cdd", "cap"))[None]
+    sums = vals.copy()
+    if isinstance(gram, tuple):                 # one or two rows
+        tridiagonal = (("Gram and e2, closed form",
+                        lambda: rates._tridiagonal(bins, total=True), 1, True,
+                        None),)
+    else:
+        flat = gram.reshape(*gram.shape[:2], -1)
+        work = flat.copy()
+        tridiagonal = (
+            ("Gram", lambda: rates._grams(bins, total=True), 1, True, None),
+            ("Householder", lambda: rates._householder(work), 1, True,
+             lambda: np.copyto(work, flat)))
 
     return (
         (f"sampling, per sub-block of {min(rows, CHUNK)}",
-         lambda: sample_channel_block(cfg, 0, CHUNK), draws, False),
-        ("bins", lambda: reduce_to_parallel(block), 1, True),
-        ("Gram", lambda: rates._grams(bins, total=True), 1, True),
-        ("Householder", lambda: rates._householder(flat.copy()), 1, True),
-        ("  of which the copy", lambda: flat.copy(), 1, False),
-        ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1, True),
-        ("coefficients, capacity", lambda: rates._coefficients(*cap), 1, True),
+         lambda: sample_channel_block(cfg, 0, CHUNK), draws, False, None),
+        ("bins", lambda: reduce_to_parallel(block), 1, True, None),
+        *tridiagonal,
+        ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1, True,
+         None),
+        ("coefficients, capacity", lambda: rates._coefficients(*cap), 1, True,
+         None),
         ("evaluation, CDD", lambda: rates._horner_logs(coef_cdd, grid), 1,
-         True),
+         True, None),
         ("evaluation, capacity",
-         lambda: rates._horner_logs(coef_cap, grid / n_tx), 1, True),
+         lambda: rates._horner_logs(coef_cap, grid / n_tx), 1, True, None),
+        ("chunk sums, per sub-block", lambda: rates._trial_sums(sums), draws,
+         False, lambda: np.copyto(sums, vals)),
         ("_sweep_values(cdd, cap)",
-         lambda: rates._sweep_values(block, snr, ("cdd", "cap")), 1, False),
+         lambda: rates._sweep_values(block, snr, ("cdd", "cap")), 1, False,
+         None),
     )
 
 
@@ -112,8 +139,8 @@ def main() -> int:
         runs = stages(shape, trials, snr)     # inputs outside the workspace
         parts = []
         with _workspace({}):
-            for stage, run, per, summed in runs:
-                ms, faults = measure(run, per)
+            for stage, run, per, summed, restore in runs:
+                ms, faults = measure(run, per, restore)
                 print(f"  {stage:<32}{ms:8.2f} ms {faults:8.0f} faults")
                 if summed:
                     parts.append((ms, faults))

@@ -9,11 +9,10 @@ trial axes, with the bits of one call per realization; the sweep engine
 (monte_carlo_sweep) reduces each Gram to a real tridiagonal T once
 (_tridiagonal), takes the SNR-free coefficients of det(I + sT) from it,
 multiplied over a trial's DFT bins, and reads every grid point from one
-Horner sum and one logarithm (_logdet_sums): one Horner loop over the
-coefficients serves the points on both sides of s = 1 (_horner_logs).
-rate_cdd_reduced runs both on its own stack.  Where n_rx <= users the
-capacity's Gram is the sum of the bins' Grams (the DFT is unitary), reduced
-in the same call as theirs.
+Horner sum and one logarithm (_logdet_sums), in one loop for both sides of
+s = 1 (_horner_logs); rate_cdd_reduced runs both on its own stack.  Where
+n_rx <= users the capacity's Gram is the sum of the bins' Grams (the DFT
+is unitary), reduced in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
@@ -22,7 +21,7 @@ worker the chunks run on threads of the calling process: numpy releases
 the interpreter lock inside the sampling, matmul and ufunc loops that do
 most of a chunk's work, so the threads overlap there.  Two summation
 rules fix every bit of an estimate.  numpy's pairwise sum adds a chunk's
-trials (_chunk_sums).  Every other sum runs in index order: through
+trials (_trial_sums).  Every other sum runs in index order: through
 _entry_sum over a stack of terms (a matrix's entries, the DFT bins' Grams,
 the chunks' sums), or as a running total where a loop makes its terms one
 at a time (_householder's A v, the coefficient recurrence, the bins'
@@ -181,7 +180,13 @@ def _chunk_sums(values, cfgs, workspaces: dict, start: int, stop: int):
                                    + (len(block),))
                 vals[i, ..., lo:lo + rows] = part
     # one pass over the whole chunk, so the sums never see the sub-blocks
-    total = vals.sum(axis=-1)                  # before vals is squared
+    return _trial_sums(vals)
+
+
+def _trial_sums(vals: np.ndarray):
+    """Sums over vals' last axis, the trials, of vals and of its squares,
+    each numpy's pairwise sum; vals is squared in place."""
+    total = vals.sum(axis=-1)
     return total, np.square(vals, out=vals).sum(axis=-1)
 
 
@@ -419,12 +424,9 @@ def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     from c_0 on for s > 1, read as K ln s + ln(high + c_K), which cannot
     overflow.  On a shared grid each total runs on its own points; a row
     of one value per trial runs both, each with s clipped to its side."""
-    shared = s.shape[1] == 1
-    if shared:
-        rows = s[:, 0] > 1
-        above, below = s[rows], s[~rows]
-    else:
-        above, below = np.maximum(s, 1.0), np.minimum(s, 1.0)
+    shared, rows = s.shape[1] == 1, s[:, 0] > 1
+    above, below = ((s[rows], s[~rows]) if shared
+                    else (np.maximum(s, 1.0), np.minimum(s, 1.0)))
     deg = len(coef) - 1
     inv = 1.0 / above
     high, low = coef[0] * inv, coef[deg] * below

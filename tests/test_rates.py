@@ -1134,6 +1134,35 @@ def test_point_blocks_serve_the_horner_sums_and_the_fallback(
             assert got[:, b].tobytes() == expected.tobytes(), b
 
 
+def test_each_side_of_s_equal_1_takes_its_own_form():
+    # s <= 1 takes log1p of the total in s, s > 1 the total in 1/s: the
+    # last double below 1 and 1 itself the first, the first double above 1
+    # the second.  At each of the three points the two forms round apart
+    # on some of the 256 trials, so a point on the wrong side shows.  One
+    # trial and the batch, on a shared grid and with one value per trial,
+    # bit for bit against coefficient_form
+    rng = np.random.default_rng(32)
+    d, e2 = rates._tridiagonal(complex_normal(rng, (256, 3, 3, 4)))
+    grid = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+    coef, s = coefficient_reference(d, e2), grid[:, None]
+    below = np.log1p(horner_reference(coef[:0:-1] + [0.0], s))
+    above = np.log(horner_reference(coef, 1.0 / s)) + 9 * np.log(s)
+    assert np.all(np.any(below != above, axis=1))
+    expected = coefficient_form(d, e2, grid)
+    assert expected.tobytes() == (np.where(s > 1, above, below)
+                                  / rates.LN2).tobytes()
+    for trials in (1, 256):
+        want = expected[:, :trials]
+        got = rates._logdet_sums(grid, d[..., :trials], e2[..., :trials])
+        assert got.tobytes() == want.tobytes(), trials
+        # each trial its three points in another order
+        point = (np.arange(3)[:, None] + np.arange(trials)) % 3
+        got = rates._logdet_sums(grid[point], d[..., :trials],
+                                 e2[..., :trials])
+        assert got.tobytes() == np.take_along_axis(want, point,
+                                                   axis=0).tobytes(), trials
+
+
 def test_coefficient_overflow_falls_back_without_warnings(fallen):
     # the (8, 64, 8) CDD product has degree 512 and its coefficients
     # overflow: those trials take the pivots, finite up to 3000 dB, with no
@@ -1247,7 +1276,7 @@ def test_coefficient_means_control(monkeypatch):
 
 def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
     # scripts/sweep_stages.py calls the kernel's private stages by name; one
-    # repeat on a small shape keeps it in step with them
+    # repeat on two small shapes keeps it in step with them
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -1256,25 +1285,39 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "REPEATS", 1)
-    monkeypatch.setattr(script, "SHAPES", (("small", (3, 2, 3), 16,
-                                            np.array([0.0, 10.0])),))
+    # a batch-last shape, and one whose two-row Grams take the closed form
+    # and no Householder
+    grid = np.array([0.0, 10.0])
+    monkeypatch.setattr(script, "SHAPES", (
+        ("small", (3, 2, 3), 16, grid), ("closed", (2, 2, 2), 16, grid)))
     assert script.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 12 and lines[-2].split()[0] == "_sweep_values(cdd,"
-    assert lines[-1].split()[:3] == ["_sweep_values", "stages,", "summed"]
-    # 18 entries per trial: a chunk is one sub-block
-    assert lines[1].split()[:5] == ["sampling,", "per", "sub-block", "of",
-                                    str(CHUNK)]
-    read = []
-    for line in lines[1:]:                      # "... <ms> ms <faults> faults"
-        *_, ms, ms_unit, faults, faults_unit = line.split()
+    shapes = {}
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith("  "):                   # a shape's header
+            read = shapes[line.split()[0]] = []
+            continue
+        *words, ms, ms_unit, faults, faults_unit = line.split()
         assert (ms_unit, faults_unit) == ("ms", "faults")
         assert float(ms) >= 0 and float(faults) >= 0
-        read.append((float(ms), float(faults)))
-    # the sum line adds bins to evaluation, not the draw, the copy's
-    # sub-line or _sweep_values itself; each printed to 0.01 ms and 1 fault
-    parts = np.array([read[i] for i in (1, 2, 3, 5, 6, 7, 8)])
-    assert np.all(np.abs(parts.sum(axis=0) - read[-1]) <= [0.04, 4])
+        read.append((" ".join(words), float(ms), float(faults)))
+    tridiagonal = {"small": ["Gram", "Householder"],
+                   "closed": ["Gram and e2, closed form"]}
+    assert list(shapes) == list(tridiagonal)
+    for shape, read in shapes.items():
+        summed = ["bins", *tridiagonal[shape], "coefficients, CDD",
+                  "coefficients, capacity", "evaluation, CDD",
+                  "evaluation, capacity"]
+        # 18 and 8 entries per trial: a chunk is one sub-block
+        assert [name for name, *_ in read] == [
+            f"sampling, per sub-block of {CHUNK}", *summed,
+            "chunk sums, per sub-block", "_sweep_values(cdd, cap)",
+            "_sweep_values stages, summed"]
+        # the sum line adds bins to evaluation, not the draw, the chunk
+        # sums or _sweep_values itself; each printed to 0.01 ms and 1 fault
+        parts = np.array([(ms, faults) for name, ms, faults in read
+                          if name in summed])
+        assert np.all(np.abs(parts.sum(axis=0) - read[-1][1:])
+                      <= [0.04, 4]), shape
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
