@@ -485,8 +485,8 @@ def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     rounds to 0 or below and is clipped there) or whose coefficients do not
     sum to a finite number (overflow: the (8, 64, 8) CDD product, of degree
     512) takes the LDL^T pivots of _pivot_logs instead; no Gaussian draw of
-    the figure or benchmark shapes does.  One loop serves both: grid points
-    go in blocks whose largest temporary, the Horner sums' (points, trials)
+    the figure or benchmark shapes does.  One point loop serves both: points
+    go in blocks whose largest temporary, the Horner totals' (points, trials)
     or the pivots' (points, T, fallback trials), holds at most
     _POINT_BUFFER doubles (one point if that is larger).
     """

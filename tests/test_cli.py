@@ -759,7 +759,7 @@ def _capacity_below_cdd(monkeypatch):
 
 
 def _upper_bound_lowered(monkeypatch):
-    # 0.25 bits; at the check's seed and sizes about 0.12 bits already fail
+    # 0.25 bits; at the check's seed and sizes about 0.13 bits already fail
     true_bound = cli._BOUNDS["rc_ub"]
     monkeypatch.setitem(cli._BOUNDS, "rc_ub",
                         lambda *args: true_bound(*args) - 0.25)
