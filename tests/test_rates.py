@@ -1135,18 +1135,19 @@ def test_point_blocks_serve_the_horner_sums_and_the_fallback(
 
 
 def test_each_side_of_s_equal_1_takes_its_own_form():
-    # s <= 1 takes log1p of the total in s, s > 1 the total in 1/s: the
-    # last double below 1 and 1 itself the first, the first double above 1
-    # the second.  At each of the three points the two forms round apart
-    # on some of the 256 trials, so a point on the wrong side shows.  One
-    # trial and the batch, on a shared grid and with one value per trial,
-    # bit for bit against coefficient_form
+    # s <= 1 takes log1p of the total in s and s > 1 the total in 1/s: the
+    # last double below 1 and 1 itself take the first form, the first
+    # double above 1 the second.  At each of the three points the two forms
+    # round apart on some of the 256 trials, so a point on the wrong side
+    # shows.  One trial and the batch, on a shared grid and with one value
+    # per trial, bit for bit against coefficient_form
     rng = np.random.default_rng(32)
     d, e2 = rates._tridiagonal(complex_normal(rng, (256, 3, 3, 4)))
     grid = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
     coef, s = coefficient_reference(d, e2), grid[:, None]
     below = np.log1p(horner_reference(coef[:0:-1] + [0.0], s))
-    above = np.log(horner_reference(coef, 1.0 / s)) + 9 * np.log(s)
+    above = (np.log(horner_reference(coef, 1.0 / s))
+             + (len(coef) - 1) * np.log(s))
     assert np.all(np.any(below != above, axis=1))
     expected = coefficient_form(d, e2, grid)
     assert expected.tobytes() == (np.where(s > 1, above, below)
