@@ -3,23 +3,27 @@ its minor page faults per run.
 
     python3 scripts/sweep_stages.py
 
-Three shapes, each with its --scenario or benchmark grid: one 1024-trial
+Four shapes, each with its --scenario or benchmark grid: one 1024-trial
 sub-block of the wide-sweep benchmark configuration (8 users, 4 transmit
-and 8 receive antennas, 41 points from 0 to 40 dB), one 4096-trial chunk
-of --scenario figure4 (6 users, 3 and 3 antennas, 9 points) and one of
---scenario figure3 (2 users, 2 and 2 antennas, 3 points).  The stages are
-the channel draw, the DFT bins, the Grams (the bins' and their sum, the
-capacity's), the Householder reduction of those Grams, the determinant
-coefficients of the CDD bins and of the capacity, their evaluation on the
-whole grid (rates._horner_logs; each grid is one point block of
-rates._logdet_sums) and the chunk's reduction to sums (rates._trial_sums
-over a chunk's values).  figure3's Grams have two rows: rates._tridiagonal
-takes them, with their squared off-diagonal, from rates._grams' closed
-form, with no Householder reduction, and is timed as one stage (its
-single-user series, one-row Grams, are not timed here).  Next come
-rates._sweep_values(("cdd", "cap")) as a whole and the sum of the stages
-it runs, bins to evaluation: a gap between the two is time that the
-stages, timed one by one, miss or add.  The channel draw and the
+and 8 receive antennas, 41 points from 0 to 40 dB), and one 4096-trial
+chunk each of --scenario figure4 (6 users, 3 and 3 antennas, 9 points),
+figure3 (2 users, 2 and 2 antennas, 3 points) and figure2's two-antenna
+curve (1 user, 4 transmit and 2 receive antennas, 9 points).  The stages
+are the channel draw, the DFT bins, the Grams (the bins' and, where n_rx
+<= users, their sum, the capacity's), the Householder reduction of those
+Grams, the determinant coefficients of the CDD bins and of the capacity,
+their evaluation on the whole grid (rates._horner_logs; each grid is one
+point block of rates._logdet_sums) and the chunk's reduction to sums
+(rates._trial_sums over a chunk's values).  Grams of one or two rows (all
+of figure3's and figure2's) need no Gram product or Householder
+reduction: rates._tridiagonal takes them, with their squared
+off-diagonal, from its closed form, timed as one stage.  Where n_rx >
+users (figure2), the capacity comes from the users' stacked rows
+(rates._tridiagonal of rates._stack_users), timed as its own stage.
+figure3's single-user series, one-row Grams, are not timed here.  Next
+come rates._sweep_values(("cdd", "cap")) as a whole and the sum of the
+stages it runs, bins to evaluation: a gap between the two is time that
+the stages, timed one by one, miss or add.  The channel draw and the
 reduction run once per chunk, and are timed per sub-block: the chunk's
 time and faults divided by its sub-block count.  The Householder
 reduction and the reduction to sums overwrite their input, which an
@@ -52,11 +56,13 @@ from cddmac.channel import (CHUNK, SystemConfig,  # noqa: E402
 from cddmac.linalg import _workspace  # noqa: E402
 
 REPEATS = 9
-# (name, (users, n_tx, n_rx), trials, SNR grid in dB); each has n_rx <=
-# users, so the capacity's Gram is the sum of the bins'.
+# (name, (users, n_tx, n_rx), trials, SNR grid in dB).  Where n_rx <= users
+# the capacity's Gram is the sum of the bins'; figure2's n_rx = 2 > users = 1
+# reads it from the users' stacked rows.
 SHAPES = (("wide-sweep", (8, 4, 8), 1024, np.arange(0.0, 41.0, 1.0)),
           ("figure4", (6, 3, 3), 4096, np.arange(0.0, 41.0, 5.0)),
-          ("figure3", (2, 2, 2), 4096, np.array([0.0, 20.0, 40.0])))
+          ("figure3", (2, 2, 2), 4096, np.array([0.0, 20.0, 40.0])),
+          ("figure2", (1, 4, 2), 4096, np.arange(0.0, 41.0, 5.0)))
 
 
 def minor_faults() -> int:
@@ -89,24 +95,33 @@ def stages(shape, trials, snr):
     chunk = sample_channel_block(cfg, 0, CHUNK)
     block = chunk[:trials]
     bins = reduce_to_parallel(block)
-    gram = rates._grams(bins, total=True)
-    d, e2 = rates._tridiagonal(bins, total=True)
+    wide = n_rx <= users            # the capacity's Gram is the bins' sum
+    d, e2 = rates._tridiagonal(bins, total=wide)
     cdd = (d[:, :n_tx], e2[:, :n_tx])
-    cap = (d[:, n_tx:], e2[:, n_tx:])
+
+    def stacked():
+        return rates._tridiagonal(rates._stack_users(block))
+
+    if wide:
+        cap, capacity = (d[:, n_tx:], e2[:, n_tx:]), ()
+    else:
+        cap = stacked()
+        capacity = (("capacity, stacked rows", stacked, 1, True, None),)
     coef_cdd, coef_cap = rates._coefficients(*cdd), rates._coefficients(*cap)
     grid, draws = snr[:, None], -(-CHUNK // rows)
     # one config's values over the whole chunk, as _chunk_sums holds them
     vals = rates._sweep_values(chunk, snr, ("cdd", "cap"))[None]
     sums = vals.copy()
-    if isinstance(gram, tuple):                 # one or two rows
+    if min(n_rx, users) <= 2:                   # one or two rows
         tridiagonal = (("Gram and e2, closed form",
-                        lambda: rates._tridiagonal(bins, total=True), 1, True,
+                        lambda: rates._tridiagonal(bins, total=wide), 1, True,
                         None),)
     else:
+        gram = rates._grams(bins, total=wide)
         flat = gram.reshape(*gram.shape[:2], -1)
         work = flat.copy()
         tridiagonal = (
-            ("Gram", lambda: rates._grams(bins, total=True), 1, True, None),
+            ("Gram", lambda: rates._grams(bins, total=wide), 1, True, None),
             ("Householder", lambda: rates._householder(work), 1, True,
              lambda: np.copyto(work, flat)))
 
@@ -115,6 +130,7 @@ def stages(shape, trials, snr):
          lambda: sample_channel_block(cfg, 0, CHUNK), draws, False, None),
         ("bins", lambda: reduce_to_parallel(block), 1, True, None),
         *tridiagonal,
+        *capacity,
         ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1, True,
          None),
         ("coefficients, capacity", lambda: rates._coefficients(*cap), 1, True,

@@ -7,12 +7,13 @@ direct rates (rate_cdd on the block-circulant effective channel,
 sum_capacity) take one stacked Cholesky log-det per call, over any leading
 trial axes, with the bits of one call per realization; the sweep engine
 (monte_carlo_sweep) reduces each Gram to a real tridiagonal T once
-(_tridiagonal), takes the SNR-free coefficients of det(I + sT) from it,
-multiplied over a trial's DFT bins, and reads every grid point from one
-Horner sum and one logarithm (_logdet_sums), in one loop for both sides of
-s = 1 (_horner_logs); rate_cdd_reduced runs both on its own stack.  Where
-n_rx <= users the capacity's Gram is the sum of the bins' Grams (the DFT
-is unitary), reduced in the same call as theirs.
+(_tridiagonal: the Gram itself for one or two rows, else one Householder
+reduction of _grams' batch-last Grams), takes the SNR-free coefficients of
+det(I + sT) from it, multiplied over a trial's DFT bins, and reads every
+grid point from one Horner sum and one logarithm (_logdet_sums), in one
+loop for both sides of s = 1 (_horner_logs); rate_cdd_reduced runs both on
+its own stack.  Where n_rx <= users the capacity's Gram is the sum of the
+bins' Grams (the DFT is unitary), reduced in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
@@ -329,31 +330,13 @@ def _householder(gram: np.ndarray):
     return np.diagonal(gram).real.T, e2
 
 
-def _grams(x: np.ndarray, total: bool = False):
-    """Smaller-side Grams of each matrix of a (trials, ..., rows, cols)
-    stack, T the middle axes flattened.
-
-    One or two rows need no Gram product: they come as the row powers d,
-    (L, T, trials), and the inner products b of adjacent rows, (L - 1, T,
-    trials), none for one row.  Larger Grams come as one batch-last (L, L,
-    T, trials) array.  With total, for matrices no taller than wide, one
-    more column after the T holds the sum of the T Grams (of their d and b
-    for one or two rows), added in index order.
+def _grams(rows: np.ndarray, total: bool = False) -> np.ndarray:
+    """Householder input: the Grams x @ x^H of the (trials, T, L, cols)
+    rows, L <= cols, as one batch-last (L, L, T + total, trials) array.
+    With total, one more column after the T holds the sum of the T Grams,
+    added in index order.
     """
-    trials = x.shape[0]
-    rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
-    size, cols = rows.shape[-2:]
-    rows = rows.reshape(trials, -1, size, cols)
-    per = rows.shape[1]
-    if size <= 2:
-        entries = rows.transpose(3, 2, 1, 0)            # (cols, L, T, trials)
-        d = _entry_sum(np.square(entries.real) + np.square(entries.imag))
-        b = _entry_sum(entries[:, :-1] * np.conj(entries[:, 1:]))
-        if total:
-            d, b = (np.concatenate(
-                [a, _entry_sum(np.moveaxis(a, 1, 0))[:, None]], axis=1)
-                for a in (d, b))
-        return d, b
+    trials, per, size, _ = rows.shape
     # a block's Gram products and their batch-last copy (two complex arrays)
     # fill one _POINT_BUFFER, so that the transposition and the sum run in
     # cache
@@ -370,19 +353,35 @@ def _grams(x: np.ndarray, total: bool = False):
 
 
 def _tridiagonal(x: np.ndarray, total: bool = False):
-    """Real tridiagonal of each Gram of _grams(x, total): its diagonal d,
-    (L, T', trials), and squared off-diagonal e2, (L - 1, T', trials), with
-    T' = T + total.  For one or two rows it is the Gram itself; larger
-    Grams, the summed column among them, go through one _householder call.
+    """Real tridiagonal of the smaller-side Gram of each matrix of a
+    (trials, ..., rows, cols) stack, T the middle axes flattened: its
+    diagonal d, (L, T', trials), and squared off-diagonal e2, (L - 1, T',
+    trials), with T' = T + total.  With total, for matrices no taller than
+    wide, the last column is that of the sum of the T Grams.
+
+    The one rule on L: one or two rows need no Gram product, as the
+    tridiagonal is the Gram itself, the row powers d and e2 = |b|^2 of the
+    inner products b of adjacent rows (none for one row), with the summed
+    column of d and b, each added in index order.  Three or more rows, the
+    summed Gram among them, go through _grams and one _householder call.
     """
-    grams = _grams(x, total)
-    if isinstance(grams, tuple):                        # one or two rows
-        d, b = grams
-        return d, np.square(b.real) + np.square(b.imag)
-    size, _, per, trials = grams.shape
-    d, e2 = _householder(grams.reshape(size, size, -1))
-    return (np.ascontiguousarray(d).reshape(size, per, trials),
-            e2.reshape(size - 1, per, trials))
+    trials = x.shape[0]
+    rows = x if x.shape[-2] <= x.shape[-1] else np.swapaxes(x, -1, -2)
+    size, cols = rows.shape[-2:]
+    rows = rows.reshape(trials, -1, size, cols)
+    if size > 2:
+        grams = _grams(rows, total)
+        d, e2 = _householder(grams.reshape(size, size, -1))
+        return (np.ascontiguousarray(d).reshape(grams.shape[1:]),
+                e2.reshape(size - 1, *grams.shape[2:]))
+    entries = rows.transpose(3, 2, 1, 0)                # (cols, L, T, trials)
+    d = _entry_sum(np.square(entries.real) + np.square(entries.imag))
+    b = _entry_sum(entries[:, :-1] * np.conj(entries[:, 1:]))
+    if total:
+        d, b = (np.concatenate(
+            [a, _entry_sum(np.moveaxis(a, 1, 0))[:, None]], axis=1)
+            for a in (d, b))
+    return d, np.square(b.real) + np.square(b.imag)
 
 
 def _coefficients(d: np.ndarray, e2: np.ndarray) -> np.ndarray:

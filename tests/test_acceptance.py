@@ -4,8 +4,8 @@ One test per release criterion, each printing a single pass/fail line; the
 full-scale Monte-Carlo settings make this file the slow part of the suite
 (a few minutes on one core).  Every tolerance is stated inline.  Criteria
 1-4 and 8 share their property kernels with ``cddmac --verify`` (cli.py),
-which runs them at reduced scale.  Every criterion but 4 has a negative
-control at the end of the file.
+which runs them at reduced scale.  Every criterion has a negative control
+at the end of the file.
 """
 
 import os
@@ -26,7 +26,7 @@ from cddmac.cli import (_digamma_error, _dual_path_residuals, _psi_residual,
 from cddmac.rates import monte_carlo_sweep
 from cddmac.region import region_capacity, region_cdd
 from test_cli import (_euler_gamma_mistyped, _psi_residual_rising,
-                      _reversed_permutation)
+                      _reversed_permutation, _upper_bound_lowered)
 
 # Bin-grouping permutation, n_tx=4 / n_rx=2: row 4i+t has its one in
 # column 2t+i.
@@ -216,19 +216,21 @@ def _bins_unnormalized(monkeypatch):
 
 
 def _capacity_gram_mean(monkeypatch):
-    # the capacity's Gram read as the mean of the DFT bins' Grams, not their
-    # sum: n_tx times too small, so figure 2's one-antenna capacity loses
+    # the capacity's tridiagonal, the summed column, read off the mean of
+    # the DFT bins' Grams, not their sum (d / T, e2 / T^2): n_tx times too
+    # small, so figure 2's one-antenna capacity loses
     # log2(n_tx) = 2 bits at high SNR and its 30 dB gap goes below zero
-    true_grams = rates._grams
+    true_tridiagonal = rates._tridiagonal
 
     def mean(x, total=False):
-        grams = true_grams(x, total)
+        d, e2 = true_tridiagonal(x, total)
         if total:
-            for part in grams if isinstance(grams, tuple) else [grams]:
-                part[..., -1, :] /= part.shape[-2] - 1
-        return grams
+            per = d.shape[1] - 1
+            d[:, -1] /= per
+            e2[:, -1] /= per * per
+        return d, e2
 
-    monkeypatch.setattr(rates, "_grams", mean)
+    monkeypatch.setattr(rates, "_tridiagonal", mean)
 
 
 def _bin_grouping_reversed(monkeypatch):
@@ -259,13 +261,14 @@ def _corner_off_the_sum_face(monkeypatch):
 
 # criterion -> (a patch that breaks the code the criterion calls, never the
 # criterion itself; the criterion), with the run time of the controls for
-# 5-7 on a 2-vCPU machine.  Criterion 9's control follows the table: its
+# 4-7 on a 2-vCPU machine.  Criterion 9's control follows the table: its
 # CLI subprocesses load their patch from a directory of the test's own.
-# Criterion 4 alone keeps no control: its run takes 9-14 s.
 NEGATIVE_CONTROLS = {
     1: (_bins_unnormalized, test_criterion_01_dual_path_equivalence),
     2: (_bin_grouping_reversed, test_criterion_02_bin_grouping_permutation),
     3: (_euler_gamma_mistyped, test_criterion_03_digamma_identity),
+    4: (_upper_bound_lowered,                                   # 5 s
+        test_criterion_04_bound_sandwich),
     5: (_capacity_gram_mean,                                    # 0.2 s
         test_criterion_05_figure2_gap_and_slopes),
     6: (_corner_off_the_sum_face,                               # 0.2 s

@@ -779,6 +779,41 @@ def test_tridiagonal_closed_form_sums_in_index_order(cols):
     assert e2.shape == (0, 3, 4096)
 
 
+@pytest.mark.parametrize("users, n_tx, n_rx", [(1, 4, 1), (1, 4, 2),
+                                               (2, 2, 1), (2, 2, 2),
+                                               (2, 1, 4), (3, 2, 2)])
+def test_one_and_two_row_grams_take_no_gram_product(monkeypatch, users,
+                                                    n_tx, n_rx):
+    # every Gram of these shapes has one or two rows, so the sweep and
+    # rate_cdd_reduced read it from _tridiagonal's closed form, never from a
+    # per-matrix Gram product (about 1 us per Gram): the bins of all users
+    # and of one user, with and without their summed column, and the
+    # capacity's stacked rows where n_rx > users
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=64, seed=3)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    bins = reduce_to_parallel(block)
+    snr = np.array([0.1, 10.0, 1000.0])
+    metrics = SWEEP_METRICS if users == 2 else ("cdd", "cap", "diff")
+    values = _sweep_values(block, snr, metrics)
+    reduced = rate_cdd_reduced(bins, snr[:, None])
+
+    def refused(x):
+        raise AssertionError("a per-matrix Gram product")
+
+    monkeypatch.setattr(rates, "_gram", refused)
+    stacks = [(bins, n_rx <= users), (bins[..., :1], n_rx <= 1)]
+    if n_rx > users:
+        stacks.append((rates._stack_users(block), False))
+    for x, wide in stacks:
+        for total in {False, wide}:
+            d, e2 = rates._tridiagonal(x, total)
+            size, per = min(x.shape[-2:]), math.prod(x.shape[1:-2]) + total
+            assert d.shape == (size, per, cfg.trials)
+            assert e2.shape == (size - 1, per, cfg.trials)
+    assert _sweep_values(block, snr, metrics).tobytes() == values.tobytes()
+    assert rate_cdd_reduced(bins, snr[:, None]).tobytes() == reduced.tobytes()
+
+
 @pytest.mark.parametrize("rows", [3, 4, 5, 8, 13, 20, LARGE_ROWS])
 def test_tridiagonal_keeps_the_gram_spectrum(rows):
     # the Householder reduction in both orientations; a matrix reduced alone
@@ -1286,11 +1321,13 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "REPEATS", 1)
-    # a batch-last shape, and one whose two-row Grams take the closed form
-    # and no Householder
+    # a batch-last shape, one whose two-row Grams take the closed form and
+    # no Householder, and one with n_rx > users, whose capacity comes from
+    # the stacked rows
     grid = np.array([0.0, 10.0])
     monkeypatch.setattr(script, "SHAPES", (
-        ("small", (3, 2, 3), 16, grid), ("closed", (2, 2, 2), 16, grid)))
+        ("small", (3, 2, 3), 16, grid), ("closed", (2, 2, 2), 16, grid),
+        ("stacked", (1, 4, 2), 16, grid)))
     assert script.main() == 0
     shapes = {}
     for line in capsys.readouterr().out.splitlines():
@@ -1302,13 +1339,15 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
         assert float(ms) >= 0 and float(faults) >= 0
         read.append((" ".join(words), float(ms), float(faults)))
     tridiagonal = {"small": ["Gram", "Householder"],
-                   "closed": ["Gram and e2, closed form"]}
+                   "closed": ["Gram and e2, closed form"],
+                   "stacked": ["Gram and e2, closed form",
+                               "capacity, stacked rows"]}
     assert list(shapes) == list(tridiagonal)
     for shape, read in shapes.items():
         summed = ["bins", *tridiagonal[shape], "coefficients, CDD",
                   "coefficients, capacity", "evaluation, CDD",
                   "evaluation, capacity"]
-        # 18 and 8 entries per trial: a chunk is one sub-block
+        # 18, 8 and 8 entries per trial: a chunk is one sub-block
         assert [name for name, *_ in read] == [
             f"sampling, per sub-block of {CHUNK}", *summed,
             "chunk sums, per sub-block", "_sweep_values(cdd, cap)",
