@@ -1,48 +1,30 @@
-"""Print the median time of each stage of the sweep kernel, in ms, and
-its minor page faults per run.
+"""Print each sweep stage's mean ms and minor page faults in a real chunk.
 
     python3 scripts/sweep_stages.py
 
-Four shapes, each with its --scenario or benchmark grid: one 1024-trial
-sub-block of the wide-sweep benchmark configuration (8 users, 4 transmit
-and 8 receive antennas, 41 points from 0 to 40 dB), and one 4096-trial
-chunk each of --scenario figure4 (6 users, 3 and 3 antennas, 9 points),
-figure3 (2 users, 2 and 2 antennas, 3 points) and figure2's two-antenna
-curve (1 user, 4 transmit and 2 receive antennas, 9 points).  The stages
-are the channel draw, the DFT bins, the Grams (the bins' and, where n_rx
-<= users, their sum, the capacity's), the Householder reduction of those
-Grams, the determinant coefficients of the CDD bins and of the capacity,
-their evaluation on the whole grid (rates._horner_logs; each grid is one
-point block of rates._logdet_sums) and the chunk's reduction to sums
-(rates._trial_sums over a chunk's values).  Grams of one or two rows (all
-of figure3's and figure2's) need no Gram product or Householder
-reduction: rates._tridiagonal takes them, with their squared
-off-diagonal, from its closed form, timed as one stage.  Where n_rx >
-users (figure2), the capacity comes from the users' stacked rows
-(rates._tridiagonal of rates._stack_users), timed as its own stage.
-figure3's single-user series, one-row Grams, are not timed here.  Next
-come rates._sweep_values(("cdd", "cap")) as a whole and the sum of the
-stages it runs, bins to evaluation: a gap between the two is time that
-the stages, timed one by one, miss or add.  The channel draw and the
-reduction run once per chunk, and are timed per sub-block: the chunk's
-time and faults divided by its sub-block count.  The Householder
-reduction and the reduction to sums overwrite their input, which an
-untimed copy restores before each run.  Each stage runs REPEATS times on
-the same input, with one BLAS thread, in one chunk workspace
-(linalg._buffer) as in rates.run_chunks, against the package source in
-this checkout's src/.  The faults are the process's ru_minflt over the
-REPEATS runs, divided by REPEATS, so a stage that reuses its workspace
-buffers shows about 0.  The stages are the package's private functions,
-called from outside; nothing in the package records a time.
+Each shape runs a 4096-trial chunk of the "cdd" and "cap" series through
+rates._chunk_sums: wide-sweep (8, 4, 8) in four 1024-trial sub-blocks,
+figure4 (6, 3, 3), figure3 (2, 2, 2) and figure2's (1, 4, 2).  Each
+rates name in STAGES is wrapped to add up its self time and faults
+(ru_minflt); a stage on two inputs gets a line each: _tridiagonal by
+matrix shape (the DFT bins', or figure2's stacked rows), _coefficients
+and _horner_logs by degree (T L for CDD, L for capacity).  "rest of the
+chunk" is the own lines of _chunk_sums, _sweep_values and _logdet_sums
+and the wrappers, so the lines, means, add up to the wrapped chunk.
+After an untimed chunk, wrapped and unwrapped chunks alternate in one
+workspace, for BUDGET seconds and at least MIN_RUNS times each, with one
+BLAS thread, on this checkout's src/; their medians show the wrappers'
+overhead.  Exits 1 if a stage is not in rates (before timing) or ran on
+no shape (renamed or inlined).  The shapes share one process, so the
+faults of one depend on the allocator state the ones before it leave.
 """
 
-from __future__ import annotations
-
 import os
-import resource
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -51,118 +33,86 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from cddmac import rates  # noqa: E402
-from cddmac.channel import (CHUNK, SystemConfig,  # noqa: E402
-                            reduce_to_parallel, sample_channel_block)
-from cddmac.linalg import _workspace  # noqa: E402
+from cddmac.channel import CHUNK, SystemConfig  # noqa: E402
 
-REPEATS = 9
-# (name, (users, n_tx, n_rx), trials, SNR grid in dB).  Where n_rx <= users
-# the capacity's Gram is the sum of the bins'; figure2's n_rx = 2 > users = 1
-# reads it from the users' stacked rows.
-SHAPES = (("wide-sweep", (8, 4, 8), 1024, np.arange(0.0, 41.0, 1.0)),
-          ("figure4", (6, 3, 3), 4096, np.arange(0.0, 41.0, 5.0)),
-          ("figure3", (2, 2, 2), 4096, np.array([0.0, 20.0, 40.0])),
-          ("figure2", (1, 4, 2), 4096, np.arange(0.0, 41.0, 5.0)))
-
-
-def minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+BUDGET, MIN_RUNS = 2.0, 9               # seconds and runs per shape
+STAGES = ("sample_channel_block", "reduce_to_parallel", "_tridiagonal",
+          "_grams", "_householder", "_coefficients", "_horner_logs",
+          "_trial_sums")
+LABELS = {"_tridiagonal": lambda x, **_: f" {x.shape[-2]}x{x.shape[-1]}",
+          "_coefficients": lambda d, e2: f", degree {len(d) * d.shape[1]}",
+          "_horner_logs": lambda coef, s: f", degree {len(coef) - 1}"}
+# (name, (users, n_tx, n_rx), SNR grid in dB)
+SHAPES = (("wide-sweep", (8, 4, 8), np.arange(0.0, 41.0, 1.0)),
+          ("figure4", (6, 3, 3), np.arange(0.0, 41.0, 5.0)),
+          ("figure3", (2, 2, 2), np.array([0.0, 20.0, 40.0])),
+          ("figure2", (1, 4, 2), np.arange(0.0, 41.0, 5.0)))
 
 
-def measure(stage, per: int = 1, restore=None):
-    """(median ms, minor page faults) of one run of stage, each divided by
-    per; restore, if given, runs untimed before each run."""
-    times = []
-    faults = minor_faults()
-    for _ in range(REPEATS):
-        if restore:
-            restore()
-        start = time.perf_counter()
-        stage()
-        times.append(time.perf_counter() - start)
-    faults = minor_faults() - faults
-    return 1e3 * float(np.median(times)) / per, faults / REPEATS / per
+def usage() -> np.ndarray:
+    """(seconds, minor page faults) of the process so far."""
+    return np.array([time.perf_counter(), getrusage(RUSAGE_SELF).ru_minflt])
 
 
-def stages(shape, trials, snr):
-    """(stage, callable, runs per call, run by rates._sweep_values, untimed
-    restore or None) over one sub-block of the shape, each on the previous
-    stage's output."""
-    users, n_tx, n_rx = shape
-    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=CHUNK,
-                       seed=0)
-    rows = max(1, rates._SUB_BLOCK_ENTRIES // (users * n_tx * n_rx))
-    chunk = sample_channel_block(cfg, 0, CHUNK)
-    block = chunk[:trials]
-    bins = reduce_to_parallel(block)
-    wide = n_rx <= users            # the capacity's Gram is the bins' sum
-    d, e2 = rates._tridiagonal(bins, total=wide)
-    cdd = (d[:, :n_tx], e2[:, :n_tx])
-
-    def stacked():
-        return rates._tridiagonal(rates._stack_users(block))
-
-    if wide:
-        cap, capacity = (d[:, n_tx:], e2[:, n_tx:]), ()
-    else:
-        cap = stacked()
-        capacity = (("capacity, stacked rows", stacked, 1, True, None),)
-    coef_cdd, coef_cap = rates._coefficients(*cdd), rates._coefficients(*cap)
-    grid, draws = snr[:, None], -(-CHUNK // rows)
-    # one config's values over the whole chunk, as _chunk_sums holds them
-    vals = rates._sweep_values(chunk, snr, ("cdd", "cap"))[None]
-    sums = vals.copy()
-    if min(n_rx, users) <= 2:                   # one or two rows
-        tridiagonal = (("Gram and e2, closed form",
-                        lambda: rates._tridiagonal(bins, total=wide), 1, True,
-                        None),)
-    else:
-        gram = rates._grams(bins, total=wide)
-        flat = gram.reshape(*gram.shape[:2], -1)
-        work = flat.copy()
-        tridiagonal = (
-            ("Gram", lambda: rates._grams(bins, total=wide), 1, True, None),
-            ("Householder", lambda: rates._householder(work), 1, True,
-             lambda: np.copyto(work, flat)))
-
-    return (
-        (f"sampling, per sub-block of {min(rows, CHUNK)}",
-         lambda: sample_channel_block(cfg, 0, CHUNK), draws, False, None),
-        ("bins", lambda: reduce_to_parallel(block), 1, True, None),
-        *tridiagonal,
-        *capacity,
-        ("coefficients, CDD", lambda: rates._coefficients(*cdd), 1, True,
-         None),
-        ("coefficients, capacity", lambda: rates._coefficients(*cap), 1, True,
-         None),
-        ("evaluation, CDD", lambda: rates._horner_logs(coef_cdd, grid), 1,
-         True, None),
-        ("evaluation, capacity",
-         lambda: rates._horner_logs(coef_cap, grid / n_tx), 1, True, None),
-        ("chunk sums, per sub-block", lambda: rates._trial_sums(sums), draws,
-         False, lambda: np.copyto(sums, vals)),
-        ("_sweep_values(cdd, cap)",
-         lambda: rates._sweep_values(block, snr, ("cdd", "cap")), 1, False,
-         None),
-    )
+def wrapped(name, stage, totals: dict, stack: list):
+    """stage, adding its self (seconds, faults) to totals[name, label]."""
+    def timed(*args, **kwargs):
+        label = LABELS[name](*args, **kwargs) if name in LABELS else ""
+        line = totals.setdefault((name, label), np.zeros(2))
+        stack.append(np.zeros(2))
+        start = usage()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            spent = usage() - start
+            line += spent - stack.pop()
+            if stack:
+                stack[-1] += spent
+    return timed
 
 
 def main() -> int:
-    for name, shape, trials, snr_db in SHAPES:
-        snr = 10.0 ** (snr_db / 10)
-        print(f"{name} {shape}, {trials} trials, {len(snr)} points "
-              f"(median ms of {REPEATS} runs; minor page faults per run)")
-        runs = stages(shape, trials, snr)     # inputs outside the workspace
-        parts = []
-        with _workspace({}):
-            for stage, run, per, summed, restore in runs:
-                ms, faults = measure(run, per, restore)
-                print(f"  {stage:<32}{ms:8.2f} ms {faults:8.0f} faults")
-                if summed:
-                    parts.append((ms, faults))
-        ms, faults = np.sum(parts, axis=0)
-        print(f"  {'_sweep_values stages, summed':<32}{ms:8.2f} ms "
-              f"{faults:8.0f} faults")
+    originals = {name: getattr(rates, name, None) for name in STAGES}
+    if missing := [name for name, f in originals.items() if not callable(f)]:
+        print(f"not in rates: {', '.join(missing)}", file=sys.stderr)
+        return 1
+    ran = set()
+    try:
+        for name, shape, snr_db in SHAPES:
+            values = partial(rates._sweep_values, snr=10.0 ** (snr_db / 10),
+                             metrics=("cdd", "cap"))
+            chunk = partial(rates._chunk_sums, values,
+                            (SystemConfig(*shape, CHUNK, 0),), {}, 0, CHUNK)
+            totals, stack, runs = {}, [], {True: [], False: []}
+            timed = {stage: wrapped(stage, f, totals, stack)
+                     for stage, f in originals.items()}
+            chunk()                                     # untimed warm-up
+            end = time.perf_counter() + BUDGET
+            while len(runs[True]) < MIN_RUNS or time.perf_counter() < end:
+                for wrap in (True, False):
+                    for stage, f in (timed if wrap else originals).items():
+                        setattr(rates, stage, f)
+                    start = usage()
+                    chunk()
+                    runs[wrap].append(usage() - start)
+            ran.update(stage for stage, _ in totals)
+            n, whole = len(runs[True]), np.mean(runs[True], axis=0)
+            print(f"{name} {shape}, {len(snr_db)} points: {n} runs of a "
+                  f"{CHUNK}-trial chunk (ms; minor faults)")
+            for line, (ms, faults) in (
+                    *((stage + label, total / n)
+                      for (stage, label), total in totals.items()),
+                    ("rest of the chunk", whole - sum(totals.values()) / n),
+                    ("chunk, wrapped, mean", whole),
+                    ("chunk, wrapped, median", np.median(runs[True], 0)),
+                    ("chunk, unwrapped, median", np.median(runs[False], 0))):
+                print(f"  {line:<30}{1e3 * ms:8.2f} ms {faults:8.1f} faults")
+    finally:
+        for stage, f in originals.items():
+            setattr(rates, stage, f)
+    if idle := [stage for stage in STAGES if stage not in ran]:
+        print(f"ran on no shape: {', '.join(idle)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -461,7 +461,9 @@ def _pivot_logs(scale: np.ndarray, d: np.ndarray, e2: np.ndarray):
     u = np.broadcast_to(d[0], (len(s),) + d.shape[1:])
     terms = np.log1p(s * u)
     for k in range(1, len(d)):
-        u = np.maximum(d[k] - e2[k - 1] / (inv + u), 0.0)
+        with np.errstate(over="ignore"):  # an inf quotient clips u to 0
+            quotient = e2[k - 1] / (inv + u)
+        u = np.maximum(d[k] - quotient, 0.0)
         terms += np.log1p(s * u)
     return _entry_sum(np.moveaxis(terms, 1, 0))
 

@@ -1215,6 +1215,22 @@ def test_coefficient_overflow_falls_back_without_warnings(fallen):
     assert got[0].tobytes() == expected.tobytes()
 
 
+def test_pivot_overflow_clips_without_warnings(fallen):
+    # 4 users sharing one 3 x 2 channel, bins x 1e60: at 1e100 and 1e150 a
+    # pivot rounds to 0 while its e2 does not, so e2 / (1/s + u) overflows
+    # to inf and clips the next pivot to 0, with no numpy warning, the same
+    # bits as with warnings ignored
+    h = complex_normal(np.random.default_rng(12), (3, 2))
+    blocks = reduce_to_parallel(np.broadcast_to(h, (4, 3, 2))) * 1e60
+    snr = np.array([1e100, 1e150, 1e10, 1.0, 0.0])
+    got = rate_cdd_reduced(blocks, snr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = rate_cdd_reduced(blocks, snr)
+    assert fallen == [5, 5]
+    assert np.all(np.isfinite(got)) and got.tobytes() == quiet.tobytes()
+
+
 @pytest.mark.parametrize("users,n_tx,n_rx", [
     (1, 4, 1), (1, 4, 2), (2, 2, 2), (6, 3, 3), (8, 4, 8)])
 def test_gaussian_draws_never_take_the_fallback(fallen, users, n_tx, n_rx):
@@ -1310,9 +1326,11 @@ def test_coefficient_means_control(monkeypatch):
     assert worst_coefficient_deviation() > 5
 
 
-def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
-    # scripts/sweep_stages.py calls the kernel's private stages by name; one
-    # repeat on two small shapes keeps it in step with them
+def sweep_stages_script(monkeypatch):
+    """scripts/sweep_stages.py as a module, on three small shapes, two runs
+    each: one whose three-row Grams take _grams and _householder, one whose
+    two-row Grams take the closed form, and one with n_rx > users, whose
+    capacity comes from the stacked rows."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -1320,44 +1338,74 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("sweep_stages", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "REPEATS", 1)
-    # a batch-last shape, one whose two-row Grams take the closed form and
-    # no Householder, and one with n_rx > users, whose capacity comes from
-    # the stacked rows
+    monkeypatch.setattr(script, "BUDGET", 0.0)
+    monkeypatch.setattr(script, "MIN_RUNS", 2)
     grid = np.array([0.0, 10.0])
     monkeypatch.setattr(script, "SHAPES", (
-        ("small", (3, 2, 3), 16, grid), ("closed", (2, 2, 2), 16, grid),
-        ("stacked", (1, 4, 2), 16, grid)))
+        ("small", (3, 2, 3), grid), ("closed", (2, 2, 2), grid),
+        ("stacked", (1, 4, 2), grid)))
+    return script
+
+
+def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
+    # the script wraps the kernel's stages by name inside a real chunk; its
+    # stage lines and "rest" add up to the wrapped chunk, and every rates
+    # name is the original again afterwards
+    script = sweep_stages_script(monkeypatch)
+    originals = {name: getattr(rates, name) for name in script.STAGES}
     assert script.main() == 0
+    assert all(getattr(rates, name) is f for name, f in originals.items())
     shapes = {}
     for line in capsys.readouterr().out.splitlines():
         if not line.startswith("  "):                   # a shape's header
-            read = shapes[line.split()[0]] = []
+            read = shapes[line.split()[0]] = {}
             continue
         *words, ms, ms_unit, faults, faults_unit = line.split()
         assert (ms_unit, faults_unit) == ("ms", "faults")
-        assert float(ms) >= 0 and float(faults) >= 0
-        read.append((" ".join(words), float(ms), float(faults)))
-    tridiagonal = {"small": ["Gram", "Householder"],
-                   "closed": ["Gram and e2, closed form"],
-                   "stacked": ["Gram and e2, closed form",
-                               "capacity, stacked rows"]}
-    assert list(shapes) == list(tridiagonal)
+        read[" ".join(words)] = np.array([float(ms), float(faults)])
+    # the bins' tridiagonal by matrix shape, then the capacity's stacked rows
+    # where n_rx > users; the polynomials by degree, T L for CDD, L for the
+    # capacity
+    stages = {"small": ["_tridiagonal 3x3", "_grams", "_householder",
+                        "_coefficients, degree 6", "_horner_logs, degree 6",
+                        "_coefficients, degree 3", "_horner_logs, degree 3"],
+              "closed": ["_tridiagonal 2x2",
+                         "_coefficients, degree 4", "_horner_logs, degree 4",
+                         "_coefficients, degree 2", "_horner_logs, degree 2"],
+              "stacked": ["_tridiagonal 2x1", "_tridiagonal 2x4",
+                          "_coefficients, degree 4", "_horner_logs, degree 4",
+                          "_coefficients, degree 2", "_horner_logs, degree 2"]}
+    assert list(shapes) == list(stages)
+    chunk = ["rest of the chunk", "chunk, wrapped, mean",
+             "chunk, wrapped, median", "chunk, unwrapped, median"]
     for shape, read in shapes.items():
-        summed = ["bins", *tridiagonal[shape], "coefficients, CDD",
-                  "coefficients, capacity", "evaluation, CDD",
-                  "evaluation, capacity"]
-        # 18, 8 and 8 entries per trial: a chunk is one sub-block
-        assert [name for name, *_ in read] == [
-            f"sampling, per sub-block of {CHUNK}", *summed,
-            "chunk sums, per sub-block", "_sweep_values(cdd, cap)",
-            "_sweep_values stages, summed"]
-        # the sum line adds bins to evaluation, not the draw, the chunk
-        # sums or _sweep_values itself; each printed to 0.01 ms and 1 fault
-        parts = np.array([(ms, faults) for name, ms, faults in read
-                          if name in summed])
-        assert np.all(np.abs(parts.sum(axis=0) - read[-1][1:])
-                      <= [0.04, 4]), shape
+        summed = ["sample_channel_block", "reduce_to_parallel",
+                  *stages[shape], "_trial_sums", "rest of the chunk"]
+        assert sorted(read) == sorted(summed + chunk[1:]), shape
+        assert all(ms >= 0 for ms, _ in read.values()), shape
+        # each line printed to 0.01 ms and 0.1 fault
+        parts = sum(read[name] for name in summed)
+        assert np.all(np.abs(parts - read["chunk, wrapped, mean"])
+                      <= 0.005 * len(summed) * np.array([1, 10])), shape
+
+
+@pytest.mark.parametrize("stage,error", [
+    ("_no_such_stage", "not in rates: _no_such_stage"),
+    ("_pivot_logs", "ran on no shape: _pivot_logs")])
+def test_sweep_stages_script_fails_on_a_stage_it_cannot_time(
+        monkeypatch, capsys, stage, error):
+    # a stage renamed away from rates fails before any timing; one that no
+    # shape runs (as if inlined: no Gaussian draw takes the pivots) fails
+    # after it; either way every rates name is the original again
+    script = sweep_stages_script(monkeypatch)
+    monkeypatch.setattr(script, "STAGES", script.STAGES + (stage,))
+    originals = {name: getattr(rates, name) for name in script.STAGES
+                 if hasattr(rates, name)}
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert err.strip() == error
+    assert (out == "") == (stage == "_no_such_stage")
+    assert all(getattr(rates, name) is f for name, f in originals.items())
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
