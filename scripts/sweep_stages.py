@@ -1,6 +1,6 @@
 """Print each sweep stage's mean ms and minor page faults in a real chunk.
 
-    python3 scripts/sweep_stages.py
+    python3 scripts/sweep_stages.py [SHAPE]
 
 Each shape runs a 4096-trial chunk of the "cdd" and "cap" series through
 rates._chunk_sums: wide-sweep (8, 4, 8) in four 1024-trial sub-blocks,
@@ -14,12 +14,17 @@ and the wrappers, so the lines, means, add up to the wrapped chunk.
 After an untimed chunk, wrapped and unwrapped chunks alternate in one
 workspace, for BUDGET seconds and at least MIN_RUNS times each, with one
 BLAS thread, on this checkout's src/; their medians show the wrappers'
-overhead.  Exits 1 if a stage is not in rates (before timing) or ran on
-no shape (renamed or inlined).  The shapes share one process, so the
-faults of one depend on the allocator state the ones before it leave.
+overhead.  Each shape runs in a fresh interpreter of its own (this
+script with the shape's name, which times that shape alone), so that its
+faults are its own: in one process they would depend on the allocator
+state the shapes before it leave (after wide-sweep's large frees, glibc's
+dynamic mmap threshold spared figure4 almost every fault).  Exits 1 if a
+stage is not in rates (before timing) or ran on no shape (renamed or
+inlined).
 """
 
 import os
+import subprocess
 import sys
 import time
 from functools import partial
@@ -71,45 +76,68 @@ def wrapped(name, stage, totals: dict, stack: list):
     return timed
 
 
-def main() -> int:
+def time_shape(shape, originals: dict) -> None:
+    """Print one shape's lines, timed in this process."""
+    name, system, snr_db = shape
+    values = partial(rates._sweep_values, snr=10.0 ** (snr_db / 10),
+                     metrics=("cdd", "cap"))
+    chunk = partial(rates._chunk_sums, values,
+                    (SystemConfig(*system, CHUNK, 0),), {}, 0, CHUNK)
+    totals, stack, runs = {}, [], {True: [], False: []}
+    timed = {stage: wrapped(stage, f, totals, stack)
+             for stage, f in originals.items()}
+    try:
+        chunk()                                         # untimed warm-up
+        end = time.perf_counter() + BUDGET
+        while len(runs[True]) < MIN_RUNS or time.perf_counter() < end:
+            for wrap in (True, False):
+                for stage, f in (timed if wrap else originals).items():
+                    setattr(rates, stage, f)
+                start = usage()
+                chunk()
+                runs[wrap].append(usage() - start)
+    finally:
+        for stage, f in originals.items():
+            setattr(rates, stage, f)
+    n, whole = len(runs[True]), np.mean(runs[True], axis=0)
+    print(f"{name} {system}, {len(snr_db)} points: {n} runs of a "
+          f"{CHUNK}-trial chunk (ms; minor faults)")
+    for line, (ms, faults) in (
+            *((stage + label, total / n)
+              for (stage, label), total in totals.items()),
+            ("rest of the chunk", whole - sum(totals.values()) / n),
+            ("chunk, wrapped, mean", whole),
+            ("chunk, wrapped, median", np.median(runs[True], 0)),
+            ("chunk, unwrapped, median", np.median(runs[False], 0))):
+        print(f"  {line:<30}{1e3 * ms:8.2f} ms {faults:8.1f} faults")
+
+
+def main(names=()) -> int:
+    """With no name, time every shape, each in a fresh interpreter; with a
+    shape's name, that shape alone, in this one."""
     originals = {name: getattr(rates, name, None) for name in STAGES}
     if missing := [name for name, f in originals.items() if not callable(f)]:
         print(f"not in rates: {', '.join(missing)}", file=sys.stderr)
         return 1
+    if names:
+        shapes = {shape[0]: shape for shape in SHAPES}
+        if len(names) > 1 or names[0] not in shapes:
+            print(f"usage: {Path(__file__).name} [SHAPE], a shape of "
+                  f"{', '.join(shapes)}", file=sys.stderr)
+            return 2
+        time_shape(shapes[names[0]], originals)
+        return 0
     ran = set()
-    try:
-        for name, shape, snr_db in SHAPES:
-            values = partial(rates._sweep_values, snr=10.0 ** (snr_db / 10),
-                             metrics=("cdd", "cap"))
-            chunk = partial(rates._chunk_sums, values,
-                            (SystemConfig(*shape, CHUNK, 0),), {}, 0, CHUNK)
-            totals, stack, runs = {}, [], {True: [], False: []}
-            timed = {stage: wrapped(stage, f, totals, stack)
-                     for stage, f in originals.items()}
-            chunk()                                     # untimed warm-up
-            end = time.perf_counter() + BUDGET
-            while len(runs[True]) < MIN_RUNS or time.perf_counter() < end:
-                for wrap in (True, False):
-                    for stage, f in (timed if wrap else originals).items():
-                        setattr(rates, stage, f)
-                    start = usage()
-                    chunk()
-                    runs[wrap].append(usage() - start)
-            ran.update(stage for stage, _ in totals)
-            n, whole = len(runs[True]), np.mean(runs[True], axis=0)
-            print(f"{name} {shape}, {len(snr_db)} points: {n} runs of a "
-                  f"{CHUNK}-trial chunk (ms; minor faults)")
-            for line, (ms, faults) in (
-                    *((stage + label, total / n)
-                      for (stage, label), total in totals.items()),
-                    ("rest of the chunk", whole - sum(totals.values()) / n),
-                    ("chunk, wrapped, mean", whole),
-                    ("chunk, wrapped, median", np.median(runs[True], 0)),
-                    ("chunk, unwrapped, median", np.median(runs[False], 0))):
-                print(f"  {line:<30}{1e3 * ms:8.2f} ms {faults:8.1f} faults")
-    finally:
-        for stage, f in originals.items():
-            setattr(rates, stage, f)
+    for name, *_ in SHAPES:
+        proc = subprocess.run([sys.executable, __file__, name],
+                              stdout=subprocess.PIPE, text=True)
+        print(proc.stdout, end="", flush=True)
+        if proc.returncode:
+            return 1
+        # the stages it timed: the first word of each stage line
+        ran.update(line.split()[0].rstrip(",")
+                   for line in proc.stdout.splitlines()
+                   if line.startswith("  "))
     if idle := [stage for stage in STAGES if stage not in ran]:
         print(f"ran on no shape: {', '.join(idle)}", file=sys.stderr)
         return 1
@@ -117,4 +145,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

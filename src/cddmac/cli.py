@@ -31,7 +31,7 @@ from . import bounds as bnd
 from .channel import (CHUNK, SystemConfig, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
-from .linalg import _SNR_MAX, _index, _seed, dft_matrix
+from .linalg import _SNR_MAX, _SNR_MIN, _index, _seed, dft_matrix
 from .rates import (REGION_METRICS, _sweep_values, _tridiagonal,
                     _usable_cpus, monte_carlo_sweep, rate_cdd,
                     rate_cdd_reduced, run_chunks, sum_capacity)
@@ -52,8 +52,9 @@ SCENARIOS = {
                     trials="100000"),
 }
 
-# Highest accepted grid point, the rates' and bounds' snr ceiling in dB.
-_SNR_DB_MAX = 10.0 * np.log10(_SNR_MAX)
+# Lowest and highest accepted grid points, the rates' and bounds' snr floor
+# and ceiling in dB.
+_SNR_DB_MIN, _SNR_DB_MAX = 10.0 * np.log10([_SNR_MIN, _SNR_MAX])
 # Most grid points accepted, counted before a start:stop:step grid is built.
 _GRID_POINTS_MAX = 100_000
 
@@ -139,9 +140,10 @@ def _parse_grid(text: str) -> tuple:
         raise UsageError(f"snr_db: cannot parse grid {text!r}")
     if grid.size == 0:
         raise UsageError("snr_db: grid is empty")
-    if not np.all(np.isfinite(grid)) or np.max(grid) > _SNR_DB_MAX:
-        raise UsageError(f"snr_db: points must be finite and at most "
-                         f"{_SNR_DB_MAX:g} dB, got {text!r}")
+    if not np.all((grid >= _SNR_DB_MIN) & (grid <= _SNR_DB_MAX)):  # and nan
+        raise UsageError(f"snr_db: points must be finite, from "
+                         f"{_SNR_DB_MIN:g} to {_SNR_DB_MAX:g} dB, got "
+                         f"{text!r}")
     return tuple(float(g) for g in grid)
 
 
@@ -198,19 +200,11 @@ def _fmt(value: float) -> str:
 _MC_SERIES = {"cdd_mc": "cdd", "cap_mc": "cap"}
 
 
-def _sweep_rows(spec, cfg, tag, linear):
-    """Monte-Carlo rows and region rows for one receive-antenna count: one
-    pass over the trials serves every SNR point and every requested metric."""
-    wanted = [m for m in _MC_SERIES if m in spec.metrics]
-    series = [_MC_SERIES[m] for m in wanted]
-    if "region" in spec.metrics:
-        series += REGION_METRICS
-    if not series:
-        return [], []
-    got = monte_carlo_sweep(cfg, snr=linear, metrics=tuple(series),
-                            workers=spec.workers)
+def _sweep_rows(spec, cfg, tag, got):
+    """Monte-Carlo rows and region rows for one receive-antenna count, from
+    got, {series: (means, stderrs)}."""
     mc = [(point, metric + tag, mean, err, cfg.trials, cfg.seed)
-          for metric in wanted
+          for metric in _MC_SERIES if metric in spec.metrics
           for point, mean, err in zip(spec.snr_db, *got[_MC_SERIES[metric]])]
     region = []
     if "region" in spec.metrics:
@@ -256,9 +250,17 @@ def run(spec: ExperimentSpec, plot_script: str = "") -> int:
     """Execute the experiment and write the CSV; returns a process exit code."""
     rows = []
     linear = 10.0 ** (np.asarray(spec.snr_db) / 10.0)
-    for cfg in spec.cfgs:
+    series = tuple(_MC_SERIES[m] for m in _MC_SERIES if m in spec.metrics)
+    if "region" in spec.metrics:
+        series += REGION_METRICS
+    # one draw serves every receive-antenna count: each reads its prefix
+    stats = (run_chunks(partial(_sweep_values, snr=linear, metrics=series),
+                        spec.cfgs, spec.workers) if series
+             else [((), ())] * len(spec.cfgs))          # closed forms only
+    for cfg, (means, errs) in zip(spec.cfgs, stats):
         tag = f"_nrx{cfg.n_rx}" if len(spec.cfgs) > 1 else ""
-        mc, region = _sweep_rows(spec, cfg, tag, linear)
+        got = dict(zip(series, zip(means, errs)))
+        mc, region = _sweep_rows(spec, cfg, tag, got)
         rows += mc + _bound_rows(spec, cfg, tag, linear) + region
 
     lines = ["snr_db,metric,value_bits,stderr_bits,trials,seed"]
@@ -351,16 +353,24 @@ def _dual_path_residuals(block, snr, perm):
     return rate, np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
-def _sandwich_excess(cfgs, grid):
+def _sandwich_estimates(cfgs, grid):
+    """Per config, the Monte-Carlo (means, stderrs) of cdd and cap over a
+    linear-SNR grid, each of shape (2, points).  The configs share one seed
+    and trial count and one draw, whose chunks run on one thread per usable
+    CPU."""
+    return run_chunks(partial(_sweep_values, snr=grid,
+                              metrics=("cdd", "cap")), cfgs, _usable_cpus())
+
+
+def _sandwich_excess(cfgs, grid, estimates):
     """Per config, the worst (rc_lb - 3s - cdd), (cdd - 3s - rc_ub) and
-    (cap_lb - 3s - cap) over a linear-SNR grid, s the Monte-Carlo standard
-    error; all <= 0 when the closed-form bounds sandwich the config's
-    estimates.  The configs share one seed and trial count and one draw,
-    whose chunks run on one thread per usable CPU."""
-    got = run_chunks(partial(_sweep_values, snr=grid, metrics=("cdd", "cap")),
-                     cfgs, _usable_cpus())
+    (cap_lb - 3s - cap) over the grid, s the Monte-Carlo standard error of
+    the config's estimates (_sandwich_estimates); all <= 0 when the
+    closed-form bounds sandwich them.  The bounds are read from _BOUNDS
+    here, when it runs."""
     out = []
-    for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs, got):
+    for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs,
+                                                               estimates):
         low, high, cap_low = (_BOUNDS[m](cfg, grid)
                               for m in ("rc_lb", "rc_ub", "cap_lb"))
         out.append((float(np.max(low - 3 * cdd_err - cdd_mean)),
@@ -454,7 +464,9 @@ def _check_sandwich(rng):
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=20000,
                          seed=2026)
             for users, n_tx, n_rx in configs]
-    worst = max(max(excess) for excess in _sandwich_excess(cfgs, grid))
+    estimates = _sandwich_estimates(cfgs, grid)
+    worst = max(max(excess)
+                for excess in _sandwich_excess(cfgs, grid, estimates))
     return worst <= 0, "rc_lb <= MC cdd <= rc_ub and cap_lb <= MC cap on " + \
         " ".join(f"({users},{n_tx},{n_rx})" for users, n_tx, n_rx in configs)
 

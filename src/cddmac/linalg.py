@@ -17,6 +17,9 @@ LN2 = float(np.log(2.0))
 # Largest linear snr accepted (3000 dB): here every rate and bound stays
 # finite, while near 3080 dB the linear snr times a channel gain overflows.
 _SNR_MAX = 1e300
+# Smallest positive linear snr accepted (-3000 dB), the mirror of _SNR_MAX:
+# below about -3080 dB the rates and bounds turn subnormal and lose digits.
+_SNR_MIN = 1e-300
 
 
 def _index(name: str, value, minimum: int | None = None) -> int:
@@ -82,11 +85,12 @@ def _buffer(name: str, shape, dtype=float) -> np.ndarray:
 
 def _snr(snr) -> np.ndarray:
     """A linear snr, scalar or array, as a float array, or a ValueError
-    unless every value is finite, >= 0 and at most _SNR_MAX."""
+    unless every value is 0 or between _SNR_MIN and _SNR_MAX."""
     snr = np.asarray(snr, dtype=float)
-    if not np.all((snr >= 0) & (snr <= _SNR_MAX)):  # false for a nan too
-        raise ValueError(f"snr must be finite and >= 0, at most "
-                         f"{_SNR_MAX:g} (3000 dB)")
+    # a nan fails every comparison
+    if not np.all((snr == 0) | ((snr >= _SNR_MIN) & (snr <= _SNR_MAX))):
+        raise ValueError(f"snr must be finite and >= 0: 0 or from "
+                         f"{_SNR_MIN:g} to {_SNR_MAX:g} (-3000 to 3000 dB)")
     return snr
 
 

@@ -22,11 +22,13 @@ worker the chunks run on threads of the calling process: numpy releases
 the interpreter lock inside the sampling, matmul and ufunc loops that do
 most of a chunk's work, so the threads overlap there.  Two summation
 rules fix every bit of an estimate.  numpy's pairwise sum adds a chunk's
-trials (_trial_sums).  Every other sum runs in index order: through
-_entry_sum over a stack of terms (a matrix's entries, the DFT bins' Grams,
-the chunks' sums), or as a running total where a loop makes its terms one
-at a time (_householder's A v, the coefficient recurrence, the bins'
-polynomial product, the Horner loop's two totals, the fallback's pivots).
+trials (_trial_sums: each row's values, and its squares scaled by an
+exact power of two, so they do not underflow).  Every other sum runs in
+index order: through _entry_sum over a stack of terms (a matrix's entries,
+the DFT bins' Grams, the chunks' sums), or as a running total where a loop
+makes its terms one at a time (_householder's A v, the coefficient
+recurrence, the bins' polynomial product, the Horner loop's two totals,
+the fallback's pivots).
 With the channel streams keyed by (seed, chunk), estimates are therefore
 bit-identical for any --workers setting.
 """
@@ -168,27 +170,38 @@ _SUB_BLOCK_ENTRIES = 1 << 18
 
 
 def _chunk_sums(values, cfgs, workspaces: dict, start: int, stop: int):
+    """_trial_sums of values over trials [start, stop), one per config:
+    each config in turn reads its prefix of the widest one's block, in
+    sub-blocks, so one config's values are held at a time."""
     widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
+    sums = []
     with _workspace(workspaces):
         block = sample_channel_block(widest, start, stop)
         rows = max(1, _SUB_BLOCK_ENTRIES // block[0].size)
-        vals = None
-        for lo in range(0, len(block), rows):
-            for i, cfg in enumerate(cfgs):
+        for cfg in cfgs:
+            for lo in range(0, len(block), rows):
                 part = values(block_prefix(block[lo:lo + rows], cfg))
-                if vals is None:
-                    vals = _buffer("vals", (len(cfgs),) + part.shape[:-1]
-                                   + (len(block),))
-                vals[i, ..., lo:lo + rows] = part
-    # one pass over the whole chunk, so the sums never see the sub-blocks
-    return _trial_sums(vals)
+                if not lo:
+                    vals = _buffer("vals", part.shape[:-1] + (len(block),))
+                vals[..., lo:lo + rows] = part
+            del part            # not held while the next config evaluates
+            # one pass over the whole chunk, so the sums never see the
+            # sub-blocks
+            sums.append(_trial_sums(vals))
+    return sums
 
 
 def _trial_sums(vals: np.ndarray):
-    """Sums over vals' last axis, the trials, of vals and of its squares,
-    each numpy's pairwise sum; vals is squared in place."""
+    """(total, scaled, exp) over vals' last axis, the trials, each numpy's
+    pairwise sum: of vals, and of the squares of each row times 2**-exp,
+    exp the binary exponent of its largest |value| (of the smallest normal
+    double at least, so that 2**-exp is finite), which neither underflow
+    nor overflow.  vals is scaled and squared in place."""
     total = vals.sum(axis=-1)
-    return total, np.square(vals, out=vals).sum(axis=-1)
+    peak = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
+    _, exp = np.frexp(np.maximum(peak, np.finfo(float).tiny))
+    np.multiply(vals, np.ldexp(1.0, -exp)[..., None], out=vals)
+    return total, np.square(vals, out=vals).sum(axis=-1), exp
 
 
 def _usable_cpus() -> int:
@@ -235,10 +248,20 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
             pool.shutdown(cancel_futures=True)
     else:
         parts = [chunk(a, b) for a, b in spans]
-    total, total_sq = map(_entry_sum, zip(*parts))  # chunk order
-    means = total / n
-    var = np.maximum(total_sq - n * means * means, 0.0) / (n - 1)
-    return list(zip(means, np.sqrt(var / n)))
+    out = []
+    for chunks in zip(*parts):          # one config's sums, in chunk order
+        totals, scaled, exps = zip(*chunks)
+        # the variance in units of 2**exp, exp the chunks' largest: powers
+        # of two are exact, so a stderr whose squares do not underflow
+        # keeps its bits, and one far below 1e-154 keeps its digits
+        exp = np.max(exps, axis=0)
+        total_sq = _entry_sum([np.ldexp(sq, 2 * (e - exp))
+                               for sq, e in zip(scaled, exps)])
+        means = _entry_sum(totals) / n
+        unit = np.ldexp(means, -exp)
+        var = np.maximum(total_sq - n * unit * unit, 0.0) / (n - 1)
+        out.append((means, np.ldexp(np.sqrt(var / n), exp)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,8 @@ def test_scenario_figure3_region_rows(tmp_path):
 
 
 def test_scenario_figure3_draws_each_trial_once(tmp_path, monkeypatch):
-    # every SNR point, both schemes and the sum-rate metrics share one pass
-    # over the trials
+    # every SNR point, both schemes, the sum-rate metrics and every
+    # receive-antenna count share one pass over the trials
     drawn = []
     real = rates.sample_channel_block
 
@@ -138,14 +139,41 @@ def test_scenario_figure3_draws_each_trial_once(tmp_path, monkeypatch):
     for module in (cli, rates, region):
         monkeypatch.setattr(module, "sample_channel_block", counting)
     out = tmp_path / "f3.csv"
+    two_rx = tmp_path / "two_rx.cfg"
+    two_rx.write_text("n_rx = 1,2\n")
     for flags, n_rows in (((), 3 * 14),
                           (("--metrics", "region,cdd_mc,cap_mc"),
-                           3 * 14 + 3 * 2)):
+                           3 * 14 + 3 * 2),
+                          (("--config", str(two_rx)), 2 * 3 * 14),
+                          (("--config", str(two_rx), "--metrics",
+                            "region,cdd_mc,cap_mc"), 2 * (3 * 14 + 3 * 2))):
         drawn.clear()
         assert main(["--scenario", "figure3", "--trials", "5000",
                      "--out", str(out), *flags]) == 0
-        assert sum(drawn) == 5000 * 1  # trials x len(n_rx)
+        assert sum(drawn) == 5000   # once, however many n_rx
         assert len(read_rows(out)) == n_rows
+
+
+def test_receive_antenna_counts_hold_one_config_at_a_time(tmp_path):
+    # a chunk evaluates its configs one at a time into one buffer of values,
+    # so four n_rx on a 401-point grid peak within 10 % of the widest alone.
+    # Two full chunks: from the second on, the widest alone also holds that
+    # buffer while it evaluates
+    def peak(n_rx):
+        spec = cli.build_spec({
+            **cli.DEFAULTS, "users": "2", "n_tx": "2", "n_rx": n_rx,
+            "snr_db": "0:40:0.1", "trials": str(2 * channel.CHUNK),
+            "out": str(tmp_path / "peak.csv")})
+        assert len(spec.snr_db) == 401
+        tracemalloc.start()
+        try:
+            assert cli.run(spec) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak("4")
+    assert peak("1,2,3,4") <= 1.1 * alone
 
 
 def test_scenario_figure4_metrics(tmp_path):
@@ -292,6 +320,7 @@ def test_requires_scenario_or_config(capsys):
     (("--snr-db=",), "snr_db"),
     (("--trials", "abc"), "trials"),
     (("--verify", "--seed="), "seed"),
+    (("--snr-db=-3000.5",), "snr_db"),
 ])
 def test_usage_errors_name_offending_field(tmp_path, capsys, flags, needle):
     out = tmp_path / "x.csv"
@@ -478,7 +507,7 @@ def test_out_of_memory_is_one_runtime_error_line(config_file, tmp_path,
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 61.0 GiB for an array")
 
-    monkeypatch.setattr(cli, "monte_carlo_sweep", no_memory)
+    monkeypatch.setattr(cli, "run_chunks", no_memory)
     out = tmp_path / "res.csv"
     assert main(["--config", str(config_file), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -573,6 +602,19 @@ def test_lower_bounds_at_a_billion_users_and_3000_db_are_finite(tmp_path):
     assert all(math.isfinite(float(row[2])) for row in rows)
 
 
+def test_grid_floor_is_minus_3000_db(tmp_path):
+    # -3000 dB is snr 1e-300 exactly; there every Monte-Carlo row keeps a
+    # positive stderr, where its squared values would underflow
+    assert cli._parse_grid("-3000") == (-3000.0,)
+    out = tmp_path / "floor.csv"
+    assert main(["--scenario", "figure2", "--trials", "200", "--snr-db=-3000",
+                 "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 6
+    assert all(0 < float(row[2]) < 1e-298 for row in rows)
+    assert all(float(row[3]) > 0 for row in rows if "_mc" in row[1])
+
+
 # --- verify mode --------------------------------------------------------
 
 
@@ -591,8 +633,12 @@ def test_sandwich_kernel_shared_draw_equals_per_config():
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                          trials=rates.CHUNK + 100, seed=2026)
             for users, n_tx, n_rx in ((1, 2, 1), (2, 2, 2), (4, 2, 1))]
-    assert cli._sandwich_excess(cfgs, grid) \
-        == [cli._sandwich_excess([cfg], grid)[0] for cfg in cfgs]
+
+    def excess(cfgs):
+        return cli._sandwich_excess(cfgs, grid,
+                                    cli._sandwich_estimates(cfgs, grid))
+
+    assert excess(cfgs) == [excess([cfg])[0] for cfg in cfgs]
 
 
 def test_digamma_kernel_shared_draw_equals_per_count():
@@ -716,10 +762,12 @@ def test_verify_determinism_negative_control_on_threads(monkeypatch, capsys):
 
         def map(self, fn, *iterables):
             parts = list(map(fn, *iterables))
-            sums, squares = parts[0]
-            for _ in range(steps):
-                sums = np.nextafter(sums, np.inf)
-            parts[0] = (sums, squares)
+            first = []
+            for sums, squares, exps in parts[0]:            # by config
+                for _ in range(steps):
+                    sums = np.nextafter(sums, np.inf)
+                first.append((sums, squares, exps))
+            parts[0] = first
             return parts
 
         def shutdown(self, cancel_futures):
@@ -845,7 +893,7 @@ def test_benchmark_tracer_installs(tmp_path):
         "assert cli.main(['--scenario', 'figure2', '--trials', '50',\n"
         "                 '--snr-db', '0,10', '--out', sys.argv[1]]) == 0\n"
         "drawn = tracer.per_layer()['channel.trials_drawn']\n"
-        "assert drawn == (100, 'count'), drawn\n"
+        "assert drawn == (50, 'count'), drawn  # both n_rx, one draw\n"
         "assert tracer.per_layer()['bounds.s'][0] > 0  # rc_lb rows\n"
         "assert cli.main(['--verify', '--seed', '1']) == 0\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -7,7 +7,7 @@ no code path with the Cholesky-based implementation.
 import numpy as np
 import pytest
 
-from cddmac.linalg import _seed, dft_matrix, logdet_hermitian_psd
+from cddmac.linalg import _seed, _snr, dft_matrix, logdet_hermitian_psd
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -24,6 +24,17 @@ def cofactor_det(a: np.ndarray) -> complex:
 def random_psd(rng, n: int) -> np.ndarray:
     half = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return np.eye(n) + half @ half.conj().T
+
+
+# --- _snr ---------------------------------------------------------------
+
+
+def test_snr_is_zero_or_from_minus_to_plus_3000_db():
+    for snr in (0.0, 1e-300, 1.0, 1e300, [0.0, 1e-300, 1e300]):
+        assert np.array_equal(_snr(snr), snr)
+    for snr in (1e-301, 5e-324, -1e-300, [0.0, 1e-301], 1e301):
+        with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+            _snr(snr)
 
 
 # --- _seed --------------------------------------------------------------

@@ -7,11 +7,14 @@ Independent oracles used here:
     integral (scipy is a test-only dependency).
 """
 
+import contextlib
 import gc
 import importlib.util
+import io
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -20,6 +23,7 @@ import warnings
 import weakref
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -546,6 +550,41 @@ def test_run_chunks_shared_draw_equals_one_run_per_config():
         for a, b, c in zip(got, in_pool, alone):
             assert a.shape == (3, 2)
             assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def stderr_ratios(snr):
+    """stderr / mean at a linear snr over two chunks of a (2, 2, 2) draw:
+    monte_carlo_sweep's cdd and cap, and run_chunks over a plain values,
+    snr |h|^2 of each trial's first entry."""
+    cfg = SystemConfig(users=2, n_tx=2, n_rx=2, trials=CHUNK + 1000, seed=5)
+    sweep = monte_carlo_sweep(cfg, snr, metrics=("cdd", "cap"))
+    [plain] = run_chunks(lambda block: snr * np.abs(block[:, 0, 0, 0]) ** 2,
+                         [cfg])
+    return np.array([float(np.ravel(err / mean)[0])
+                     for mean, err in (*sweep.values(), plain)])
+
+
+def assert_stderr_keeps_its_digits():
+    # where every value is linear in s (s <= 1e-100), stderr / mean does not
+    # depend on s, down to the snr floor, where the squared values underflow
+    low, floor = stderr_ratios(1e-100), stderr_ratios(1e-300)
+    assert np.all(floor > 0)
+    np.testing.assert_allclose(floor, low, rtol=1e-12)
+
+
+def test_stderr_keeps_its_digits_at_the_snr_floor():
+    assert_stderr_keeps_its_digits()
+
+
+def test_stderr_at_the_snr_floor_negative_control(monkeypatch):
+    # the squares taken unscaled, as before: at 1e-300 they are all 0
+    def unscaled(vals):
+        total = vals.sum(axis=-1)
+        return total, np.square(vals).sum(axis=-1), np.zeros(total.shape, int)
+
+    monkeypatch.setattr(rates, "_trial_sums", unscaled)
+    with pytest.raises(AssertionError):
+        assert_stderr_keeps_its_digits()
 
 
 @pytest.mark.parametrize("other", [dict(seed=22), dict(trials=CHUNK)])
@@ -1330,7 +1369,9 @@ def sweep_stages_script(monkeypatch):
     """scripts/sweep_stages.py as a module, on three small shapes, two runs
     each: one whose three-row Grams take _grams and _householder, one whose
     two-row Grams take the closed form, and one with n_rx > users, whose
-    capacity comes from the stacked rows."""
+    capacity comes from the stacked rows.  Each shape's fresh interpreter
+    is the script's own run on that shape's name, here in this process, so
+    that it sees these settings."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -1344,6 +1385,15 @@ def sweep_stages_script(monkeypatch):
     monkeypatch.setattr(script, "SHAPES", (
         ("small", (3, 2, 3), grid), ("closed", (2, 2, 2), grid),
         ("stacked", (1, 4, 2), grid)))
+
+    def child(command, stdout, text):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = script.main(command[2:])
+        return subprocess.CompletedProcess(command, code, out.getvalue())
+
+    monkeypatch.setattr(script, "subprocess",
+                        SimpleNamespace(run=child, PIPE=subprocess.PIPE))
     return script
 
 
@@ -1387,6 +1437,29 @@ def test_sweep_stages_script_times_every_stage(monkeypatch, capsys):
         parts = sum(read[name] for name in summed)
         assert np.all(np.abs(parts - read["chunk, wrapped, mean"])
                       <= 0.005 * len(summed) * np.array([1, 10])), shape
+
+
+def test_sweep_stages_script_times_each_shape_alone(monkeypatch, capsys):
+    # each shape is the script run on that shape's name, in an interpreter
+    # of its own; a name times that shape alone, and two names or an
+    # unknown one are a usage error
+    script = sweep_stages_script(monkeypatch)
+    commands = []
+    child = script.subprocess.run
+    monkeypatch.setattr(script.subprocess, "run", lambda command, **kwargs: (
+        commands.append(command) or child(command, **kwargs)))
+    assert script.main() == 0
+    assert commands == [[sys.executable, script.__file__, name]
+                        for name, *_ in script.SHAPES]
+    capsys.readouterr()
+    assert script.main(["closed"]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("  ")] == [
+        "closed (2, 2, 2), 2 points: 2 runs of a 4096-trial chunk "
+        "(ms; minor faults)"]
+    for names in (["small", "closed"], ["large"]):
+        assert script.main(names) == 2
+        assert capsys.readouterr().err.startswith("usage: sweep_stages.py")
 
 
 @pytest.mark.parametrize("stage,error", [
