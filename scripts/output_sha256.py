@@ -3,18 +3,18 @@
     python3 scripts/output_sha256.py
 
 A change that keeps every printed hash keeps the program's output bytes.
-The outputs are the CSVs of --scenario figure2, figure3 and figure4 at
---trials 20000 and of the wide-sweep config below, each at seeds 0 and 7,
-and the stdout of --verify at seeds 0 and 7.  Every CSV is written once at
---workers 1 and once at --workers 2.  --verify, which runs one chunk
-thread per usable CPU, runs once as it is and once pinned to one CPU,
-where the platform has os.sched_setaffinity.  The script exits 1 if a
-CSV differs between the two worker counts or the --verify stdout between
-the two CPU counts.  The calls run one at a time, with one BLAS thread,
-against the package source in this checkout's src/, and write into a
-temporary directory that is removed afterwards.  They run with
-PYTHONWARNINGS=error::RuntimeWarning, so a numpy overflow, invalid value
-or division by zero in any of them fails the script.
+The twelve outputs are the CSVs of --scenario figure2, figure3 and figure4
+at --trials 20000 and of the wide-sweep and wide-n_rx configs below, each
+at seeds 0 and 7, and the stdout of --verify at seeds 0 and 7.  Every CSV
+is written once at --workers 1 and once at --workers 2.  --verify, which
+runs one chunk thread per usable CPU, runs once as it is and once pinned
+to one CPU, where the platform has os.sched_setaffinity.  The script
+exits 1 if a CSV differs between the two worker counts or the --verify
+stdout between the two CPU counts.  The calls run one at a time, with one
+BLAS thread, against the package source in this checkout's src/, and
+write into a temporary directory that is removed afterwards.  They run
+with PYTHONWARNINGS=error::RuntimeWarning, so a numpy overflow, invalid
+value or division by zero in any of them fails the script.
 
 Each printed hash is followed by "recorded" if it matches the RECORDED
 table below and by "not recorded" if it does not.  A mismatch does not
@@ -44,10 +44,20 @@ snr_db = 0:40:1
 metrics = cap_mc,cdd_mc,rc_lb,rc_ub,cap_lb
 trials = 8192
 """
+# The same draw at n_rx = 4 and 8: the only output whose widest config
+# takes several sub-blocks while a narrower one reads a prefix of its draw.
+WIDE_NRX_CONFIG = """users = 8
+n_tx = 4
+n_rx = 4,8
+snr_db = 0:40:1
+metrics = cap_mc,cdd_mc
+trials = 8192
+"""
 # The sha256 of each output, one "name seed digest" line per output, as
 # printed on an x86-64 machine with numpy 2.4.6.  The move of the channel
 # streams to SFC64 (channel.sample_channel_block) changed every Monte-Carlo
-# value, so all ten.
+# value, so all ten outputs recorded then; wide-n_rx was recorded later,
+# from the same code.
 RECORDED = set("""\
 figure2 0 97066f1ea3ba940cd5e665924ea90e08eef95183b8cb85a48091d81c12365d9a
 figure2 7 89c5e33ac29f7da0bbcf524f0709411a88be438adca612b401c6ac8a5b82ea35
@@ -57,6 +67,8 @@ figure4 0 c06974333f175311844ea466a24be5abd336f85db58474991dc8866c46ddf449
 figure4 7 9e4fc70c44ae9f9f9206bc3d280da7b0f20f0880ac22c4230baa00ba26aed0b4
 wide-sweep 0 5247a9604cd5736b29ba232766baced0da0b33ea3d9434b5081f84831a4fc4d1
 wide-sweep 7 cbf8a80cc082b238ce1ea9daab97c55b2b3f407d562c25e92b2866212e2f1e1a
+wide-n_rx 0 9a460661bd8f424b7e89a3922ff21c7e29b4374b1a7c6d6c392b0d2a8662637a
+wide-n_rx 7 078aceef6519f9ac0efdb80be63a35d9b3cb413fef6147adaa8b31597f2d0811
 --verify 0 b89a8879186b06da049f1ef0f85e86c0c278a7eaf60757452ca36cc281cd3791
 --verify 7 03675a2c3d787dc048241ebe8188d3ba4921f923dc2f64d7a6f30bc5037516ed
 """.splitlines())
@@ -85,11 +97,13 @@ def main() -> int:
                PYTHONWARNINGS="error::RuntimeWarning")
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        wide = Path(tmp, "wide-sweep.cfg")
-        wide.write_text(WIDE_CONFIG)
         outputs = {f"figure{n}": ["--scenario", f"figure{n}",
                                   "--trials", "20000"] for n in (2, 3, 4)}
-        outputs["wide-sweep"] = ["--config", str(wide)]
+        for name, text in (("wide-sweep", WIDE_CONFIG),
+                           ("wide-n_rx", WIDE_NRX_CONFIG)):
+            config = Path(tmp, f"{name}.cfg")
+            config.write_text(text)
+            outputs[name] = ["--config", str(config)]
         for name, args in outputs.items():
             for seed in SEEDS:
                 digests = []

@@ -3,14 +3,16 @@
     python3 scripts/sweep_stages.py [SHAPE]
 
 Each shape runs a 4096-trial chunk of the "cdd" and "cap" series through
-rates._chunk_sums: wide-sweep (8, 4, 8) in four 1024-trial sub-blocks,
-figure4 (6, 3, 3), figure3 (2, 2, 2) and figure2's (1, 4, 2).  Each
-rates name in STAGES is wrapped to add up its self time and faults
-(ru_minflt); a stage on two inputs gets a line each: _tridiagonal by
-matrix shape (the DFT bins', or figure2's stacked rows), _coefficients
-and _horner_logs by degree (T L for CDD, L for capacity).  "rest of the
-chunk" is the own lines of _chunk_sums, _sweep_values and _logdet_sums
-and the wrappers, so the lines, means, add up to the wrapped chunk.
+rates._chunk_sums, which draws the chunk and reduces the one buffer of
+values that rates._sweep_values fills: wide-sweep (8, 4, 8) in four
+1024-trial sub-blocks, figure4 (6, 3, 3), figure3 (2, 2, 2) and figure2's
+(1, 4, 2) in one.  Each rates name in STAGES is wrapped to add up its
+self time and faults (ru_minflt); a stage on two inputs gets a line
+each: _tridiagonal by matrix shape (the DFT bins', or figure2's stacked
+rows), _coefficients and _horner_logs by degree (T L for CDD, L for
+capacity).  "rest of the chunk" is the own lines of _chunk_sums,
+_sweep_values, _series and _logdet_sums and the wrappers, so the lines,
+means, add up to the wrapped chunk.
 After an untimed chunk, wrapped and unwrapped chunks alternate in one
 workspace, for BUDGET seconds and at least MIN_RUNS times each, with one
 BLAS thread, on this checkout's src/; their medians show the wrappers'

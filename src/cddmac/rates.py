@@ -163,32 +163,14 @@ def _entry_sum(terms) -> np.ndarray:
     return total
 
 
-# Channel entries per sub-block of trials that values() sees at once, to cap
-# a chunk's peak memory (wide-sweep, 6 pairs: peak_rss_mb 84.0, 107.3 with
-# no sub-blocks, wall_s level); every figure and --verify chunk fits in one.
-_SUB_BLOCK_ENTRIES = 1 << 18
-
-
 def _chunk_sums(values, cfgs, workspaces: dict, start: int, stop: int):
     """_trial_sums of values over trials [start, stop), one per config:
-    each config in turn reads its prefix of the widest one's block, in
-    sub-blocks, so one config's values are held at a time."""
+    each config in turn reads its prefix of the widest one's block, and its
+    values are reduced before the next config evaluates."""
     widest = max(cfgs, key=lambda cfg: cfg.users * cfg.n_rx * cfg.n_tx)
-    sums = []
     with _workspace(workspaces):
         block = sample_channel_block(widest, start, stop)
-        rows = max(1, _SUB_BLOCK_ENTRIES // block[0].size)
-        for cfg in cfgs:
-            for lo in range(0, len(block), rows):
-                part = values(block_prefix(block[lo:lo + rows], cfg))
-                if not lo:
-                    vals = _buffer("vals", part.shape[:-1] + (len(block),))
-                vals[..., lo:lo + rows] = part
-            del part            # not held while the next config evaluates
-            # one pass over the whole chunk, so the sums never see the
-            # sub-blocks
-            sums.append(_trial_sums(vals))
-    return sums
+        return [_trial_sums(values(block_prefix(block, cfg))) for cfg in cfgs]
 
 
 def _trial_sums(vals: np.ndarray):
@@ -215,12 +197,11 @@ def _usable_cpus() -> int:
 def run_chunks(values, cfgs, workers: int = 1) -> list:
     """Monte-Carlo (means, stderrs) of values(block), one pair per config.
 
-    values maps a (trials, users, n_rx, n_tx) block to per-trial values
-    with trials on the last axis, one shape for every config; the statistics
-    keep the other axes.  The configs must share seed and trial count: per
-    chunk the widest config's block is drawn once and each config reads its
-    prefix (channel.block_prefix) in sub-blocks of at most
-    _SUB_BLOCK_ENTRIES entries, so values must treat trials independently.
+    values maps a (trials, users, n_rx, n_tx) block, a whole chunk, to
+    per-trial float values with trials on the last axis, one shape for
+    every config; the statistics keep the other axes.  The configs must
+    share seed and trial count: per chunk the widest config's block is
+    drawn once and each config reads its prefix (channel.block_prefix).
     The chunks run on min(workers, chunks, usable CPUs) threads of this
     process, or in the calling thread when that is one; values may be any
     callable that is safe to call from two threads at once.  If a chunk
@@ -228,8 +209,9 @@ def run_chunks(values, cfgs, workers: int = 1) -> list:
     Each chunk thread draws and evaluates in a workspace of its own
     (linalg._buffer), made on its first chunk and dropped when run_chunks
     returns, so a chunk's large temporaries are allocated once per thread,
-    not once per sub-block: values must not keep its block or any other
-    workspace buffer past its return.
+    not once per chunk.  values may return a workspace buffer: the runner
+    reduces it, in place, before its next call.  values must not keep its
+    block or any other workspace buffer past its return.
     """
     workers = _index("workers", workers, 1)
     cfgs = tuple(cfgs)
@@ -280,6 +262,12 @@ REGION_PARTS = ("i1", "i2", "isum", "isum-i1", "isum-i2")
 REGION_METRICS = tuple(f"{scheme}_{part}" for scheme in ("cap", "cdd")
                        for part in REGION_PARTS)
 SWEEP_METRICS = ("cdd", "cap", "diff") + REGION_METRICS
+
+# Channel entries per sub-block of trials that _sweep_values evaluates at
+# once, to cap the memory of its temporaries (wide-sweep, 6 pairs:
+# peak_rss_mb 84.0, 107.3 with no sub-blocks, wall_s level); every figure
+# and --verify chunk fits in one.
+_SUB_BLOCK_ENTRIES = 1 << 18
 
 # Doubles per buffer of the sweep kernel, sized for cache: a block of
 # _grams' Gram products with its batch-last copy, or the largest temporary
@@ -536,13 +524,25 @@ def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
 
 def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
-    """Per-trial metric values, shape (len(metrics), len(snr), trials).
+    """Per-trial metric values, shape (len(metrics), len(snr), trials), in
+    one array: inside a chunk a workspace buffer (linalg._buffer), which the
+    caller must be done with before the next call; elsewhere a new array.
 
     Every series is one scheme's rate over a set of users, the same rule as
     rate_cdd and sum_capacity: all users for "cdd", "cap" and "isum", user k
     alone for "<scheme>_i<k>".  "isum-i<k>" and "diff" are per-trial
-    differences of those series, each series evaluated once.
+    differences of those series, each series evaluated once per sub-block
+    of trials with at most _SUB_BLOCK_ENTRIES of this block's entries.
     """
+    out = _buffer("vals", (len(metrics), len(snr), len(block)))
+    step = max(1, _SUB_BLOCK_ENTRIES // math.prod(block.shape[1:]))
+    for lo in range(0, len(block), step):
+        _series(block[lo:lo + step], snr, metrics, out[..., lo:lo + step])
+    return out
+
+
+def _series(block: np.ndarray, snr: np.ndarray, metrics, out: np.ndarray):
+    """_sweep_values of one sub-block, written into out."""
     n_tx = block.shape[-1]
     bins = reduce_to_parallel(block)                            # (B,T,n_rx,K)
 
@@ -565,19 +565,18 @@ def _sweep_values(block: np.ndarray, snr: np.ndarray, metrics) -> np.ndarray:
             d, e2 = tridiagonal(user)
         if scheme == "cap":     # the stacked rows, or the bins' sum after them
             return _logdet_sums(snr / n_tx, d[:, -1:], e2[:, -1:])
-        out = _logdet_sums(snr, d[:, :n_tx], e2[:, :n_tx])
-        out /= n_tx                                             # bins' mean
-        return out
+        cdd = _logdet_sums(snr, d[:, :n_tx], e2[:, :n_tx])
+        cdd /= n_tx                                             # bins' mean
+        return cdd
 
-    def value(name: str) -> np.ndarray:
-        if name == "diff":
-            return rate("cap", 0) - rate("cdd", 0)
+    for row, name in zip(out, metrics):
         scheme, _, part = name.partition("_")
-        if part.startswith("isum-"):
-            return rate(scheme, 0) - rate(scheme, int(part[-1]))
-        return rate(scheme, int(part[1]) if part in ("i1", "i2") else 0)
-
-    return np.stack([value(m) for m in metrics])
+        if name == "diff":
+            np.subtract(rate("cap", 0), rate("cdd", 0), out=row)
+        elif part.startswith("isum-"):
+            np.subtract(rate(scheme, 0), rate(scheme, int(part[-1])), out=row)
+        else:
+            row[...] = rate(scheme, {"i1": 1, "i2": 2}.get(part, 0))
 
 
 def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),

@@ -155,14 +155,14 @@ def test_scenario_figure3_draws_each_trial_once(tmp_path, monkeypatch):
 
 
 def test_receive_antenna_counts_hold_one_config_at_a_time(tmp_path):
-    # a chunk evaluates its configs one at a time into one buffer of values,
-    # so four n_rx on a 401-point grid peak within 10 % of the widest alone.
-    # Two full chunks: from the second on, the widest alone also holds that
-    # buffer while it evaluates
-    def peak(n_rx):
+    # a chunk evaluates its configs one at a time, each reduced before the
+    # next, so four n_rx on a 401-point grid peak within 10 % of the widest
+    # alone, in one chunk and in two (where the widest alone evaluates its
+    # second chunk next to the first one's workspace)
+    def peak(n_rx, trials):
         spec = cli.build_spec({
             **cli.DEFAULTS, "users": "2", "n_tx": "2", "n_rx": n_rx,
-            "snr_db": "0:40:0.1", "trials": str(2 * channel.CHUNK),
+            "snr_db": "0:40:0.1", "trials": str(trials),
             "out": str(tmp_path / "peak.csv")})
         assert len(spec.snr_db) == 401
         tracemalloc.start()
@@ -172,8 +172,9 @@ def test_receive_antenna_counts_hold_one_config_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
 
-    alone = peak("4")
-    assert peak("1,2,3,4") <= 1.1 * alone
+    for trials in (channel.CHUNK, 2 * channel.CHUNK):
+        alone = peak("4", trials)
+        assert peak("1,2,3,4", trials) <= 1.1 * alone, trials
 
 
 def test_scenario_figure4_metrics(tmp_path):

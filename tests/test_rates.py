@@ -534,22 +534,42 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     assert rates._usable_cpus() == 1
 
 
-def test_run_chunks_shared_draw_equals_one_run_per_config():
+def test_run_chunks_shared_draw_equals_one_run_per_config(monkeypatch):
     # configs on one draw, serially and on two threads, give the bits of
-    # one run per config
+    # one run per config, each in sub-blocks sized from its own entries:
+    # the 8-user 4x8 config takes four in its first chunk, the others one,
+    # counted as reduce_to_parallel calls by (users, n_tx, n_rx)
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
     values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
                      metrics=("cdd", "cap", "diff"))
-    cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
-                         trials=CHUNK + 300, seed=21)
-            for users, n_tx, n_rx in ((1, 2, 1), (3, 2, 2), (2, 2, 1))]
-    shared = run_chunks(values, cfgs)
-    pooled = run_chunks(values, cfgs, workers=2)
-    assert len(shared) == len(pooled) == len(cfgs)
-    for cfg, got, in_pool in zip(cfgs, shared, pooled):
-        [alone] = run_chunks(values, [cfg])
-        for a, b, c in zip(got, in_pool, alone):
-            assert a.shape == (3, 2)
-            assert a.tobytes() == b.tobytes() == c.tobytes()
+    true_bins = rates.reduce_to_parallel
+    calls = []
+
+    def bins(block):
+        users, n_rx, n_tx = block.shape[1:]
+        calls.append((users, n_tx, n_rx))
+        return true_bins(block)
+
+    monkeypatch.setattr(rates, "reduce_to_parallel", bins)
+    for shapes, trials in ((((1, 2, 1), (3, 2, 2), (2, 2, 1)), CHUNK + 300),
+                           (((8, 4, 8), (4, 4, 4), (6, 3, 3)), CHUNK + 904)):
+        cfgs = [SystemConfig(*shape, trials=trials, seed=21)
+                for shape in shapes]
+        sub_blocks = {shape: 4 + 1 if shape == (8, 4, 8) else 1 + 1
+                      for shape in shapes}
+        runs = []
+        for workers in (1, 2):
+            calls.clear()
+            runs.append(run_chunks(values, cfgs, workers))
+            assert {shape: calls.count(shape) for shape in set(calls)} == \
+                sub_blocks, workers
+        shared, pooled = runs
+        assert len(shared) == len(pooled) == len(cfgs)
+        for cfg, got, in_pool in zip(cfgs, shared, pooled):
+            [alone] = run_chunks(values, [cfg])
+            for a, b, c in zip(got, in_pool, alone):
+                assert a.shape == (3, 2)
+                assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 def stderr_ratios(snr):
@@ -1482,20 +1502,23 @@ def test_sweep_stages_script_fails_on_a_stage_it_cannot_time(
 
 
 @pytest.mark.parametrize("users,n_tx,n_rx", [(2, 2, 2), (6, 3, 3), (8, 4, 8)])
-def test_sweep_values_do_not_depend_on_the_trial_split(users, n_tx, n_rx):
+def test_sweep_values_do_not_depend_on_the_trial_split(monkeypatch, users,
+                                                      n_tx, n_rx):
     # a trial's values agree whether it is evaluated alone, in blocks of 7
-    # or 512 trials, or in _chunk_sums' sub-blocks, to 8 ulp of its capacity
-    # at that point, which bounds every metric.  Bits are not compared:
-    # numpy may round a complex product of _householder with or without FMA
-    # depending on the batch's length and strides (a lone (6, 3, 3) or
-    # (8, 4, 8) trial moves by up to 1.3 ulp of its capacity)
+    # or 512 trials, in _sweep_values' own sub-blocks or in none, to 8 ulp
+    # of its capacity at that point, which bounds every metric.  Bits are
+    # not compared: numpy may round a complex product of _householder with
+    # or without FMA depending on the batch's length and strides (a lone
+    # (6, 3, 3) or (8, 4, 8) trial moves by up to 1.3 ulp of its capacity)
     cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=1100, seed=44)
     block = sample_channel_block(cfg, 0, cfg.trials)
     snr = np.array([0.0, 1e-20, 1.0, 1e4, 1e300])
     metrics = ("cdd", "cap", "diff") + (rates.REGION_METRICS
                                         if users == 2 else ())
-    whole = _sweep_values(block, snr, metrics)
     budget = rates._SUB_BLOCK_ENTRIES // block[0].size
+    with monkeypatch.context() as one_sub_block:
+        one_sub_block.setattr(rates, "_SUB_BLOCK_ENTRIES", 1 << 40)
+        whole = _sweep_values(block, snr, metrics)
     for rows, trials in ((1, 40), (7, 300), (512, 1100), (budget, 1100)):
         parts = [_sweep_values(block[lo:min(lo + rows, trials)], snr, metrics)
                  for lo in range(0, trials, rows)]
@@ -1505,27 +1528,28 @@ def test_sweep_values_do_not_depend_on_the_trial_split(users, n_tx, n_rx):
 
 
 def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
-    # statistics keep the bits of one values() call on the whole chunk for
-    # any sub-block and any _POINT_BUFFER: at 2**6 every Gram product block
-    # is one trial and every point block one point.  The 8-user 4x8 config
-    # takes 1024-trial sub-blocks, and its default Gram blocks are 64 trials
-    # of 4 CDD bins, whose sum is the capacity's Gram; the others take whole
-    # chunks
+    # statistics keep the bits of one sub-block per chunk for any sub-block
+    # and any _POINT_BUFFER: at 2**6 every Gram product block is one trial
+    # and every point block one point.  The 8-user 4x8 config takes
+    # 1024-trial sub-blocks, counted as reduce_to_parallel calls, and its
+    # default Gram blocks are 64 trials of 4 CDD bins, whose sum is the
+    # capacity's Gram; the others take whole chunks
     values = partial(_sweep_values, snr=np.array([1.0, 100.0]),
                      metrics=("cdd", "cap"))
-    true_gram = rates._gram
+    true_gram, true_bins = rates._gram, rates.reduce_to_parallel
     default = rates._POINT_BUFFER
     calls, grams = [], []
 
-    def counted(block):
+    def bins(block):                            # one call per sub-block
         calls.append(len(block))
-        return values(block)
+        return true_bins(block)
 
     def gram(x):
         grams.append(x.shape[:2])               # (trials, bins) per product
         return true_gram(x)
 
     monkeypatch.setattr(rates, "_gram", gram)
+    monkeypatch.setattr(rates, "reduce_to_parallel", bins)
     for users, n_tx, n_rx in ((2, 2, 2), (6, 3, 3), (8, 4, 8)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx,
                            trials=CHUNK + 1500, seed=45)
@@ -1537,7 +1561,7 @@ def test_chunk_statistics_do_not_depend_on_sub_blocks(monkeypatch):
             monkeypatch.setattr(rates, "_POINT_BUFFER", budget)
             calls.clear()
             grams.clear()
-            [got] = run_chunks(counted, [cfg])
+            [got] = run_chunks(values, [cfg])
             assert calls == ([1024] * 4 + [1024, 476] if users == 8
                              else [CHUNK, 1500])
             if budget == 1 << 6:
