@@ -3,18 +3,19 @@
     python3 scripts/output_sha256.py
 
 A change that keeps every printed hash keeps the program's output bytes.
-The twelve outputs are the CSVs of --scenario figure2, figure3 and figure4
-at --trials 20000 and of the wide-sweep and wide-n_rx configs below, each
-at seeds 0 and 7, and the stdout of --verify at seeds 0 and 7.  Every CSV
-is written once at --workers 1 and once at --workers 2.  --verify, which
-runs one chunk thread per usable CPU, runs once as it is and once pinned
-to one CPU, where the platform has os.sched_setaffinity.  The script
-exits 1 if a CSV differs between the two worker counts or the --verify
-stdout between the two CPU counts.  The calls run one at a time, with one
-BLAS thread, against the package source in this checkout's src/, and
-write into a temporary directory that is removed afterwards.  They run
-with PYTHONWARNINGS=error::RuntimeWarning, so a numpy overflow, invalid
-value or division by zero in any of them fails the script.
+The fourteen outputs are the CSVs of --scenario figure2, figure3 and
+figure4 at --trials 20000 and of the wide-sweep, wide-n_rx and region-n_rx
+configs below, each at seeds 0 and 7, and the stdout of --verify at seeds
+0 and 7.  Every CSV is written once at --workers 1 and once at --workers
+2.  --verify, which runs one chunk thread per usable CPU, runs once as it
+is and once pinned to one CPU, where the platform has
+os.sched_setaffinity.  The script exits 1 if a CSV differs between the
+two worker counts or the --verify stdout between the two CPU counts.  The
+calls run one at a time, with one BLAS thread, against the package source
+in this checkout's src/, and write into a temporary directory that is
+removed afterwards.  They run with PYTHONWARNINGS=error::RuntimeWarning,
+so a numpy overflow, invalid value or division by zero in any of them
+fails the script.
 
 Each printed hash is followed by "recorded" if it matches the RECORDED
 table below and by "not recorded" if it does not.  A mismatch does not
@@ -53,11 +54,20 @@ snr_db = 0:40:1
 metrics = cap_mc,cdd_mc
 trials = 8192
 """
+# Two-user regions and Monte-Carlo rows at n_rx = 1 and 2 from one draw:
+# the only output whose region rows carry _nrx tags.
+REGION_NRX_CONFIG = """users = 2
+n_tx = 2
+n_rx = 1,2
+snr_db = 0,20,40
+metrics = cap_mc,cdd_mc,rc_lb,region
+trials = 20000
+"""
 # The sha256 of each output, one "name seed digest" line per output, as
 # printed on an x86-64 machine with numpy 2.4.6.  The move of the channel
 # streams to SFC64 (channel.sample_channel_block) changed every Monte-Carlo
-# value, so all ten outputs recorded then; wide-n_rx was recorded later,
-# from the same code.
+# value, so all ten outputs recorded then; wide-n_rx and region-n_rx were
+# recorded later, each before a change to the code whose rows it covers.
 RECORDED = set("""\
 figure2 0 97066f1ea3ba940cd5e665924ea90e08eef95183b8cb85a48091d81c12365d9a
 figure2 7 89c5e33ac29f7da0bbcf524f0709411a88be438adca612b401c6ac8a5b82ea35
@@ -69,6 +79,8 @@ wide-sweep 0 5247a9604cd5736b29ba232766baced0da0b33ea3d9434b5081f84831a4fc4d1
 wide-sweep 7 cbf8a80cc082b238ce1ea9daab97c55b2b3f407d562c25e92b2866212e2f1e1a
 wide-n_rx 0 9a460661bd8f424b7e89a3922ff21c7e29b4374b1a7c6d6c392b0d2a8662637a
 wide-n_rx 7 078aceef6519f9ac0efdb80be63a35d9b3cb413fef6147adaa8b31597f2d0811
+region-n_rx 0 61238dd9b623a07ee8024d8c268cec08aeb2b142f2487a603cbc144e5efd656d
+region-n_rx 7 5fbcf15dc7d6a692c04a9353e811e6f4ed3bf037f5dda322d6c38f56cb3faa75
 --verify 0 b89a8879186b06da049f1ef0f85e86c0c278a7eaf60757452ca36cc281cd3791
 --verify 7 03675a2c3d787dc048241ebe8188d3ba4921f923dc2f64d7a6f30bc5037516ed
 """.splitlines())
@@ -100,7 +112,8 @@ def main() -> int:
         outputs = {f"figure{n}": ["--scenario", f"figure{n}",
                                   "--trials", "20000"] for n in (2, 3, 4)}
         for name, text in (("wide-sweep", WIDE_CONFIG),
-                           ("wide-n_rx", WIDE_NRX_CONFIG)):
+                           ("wide-n_rx", WIDE_NRX_CONFIG),
+                           ("region-n_rx", REGION_NRX_CONFIG)):
             config = Path(tmp, f"{name}.cfg")
             config.write_text(text)
             outputs[name] = ["--config", str(config)]

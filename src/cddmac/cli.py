@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -32,9 +31,9 @@ from .channel import (CHUNK, SystemConfig, effective_channel,
                       reduce_to_parallel, sample_channel_block,
                       sample_channels, shuffle_permutation)
 from .linalg import _SNR_MAX, _SNR_MIN, _index, _seed, dft_matrix
-from .rates import (REGION_METRICS, _sweep_values, _tridiagonal,
-                    _usable_cpus, monte_carlo_sweep, rate_cdd,
-                    rate_cdd_reduced, run_chunks, sum_capacity)
+from .rates import (REGION_METRICS, _sweep, _tridiagonal, _usable_cpus,
+                    monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
+                    run_chunks, sum_capacity)
 from .region import REGION_ROWS
 # bound only for bench/layers.py, which wraps them by name
 from .region import region_capacity, region_cdd
@@ -116,6 +115,11 @@ def _parse_int(field: str, text: str, rule, *args) -> int:
         raise UsageError(str(exc)) from None
 
 
+def _items(text: str) -> list:
+    """A comma list's items, each stripped; blank items are skipped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _parse_grid(text: str) -> tuple:
     """SNR grid in dB: either 'start:stop:step' (inclusive) or 'a,b,c'."""
     try:
@@ -128,7 +132,7 @@ def _parse_grid(text: str) -> tuple:
             # np.arange would make ceil(count) points: count before it runs
             count = (stop + step / 2 - start) / step
         else:
-            listed = [float(p) for p in text.split(",") if p.strip()]
+            listed = [float(p) for p in _items(text)]
             count = len(listed)
         if not count <= _GRID_POINTS_MAX:  # also true for a nan or inf count
             raise UsageError(f"snr_db: grid must be finite with at most "
@@ -144,7 +148,7 @@ def _parse_grid(text: str) -> tuple:
         raise UsageError(f"snr_db: points must be finite, from "
                          f"{_SNR_DB_MIN:g} to {_SNR_DB_MAX:g} dB, got "
                          f"{text!r}")
-    return tuple(float(g) for g in grid)
+    return tuple(float(g) + 0.0 for g in grid)     # -0 is 0: one label
 
 
 def _refuse_repeats(field: str, labels) -> None:
@@ -158,7 +162,7 @@ def _refuse_repeats(field: str, labels) -> None:
 
 def build_spec(settings: dict) -> ExperimentSpec:
     """Validate merged settings (all strings) into an ExperimentSpec."""
-    metrics = tuple(m for m in settings["metrics"].split(",") if m)
+    metrics = tuple(_items(settings["metrics"]))
     if not metrics:
         raise UsageError("metrics: at least one metric is required")
     for m in metrics:
@@ -168,7 +172,7 @@ def build_spec(settings: dict) -> ExperimentSpec:
     _refuse_repeats("metrics", metrics)
     users = _parse_int("users", settings["users"], _index, 1)
     n_rx = tuple(_parse_int("n_rx", p, _index, 1)
-                 for p in settings["n_rx"].split(",") if p)
+                 for p in _items(settings["n_rx"]))
     if not n_rx:
         raise UsageError("n_rx: at least one receive-antenna count required")
     _refuse_repeats("n_rx", n_rx)
@@ -254,12 +258,10 @@ def run(spec: ExperimentSpec, plot_script: str = "") -> int:
     if "region" in spec.metrics:
         series += REGION_METRICS
     # one draw serves every receive-antenna count: each reads its prefix
-    stats = (run_chunks(partial(_sweep_values, snr=linear, metrics=series),
-                        spec.cfgs, spec.workers) if series
-             else [((), ())] * len(spec.cfgs))          # closed forms only
-    for cfg, (means, errs) in zip(spec.cfgs, stats):
+    stats = (_sweep(spec.cfgs, linear, series, spec.workers) if series
+             else [{}] * len(spec.cfgs))                # closed forms only
+    for cfg, got in zip(spec.cfgs, stats):
         tag = f"_nrx{cfg.n_rx}" if len(spec.cfgs) > 1 else ""
-        got = dict(zip(series, zip(means, errs)))
         mc, region = _sweep_rows(spec, cfg, tag, got)
         rows += mc + _bound_rows(spec, cfg, tag, linear) + region
 
@@ -353,24 +355,15 @@ def _dual_path_residuals(block, snr, perm):
     return rate, np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
-def _sandwich_estimates(cfgs, grid):
-    """Per config, the Monte-Carlo (means, stderrs) of cdd and cap over a
-    linear-SNR grid, each of shape (2, points).  The configs share one seed
-    and trial count and one draw, whose chunks run on one thread per usable
-    CPU."""
-    return run_chunks(partial(_sweep_values, snr=grid,
-                              metrics=("cdd", "cap")), cfgs, _usable_cpus())
-
-
 def _sandwich_excess(cfgs, grid, estimates):
     """Per config, the worst (rc_lb - 3s - cdd), (cdd - 3s - rc_ub) and
-    (cap_lb - 3s - cap) over the grid, s the Monte-Carlo standard error of
-    the config's estimates (_sandwich_estimates); all <= 0 when the
-    closed-form bounds sandwich them.  The bounds are read from _BOUNDS
-    here, when it runs."""
+    (cap_lb - 3s - cap) over the linear-SNR grid, s the Monte-Carlo
+    standard error of the config's estimates, {"cdd": (means, stderrs),
+    "cap": ...} from rates._sweep; all <= 0 when the closed-form bounds
+    sandwich them.  The bounds are read from _BOUNDS here, when it runs."""
     out = []
-    for cfg, ((cdd_mean, cap_mean), (cdd_err, cap_err)) in zip(cfgs,
-                                                               estimates):
+    for cfg, got in zip(cfgs, estimates):
+        (cdd_mean, cdd_err), (cap_mean, cap_err) = got["cdd"], got["cap"]
         low, high, cap_low = (_BOUNDS[m](cfg, grid)
                               for m in ("rc_lb", "rc_ub", "cap_lb"))
         out.append((float(np.max(low - 3 * cdd_err - cdd_mean)),
@@ -464,7 +457,7 @@ def _check_sandwich(rng):
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=20000,
                          seed=2026)
             for users, n_tx, n_rx in configs]
-    estimates = _sandwich_estimates(cfgs, grid)
+    estimates = _sweep(cfgs, grid, ("cdd", "cap"), _usable_cpus())
     worst = max(max(excess)
                 for excess in _sandwich_excess(cfgs, grid, estimates))
     return worst <= 0, "rc_lb <= MC cdd <= rc_ub and cap_lb <= MC cap on " + \
@@ -480,10 +473,10 @@ def _check_gap_convergence(rng):
     pairs = ((1, 2), (2, 2))
     cfgs = [SystemConfig(users=users, n_tx=n_tx, n_rx=1, trials=30000,
                          seed=7) for users, n_tx in pairs]
-    got = run_chunks(partial(_sweep_values, snr=np.array([1e4]),
-                             metrics=("diff",)), cfgs, _usable_cpus())
+    got = _sweep(cfgs, 1e4, ("diff",), _usable_cpus())
     worst = -np.inf
-    for (users, n_tx), ((mean,), (err,)) in zip(pairs, got):  # one metric
+    for (users, n_tx), estimates in zip(pairs, got):
+        mean, err = estimates["diff"]
         gap, _ = bnd.gap_high_snr(users, n_tx, 1)
         excess = abs(float(mean[0]) - gap) - max(0.05, 5 * float(err[0]))
         worst = max(worst, excess)

@@ -17,18 +17,19 @@ bins' Grams (the DFT is unitary), reduced in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
-share a seed and trial count read prefixes of one draw.  With more than one
-worker the chunks run on threads of the calling process: numpy releases
-the interpreter lock inside the sampling, matmul and ufunc loops that do
-most of a chunk's work, so the threads overlap there.  Two summation
-rules fix every bit of an estimate.  numpy's pairwise sum adds a chunk's
-trials (_trial_sums: each row's values, and its squares scaled by an
-exact power of two, so they do not underflow).  Every other sum runs in
-index order: through _entry_sum over a stack of terms (a matrix's entries,
-the DFT bins' Grams, the chunks' sums), or as a running total where a loop
-makes its terms one at a time (_householder's A v, the coefficient
-recurrence, the bins' polynomial product, the Horner loop's two totals,
-the fallback's pivots).
+share a seed and trial count read prefixes of one draw; every sweep is one
+_sweep call, which checks its metrics and grid and names each config's
+rows.  With more than one worker the chunks run on threads of the calling
+process: numpy releases the interpreter lock inside the sampling, matmul
+and ufunc loops that do most of a chunk's work, so the threads overlap
+there.  Two summation rules fix every bit of an estimate.  numpy's pairwise
+sum adds a chunk's trials (_trial_sums: each row's values, and its squares
+scaled by an exact power of two, so they do not underflow).  Every other
+sum runs in index order: through _entry_sum over a stack of terms (a
+matrix's entries, the DFT bins' Grams, the chunks' sums), or as a running
+total where a loop makes its terms one at a time (_householder's A v, the
+coefficient recurrence, the bins' polynomial product, the Horner loop's two
+totals, the fallback's pivots).
 With the channel streams keyed by (seed, chunk), estimates are therefore
 bit-identical for any --workers setting.
 """
@@ -579,6 +580,24 @@ def _series(block: np.ndarray, snr: np.ndarray, metrics, out: np.ndarray):
             row[...] = rate(scheme, {"i1": 1, "i2": 2}.get(part, 0))
 
 
+def _sweep(cfgs, snr, metrics, workers: int = 1) -> list:
+    """monte_carlo_sweep over the configs of one draw (run_chunks), one
+    result per config; the region metrics need two users in every config."""
+    if not metrics or not set(metrics) <= set(SWEEP_METRICS):
+        raise ValueError(f"metrics: need sweep metrics, got {metrics!r}")
+    if any(c.users != 2 for c in cfgs) and set(metrics) & set(REGION_METRICS):
+        raise ValueError("rate regions are computed for exactly 2 users")
+    grid = _snr(snr)
+    if grid.ndim > 1 or grid.size == 0:
+        raise ValueError(f"snr grid must be a scalar or nonempty 1-D, got "
+                         f"shape {grid.shape}")
+    values = partial(_sweep_values, snr=np.atleast_1d(grid),
+                     metrics=tuple(metrics))
+    return [{name: (means[row], stderrs[row])
+             for row, name in enumerate(metrics)}
+            for means, stderrs in run_chunks(values, cfgs, workers)]
+
+
 def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),
                       workers: int = 1) -> dict:
     """Ergodic estimates for several metrics over a shared linear-SNR grid.
@@ -588,16 +607,4 @@ def monte_carlo_sweep(cfg: SystemConfig, snr, metrics=("cdd", "cap"),
     scalar snr is a one-point grid.  Results are bit-identical for any
     workers value (fixed chunk schedule).
     """
-    if not metrics or not set(metrics) <= set(SWEEP_METRICS):
-        raise ValueError(f"metrics: need sweep metrics, got {metrics!r}")
-    if cfg.users != 2 and any(m in REGION_METRICS for m in metrics):
-        raise ValueError("rate regions are computed for exactly 2 users")
-    grid = _snr(snr)
-    if grid.ndim > 1 or grid.size == 0:
-        raise ValueError(f"snr grid must be a scalar or nonempty 1-D, got "
-                         f"shape {grid.shape}")
-    values = partial(_sweep_values, snr=np.atleast_1d(grid),
-                     metrics=tuple(metrics))
-    [(means, stderrs)] = run_chunks(values, [cfg], workers)
-    return {name: (means[row], stderrs[row])
-            for row, name in enumerate(metrics)}
+    return _sweep([cfg], snr, metrics, workers)[0]

@@ -197,6 +197,37 @@ def test_negative_grid_attached_to_flag(tmp_path):
         [-10.0, -5.0, 0.0]
 
 
+def test_minus_zero_grid_point_is_labelled_0(tmp_path, capsys):
+    # -0 dB is 0 dB: it used to be written, and summed up, as "-0"
+    out = tmp_path / "zero.csv"
+    assert main(["--scenario", "figure2", "--metrics", "rc_lb",
+                 "--snr-db=-0:10:5", "--out", str(out)]) == 0
+    assert [row[0] for row in read_rows(out)] == ["0", "5", "10"] * 2
+    assert main(["--scenario", "figure2", "--metrics", "rc_lb",
+                 "--snr-db=-0", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert "rc_lb_nrx1 @ 0 dB: " in summary and "@ -0 dB" not in summary
+
+
+@pytest.mark.parametrize("key,listed", [("metrics", "cdd_mc, cap_mc"),
+                                        ("n_rx", "1, ,2")])
+def test_list_items_are_stripped_and_blank_items_skipped(tmp_path, key,
+                                                         listed):
+    # every comma list takes snr_db's rule: "cdd_mc, cap_mc" was the
+    # unknown metric ' cap_mc', and "1, ,2" the non-integer ' '
+    settings = dict(trials="50", metrics="cdd_mc,cap_mc", n_rx="1,2",
+                    snr_db="0, ,10")
+    outs = []
+    for value in (listed, settings[key]):
+        cfg, out = tmp_path / "lists.cfg", tmp_path / f"lists{len(outs)}.csv"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                               {**settings, key: value}.items()))
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(read_rows(out)) == 8         # 2 n_rx x 2 metrics x 2 points
+
+
 def test_same_seed_same_bytes_any_workers(config_file, tmp_path):
     outs = []
     for name, workers in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
@@ -344,6 +375,7 @@ def test_grid_point_limit():
     ("metrics = rc_lb,rc_lb", "metrics"),
     ("snr_db = 0,0", "snr_db"),
     ("snr_db = 1,1.0000000000001", "snr_db"),  # both print as 1
+    ("snr_db = 0,-0", "snr_db"),               # -0 is 0
 ])
 def test_repeated_key_is_usage_error(tmp_path, capsys, line, field):
     # each would write its rows twice under one label
@@ -508,7 +540,7 @@ def test_out_of_memory_is_one_runtime_error_line(config_file, tmp_path,
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 61.0 GiB for an array")
 
-    monkeypatch.setattr(cli, "run_chunks", no_memory)
+    monkeypatch.setattr(cli, "_sweep", no_memory)
     out = tmp_path / "res.csv"
     assert main(["--config", str(config_file), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -636,8 +668,8 @@ def test_sandwich_kernel_shared_draw_equals_per_config():
             for users, n_tx, n_rx in ((1, 2, 1), (2, 2, 2), (4, 2, 1))]
 
     def excess(cfgs):
-        return cli._sandwich_excess(cfgs, grid,
-                                    cli._sandwich_estimates(cfgs, grid))
+        return cli._sandwich_excess(cfgs, grid, rates._sweep(
+            cfgs, grid, ("cdd", "cap"), rates._usable_cpus()))
 
     assert excess(cfgs) == [excess([cfg])[0] for cfg in cfgs]
 

@@ -34,7 +34,7 @@ from cddmac.bounds import rc_upper_bound
 from cddmac.channel import (SystemConfig, effective_channel,
                             reduce_to_parallel, sample_channel_block)
 from cddmac.linalg import logdet_hermitian_psd
-from cddmac.rates import (CHUNK, SWEEP_METRICS, _sweep_values,
+from cddmac.rates import (CHUNK, SWEEP_METRICS, _sweep, _sweep_values,
                           monte_carlo_sweep, rate_cdd, rate_cdd_reduced,
                           run_chunks, sum_capacity)
 from cddmac.region import region_capacity, region_cdd
@@ -656,6 +656,37 @@ def test_sweep_rejects_unknown_metric():
     cfg = SystemConfig(users=1, n_tx=1, n_rx=1, trials=10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_sweep(cfg, 1.0, metrics=("cdd", "outage"))
+    # _sweep_values would read "foo" as cdd and "cap_foo" as cap
+    two = [cfg, SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=0)]
+    for name in ("outage", "foo", "cap_foo"):
+        with pytest.raises(ValueError, match="metrics"):
+            _sweep(two, 1.0, ("cdd", name))
+
+
+def test_sweep_refuses_region_metrics_unless_every_config_has_two_users():
+    cfgs = [SystemConfig(users=users, n_tx=2, n_rx=2, trials=10, seed=0)
+            for users in (2, 3)]
+    for metrics in (("cdd_i1",), ("cap", "cdd_isum-i2")):
+        for order in (cfgs, cfgs[::-1]):
+            with pytest.raises(ValueError, match="2 users"):
+                _sweep(order, 1.0, metrics)
+    assert _sweep(cfgs[:1], 1.0, ("cdd_i1",))[0].keys() == {"cdd_i1"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_of_one_draw_equals_monte_carlo_sweep_per_config(monkeypatch,
+                                                             workers):
+    # three configs of one draw give each config's own sweep, bit for bit,
+    # on one thread and on two
+    monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+    cfgs = [SystemConfig(*shape, trials=CHUNK + 300, seed=23)
+            for shape in ((2, 2, 1), (2, 3, 2), (2, 2, 3))]
+    grid = np.array([0.5, 10.0, 1e4])
+    metrics = ("cap", "diff") + rates.REGION_METRICS
+    got = _sweep(cfgs, grid, metrics, workers)
+    assert len(got) == len(cfgs)
+    for cfg, estimates in zip(cfgs, got):
+        assert same_bits(estimates, monte_carlo_sweep(cfg, grid, metrics))
 
 
 def test_sweep_rejects_empty_metrics():
@@ -673,6 +704,9 @@ def test_sweep_rejects_bad_grid():
                 np.ones((1, 1, 1))):
         with pytest.raises(ValueError, match="snr"):
             monte_carlo_sweep(cfg, snr, metrics=("cdd",))
+        with pytest.raises(ValueError, match="snr"):
+            _sweep([cfg, SystemConfig(users=2, n_tx=1, n_rx=1, trials=10,
+                                      seed=0)], snr, ("cdd",))
     two_users = SystemConfig(users=2, n_tx=2, n_rx=2, trials=10, seed=0)
     for region in (region_capacity, region_cdd):
         for snr in (-0.5, [1.0, 2.0]):  # a region is one point
@@ -1024,6 +1058,17 @@ def test_logdet_sums_per_trial_scale_is_one_scale_per_trial():
     alone = [rates._logdet_sums(np.array([s]), d, e2)[0, b]
              for b, s in enumerate(per_trial)]
     assert got.tobytes() == np.array(alone).tobytes()
+    # the dual-path check's shapes: rate_cdd_reduced, which takes the
+    # one-value-per-trial branch, gives the shared grid's bits, the branch
+    # every estimate takes
+    for users, n_tx, n_rx in ((1, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 3)):
+        cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=50,
+                           seed=5)
+        bins = reduce_to_parallel(sample_channel_block(cfg, 0, cfg.trials))
+        d, e2 = rates._tridiagonal(bins)
+        for s in (8.0, 1e-250, 1.0, 1e250):
+            shared = rates._logdet_sums(np.array([s]), d, e2)[0] / n_tx
+            assert rate_cdd_reduced(bins, s).tobytes() == shared.tobytes()
 
 
 def coefficient_reference(d, e2):
