@@ -336,9 +336,10 @@ plt.show()
 def _dual_path_residuals(block, snr, perm):
     """Per trial of a (trials, users, n_rx, n_tx) channel block, the
     |direct - reduced| rate and the block-diagonalization leak, as two
-    (trials,) arrays; snr is a scalar or one value per trial.  The leak is
-    the largest entry of perm^T R Heff Heff^H R^H perm (R is I (x) D) minus
-    the blocks n_tx * Hp_t Hp_t^H; a wrong perm shows there."""
+    (trials,) arrays; snr is a scalar or one value per trial, a grid of its
+    distinct values for rate_cdd_reduced.  The leak is the largest entry of
+    perm^T R Heff Heff^H R^H perm (R is I (x) D) minus the blocks
+    n_tx * Hp_t Hp_t^H; a wrong perm shows there."""
     n_rx, n_tx = block.shape[-2:]
     par = reduce_to_parallel(block)                   # (B, T, n_rx, K)
     rate = np.abs(rate_cdd(block, snr) - rate_cdd_reduced(par, snr))

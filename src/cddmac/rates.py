@@ -11,9 +11,10 @@ trial axes, with the bits of one call per realization; the sweep engine
 reduction of _grams' batch-last Grams), takes the SNR-free coefficients of
 det(I + sT) from it, multiplied over a trial's DFT bins, and reads every
 grid point from one Horner sum and one logarithm (_logdet_sums), in one
-loop for both sides of s = 1 (_horner_logs); rate_cdd_reduced runs both on
-its own stack.  Where n_rx <= users the capacity's Gram is the sum of the
-bins' Grams (the DFT is unitary), reduced in the same call as theirs.
+loop for both sides of s = 1 (_horner_logs), on a grid that all trials
+share; rate_cdd_reduced reads its (snr, stack) pairs from one such table.
+Where n_rx <= users the capacity's Gram is the sum of the bins' Grams (the
+DFT is unitary), reduced in the same call as theirs.
 
 Every Monte-Carlo estimate goes through one chunk runner, run_chunks:
 trials are processed in fixed-size chunks (channel.CHUNK), and configs that
@@ -128,20 +129,21 @@ def rate_cdd_reduced(blocks, snr):
     stack of a (..., n_tx, n_rx, users) array, snr broadcast against the
     leading axes; one stack and a scalar snr give a float.  The 1/n_tx
     power split is already absorbed by the reduction, so snr appears
-    undivided.  Evaluated by the sweep's own kernel, _tridiagonal and then
-    _logdet_sums, so the dual-path check against rate_cdd tests the code
-    behind every Monte-Carlo estimate.  Blocks are refused as the direct
-    rates refuse channels (_checked_stack).
+    undivided.  Evaluated by the sweep's own kernel: _tridiagonal once per
+    stack, then _logdet_sums on the distinct snr values as one grid,
+    so the dual-path check against rate_cdd tests the code behind every
+    Monte-Carlo estimate; the cost is distinct snr values x stacks.  Blocks
+    are refused as the direct rates refuse channels (_checked_stack).
     """
     snr = _snr(snr)
     blk = _checked_stack(blocks, snr, "blocks", "n_tx, n_rx, users")
-    lead = np.broadcast_shapes(snr.shape, blk.shape[:-3])
-    blk = np.broadcast_to(blk, lead + blk.shape[-3:])
-    scale = np.broadcast_to(snr, lead).reshape(1, -1)      # one per stack
+    np.broadcast_shapes(snr.shape, blk.shape[:-3])     # or a ValueError
     stacks = blk.reshape(-1, *blk.shape[-3:])
-    sums = (_logdet_sums(scale, *_tridiagonal(stacks))[0] if len(stacks)
-            else np.zeros(0))
-    rate = sums.reshape(lead) / blk.shape[-3]
+    grid, point = np.unique(snr, return_inverse=True)
+    table = (_logdet_sums(grid, *_tridiagonal(stacks)) if len(stacks)
+             else np.zeros((len(grid), 0)))
+    stack = np.arange(len(stacks)).reshape(blk.shape[:-3])
+    rate = table[point.reshape(snr.shape), stack] / blk.shape[-3]
     return _scalar(rate)
 
 
@@ -429,15 +431,13 @@ def _coefficients(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
 def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     """ln p(s) for p = sum_k c_k s^k with coefficients coef (K + 1, trials),
-    at s (n, 1) or (n, trials).  One Horner loop over the coefficients
-    advances two running totals, low = sum_{k >= 1} c_k s^k from c_K on
-    for s <= 1, read as log1p(low), and high = sum_{k < K} c_k s^(k - K)
-    from c_0 on for s > 1, read as K ln s + ln(high + c_K), which cannot
-    overflow.  On a shared grid each total runs on its own points; a row
-    of one value per trial runs both, each with s clipped to its side."""
-    shared, rows = s.shape[1] == 1, s[:, 0] > 1
-    above, below = ((s[rows], s[~rows]) if shared
-                    else (np.maximum(s, 1.0), np.minimum(s, 1.0)))
+    at the (n,) points s that all trials share.  One Horner loop over the
+    coefficients advances two running totals, low = sum_{k >= 1} c_k s^k
+    from c_K on at the points s <= 1, read as log1p(low), and high =
+    sum_{k < K} c_k s^(k - K) from c_0 on at those above, read as
+    K ln s + ln(high + c_K), which cannot overflow."""
+    rows = s > 1
+    above, below = s[rows, None], s[~rows, None]
     deg = len(coef) - 1
     inv = 1.0 / above
     high, low = coef[0] * inv, coef[deg] * below
@@ -450,8 +450,6 @@ def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     np.log(high, out=high)
     high += deg * np.log(above)
     np.log1p(low, out=low)
-    if not shared:
-        return np.where(s > 1, high, low)
     out = np.empty((len(s), coef.shape[1]))
     out[rows], out[~rows] = high, low
     return out
@@ -459,15 +457,15 @@ def _horner_logs(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _pivot_logs(scale: np.ndarray, d: np.ndarray, e2: np.ndarray):
     """(S, trials) sums over the T columns of ln det(I + s T_t) from the
-    LDL^T pivots of I + s T_t (Golub & Van Loan, 4.3.6), scale (S, 1) or
-    (S, trials):
+    LDL^T pivots of I + s T_t (Golub & Van Loan, 4.3.6), at the (S,) points
+    scale that all trials share:
 
         u_0 = d_0,   u_k = d_k - e2_{k-1} / (1/s + u_{k-1}),
 
     each adding log1p(s u_k), the u_k clipped at 0.  The S points are one
     block of _logdet_sums, evaluated at once.
     """
-    s = scale[:, None]                                          # (S,1,1|B)
+    s = scale[:, None, None]                                    # (S, 1, 1)
     with np.errstate(divide="ignore"):
         inv = 1.0 / s                     # inf at s = 0: e2 / inf = 0
     u = np.broadcast_to(d[0], (len(s),) + d.shape[1:])
@@ -483,7 +481,7 @@ def _pivot_logs(scale: np.ndarray, d: np.ndarray, e2: np.ndarray):
 def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """(S, trials) array: entry [i, b] sums log2 det(I + scale[i] T_t) over
     the T tridiagonals (d, e2) of trial b, (L, T, trials), from _tridiagonal;
-    scale is (S,), or (S, trials) for one value per trial.
+    scale is an (S,) grid that all trials share.
 
     det(I + sG) = det(I + sT) needs no eigenvalues: once per trial,
     _coefficients takes the SNR-free coefficients c_k of prod_t det(I +
@@ -503,7 +501,6 @@ def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     or the pivots' (points, T, fallback trials), holds at most
     _POINT_BUFFER doubles (one point if that is larger).
     """
-    scale = np.reshape(np.asarray(scale, dtype=float), (len(scale), -1))
     _, per, trials = d.shape
     with np.errstate(over="ignore", invalid="ignore"):  # they fall back
         coef = _coefficients(d, e2)
@@ -511,7 +508,6 @@ def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     fallen = np.count_nonzero(fallback)
     if fallen:
         coef[:, fallback] = 1.0
-        own = scale[:, fallback] if scale.shape[1] > 1 else scale
         d, e2 = d[..., fallback], e2[..., fallback]
     out = np.empty((len(scale), trials))
     step = max(1, _POINT_BUFFER // max(trials, per * fallen))
@@ -519,7 +515,7 @@ def _logdet_sums(scale, d: np.ndarray, e2: np.ndarray) -> np.ndarray:
         block = slice(lo, lo + step)
         out[block] = _horner_logs(coef, scale[block])
         if fallen:
-            out[block, fallback] = _pivot_logs(own[block], d, e2)
+            out[block, fallback] = _pivot_logs(scale[block], d, e2)
     out /= LN2
     return out
 

@@ -1046,21 +1046,10 @@ def test_logdet_sums_accuracy_against_mpmath():
     assert worst["near"] <= 4 * worst["near_eigvalsh"], worst
 
 
-def test_logdet_sums_per_trial_scale_is_one_scale_per_trial():
-    # rate_cdd_reduced's (1, trials) scale gives each trial the bits of its
-    # own scalar grid point
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((6, 3, 4, 5)) + 1j * rng.standard_normal(
-        (6, 3, 4, 5))
-    per_trial = np.array([0.0, 1e-20, 0.3, 10.0, 1e8, 1e300])
-    d, e2 = rates._tridiagonal(x)
-    got = rates._logdet_sums(per_trial[None], d, e2)[0]
-    alone = [rates._logdet_sums(np.array([s]), d, e2)[0, b]
-             for b, s in enumerate(per_trial)]
-    assert got.tobytes() == np.array(alone).tobytes()
-    # the dual-path check's shapes: rate_cdd_reduced, which takes the
-    # one-value-per-trial branch, gives the shared grid's bits, the branch
-    # every estimate takes
+def test_rate_cdd_reduced_gives_the_shared_grid_bits():
+    # the dual-path check's shapes: rate_cdd_reduced at a scalar snr gives
+    # the bits of a one-point grid that all trials share, the form every
+    # estimate takes
     for users, n_tx, n_rx in ((1, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 3)):
         cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=50,
                            seed=5)
@@ -1070,6 +1059,48 @@ def test_logdet_sums_per_trial_scale_is_one_scale_per_trial():
             shared = rates._logdet_sums(np.array([s]), d, e2)[0] / n_tx
             assert rate_cdd_reduced(bins, s).tobytes() == shared.tobytes()
 
+
+
+def test_rate_cdd_reduced_reduces_each_stack_once(monkeypatch):
+    # a 5-point grid against 7 stacks: _tridiagonal sees the 7 stacks once,
+    # not 35 broadcast copies
+    rng = np.random.default_rng(9)
+    bins = reduce_to_parallel(np.stack([random_channels(rng, 2, 3, 2)
+                                        for _ in range(7)]))
+    seen = []
+    true_tridiagonal = rates._tridiagonal
+
+    def counted(x, total=False):
+        seen.append(len(x))
+        return true_tridiagonal(x, total)
+
+    monkeypatch.setattr(rates, "_tridiagonal", counted)
+    got = rate_cdd_reduced(bins, np.array([0.0, 0.5, 1.0, 4.0, 30.0])[:, None])
+    assert got.shape == (5, 7) and seen == [7]
+
+
+@pytest.mark.parametrize("users,n_tx,n_rx", [(1, 2, 1), (2, 2, 2), (3, 3, 4),
+                                             (2, 2, 3)])
+def test_rate_cdd_reduced_on_a_grid_reads_the_sweep_kernel(users, n_tx, n_rx):
+    # a column of snr values against a row of stacks: every entry the bits
+    # of the grid's own _logdet_sums, and within 1e-9 of rate_cdd
+    cfg = SystemConfig(users=users, n_tx=n_tx, n_rx=n_rx, trials=50, seed=8)
+    block = sample_channel_block(cfg, 0, cfg.trials)
+    bins = reduce_to_parallel(block)
+    grid = np.concatenate([[0.0], 10.0 ** (np.arange(-30.0, 61.0, 10) / 10)])
+    got = rate_cdd_reduced(bins, grid[:, None])
+    kernel = rates._logdet_sums(grid, *rates._tridiagonal(bins)) / n_tx
+    assert got.tobytes() == kernel.tobytes()
+    np.testing.assert_allclose(got, rate_cdd(block, grid[:, None]), rtol=0,
+                               atol=1e-9)
+
+
+def test_rate_cdd_reduced_refuses_snr_that_does_not_broadcast():
+    rng = np.random.default_rng(10)
+    bins = reduce_to_parallel(np.stack([random_channels(rng, 2, 2, 2)
+                                        for _ in range(3)]))
+    with pytest.raises(ValueError):
+        rate_cdd_reduced(bins, np.array([1.0, 2.0]))
 
 def coefficient_reference(d, e2):
     """rates._coefficients one coefficient at a time: the three-term
@@ -1217,7 +1248,6 @@ def test_degenerate_trials_take_the_pivot_recurrence(fallen):
     rng = np.random.default_rng(12)
     rank_one = (complex_normal(rng, (30, 4, 5, 1))
                 * complex_normal(rng, (30, 4, 1, 6)))
-    point = np.arange(30) % len(FALLBACK_SNR)           # one per trial
     for x in (np.zeros((30, 4, 5, 6), complex), rank_one):
         fallen.clear()
         d, e2 = rates._tridiagonal(x)
@@ -1225,9 +1255,6 @@ def test_degenerate_trials_take_the_pivot_recurrence(fallen):
         assert fallen == [30]
         expected = pivot_reference(d, e2, FALLBACK_SNR)
         assert got.tobytes() == expected.tobytes()
-        # each trial the bits of its own grid point
-        got = rates._logdet_sums(FALLBACK_SNR[point][None], d, e2)[0]
-        assert got.tobytes() == expected[point, np.arange(30)].tobytes()
     block = np.repeat(complex_normal(rng, (30, 1, 3, 2)), 4, axis=1)
     fallen.clear()
     [cdd] = rates._sweep_values(block, FALLBACK_SNR, ("cdd",))
@@ -1256,21 +1283,18 @@ def test_point_blocks_serve_the_horner_sums_and_the_fallback(
     step = 64 // max(12, 3 * 8)                 # trials, T * fallback trials
     sides = [set(grid[lo:lo + step] > 1) for lo in range(0, 40, step)]
     assert (step, sides.count({False}), sides.count({True})) == (2, 6, 13)
-    per_trial = grid[(np.arange(40)[:, None] + 7 * np.arange(12)) % 40]
     d, e2 = rates._tridiagonal(x)
-    for scale in (grid, per_trial):
-        one_block = rates._logdet_sums(scale, d, e2)
-        with monkeypatch.context() as small:
-            small.setattr(rates, "_POINT_BUFFER", 64)
-            fallen.clear()
-            got = rates._logdet_sums(scale, d, e2)
-        assert fallen == [8] * len(sides)
-        assert got.tobytes() == one_block.tobytes()
-        for b, kind in enumerate(kinds):
-            s = scale if scale.ndim == 1 else scale[:, b]
-            form = pivot_reference if kind else coefficient_form
-            expected = form(d[..., b:b + 1], e2[..., b:b + 1], s)[:, 0]
-            assert got[:, b].tobytes() == expected.tobytes(), b
+    one_block = rates._logdet_sums(grid, d, e2)
+    with monkeypatch.context() as small:
+        small.setattr(rates, "_POINT_BUFFER", 64)
+        fallen.clear()
+        got = rates._logdet_sums(grid, d, e2)
+    assert fallen == [8] * len(sides)
+    assert got.tobytes() == one_block.tobytes()
+    for b, kind in enumerate(kinds):
+        form = pivot_reference if kind else coefficient_form
+        expected = form(d[..., b:b + 1], e2[..., b:b + 1], grid)[:, 0]
+        assert got[:, b].tobytes() == expected.tobytes(), b
 
 
 def test_each_side_of_s_equal_1_takes_its_own_form():
@@ -1278,8 +1302,7 @@ def test_each_side_of_s_equal_1_takes_its_own_form():
     # last double below 1 and 1 itself take the first form, the first
     # double above 1 the second.  At each of the three points the two forms
     # round apart on some of the 256 trials, so a point on the wrong side
-    # shows.  One trial and the batch, on a shared grid and with one value
-    # per trial, bit for bit against coefficient_form
+    # shows.  One trial and the batch, bit for bit against coefficient_form
     rng = np.random.default_rng(32)
     d, e2 = rates._tridiagonal(complex_normal(rng, (256, 3, 3, 4)))
     grid = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
@@ -1295,12 +1318,6 @@ def test_each_side_of_s_equal_1_takes_its_own_form():
         want = expected[:, :trials]
         got = rates._logdet_sums(grid, d[..., :trials], e2[..., :trials])
         assert got.tobytes() == want.tobytes(), trials
-        # each trial its three points in another order
-        point = (np.arange(3)[:, None] + np.arange(trials)) % 3
-        got = rates._logdet_sums(grid[point], d[..., :trials],
-                                 e2[..., :trials])
-        assert got.tobytes() == np.take_along_axis(want, point,
-                                                   axis=0).tobytes(), trials
 
 
 def test_coefficient_overflow_falls_back_without_warnings(fallen):
@@ -1323,7 +1340,8 @@ def test_pivot_overflow_clips_without_warnings(fallen):
     # 4 users sharing one 3 x 2 channel, bins x 1e60: at 1e100 and 1e150 a
     # pivot rounds to 0 while its e2 does not, so e2 / (1/s + u) overflows
     # to inf and clips the next pivot to 0, with no numpy warning, the same
-    # bits as with warnings ignored
+    # bits as with warnings ignored.  Its one stack is reduced once per call,
+    # whatever the number of snr values
     h = complex_normal(np.random.default_rng(12), (3, 2))
     blocks = reduce_to_parallel(np.broadcast_to(h, (4, 3, 2))) * 1e60
     snr = np.array([1e100, 1e150, 1e10, 1.0, 0.0])
@@ -1331,7 +1349,7 @@ def test_pivot_overflow_clips_without_warnings(fallen):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         quiet = rate_cdd_reduced(blocks, snr)
-    assert fallen == [5, 5]
+    assert fallen == [1, 1]
     assert np.all(np.isfinite(got)) and got.tobytes() == quiet.tobytes()
 
 
